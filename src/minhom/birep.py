@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import Digraph, GraphError, GuardExceeded, check_token
+from .digraph import (Digraph, GraphError, GuardExceeded, check_token,
+                      components)
 
 #: Default cap on the number of vertices searched for forbidden structures.
 FORBIDDEN_GUARD = 16
@@ -91,11 +92,18 @@ class BipartiteGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
-    def neighbors(self, v: str) -> list[str]:
-        return [w for w in self.vertices if self.has_edge(v, w)]
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Neighbours of every vertex, in vertex order (part1, then part2)."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(ws, key=pos.__getitem__)) for v, ws in adj.items()}
 
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        return self._adjacency[v]
 
     def induced(self, subset) -> "BipartiteGraph":
         sub = set(subset)
@@ -107,24 +115,6 @@ class BipartiteGraph:
             (v for v in self.part2 if v in sub),
             ((u, v) for u, v in self.edges if u in sub and v in sub),
         )
-
-    def components(self) -> list[tuple[str, ...]]:
-        seen: set[str] = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(tuple(v for v in self.vertices if v in comp))
-        return out
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,7 @@ def is_proper_interval_bigraph(
 
     The false certificate is the forbidden structure found.
     """
-    for comp in g.components():
+    for comp in components(g):
         fs = find_forbidden(g.induced(comp), guard=guard)
         if fs is not None:
             return False, fs
@@ -308,14 +298,7 @@ def digraph_instance_from_bipartite(g: BipartiteGraph, h: Digraph, costs):
     """
     from .solver import CostMatrix
 
-    bgh = bg(h)
-    valid_targets = set(bgh.vertices)
-    valid_inputs = set(g.vertices)
-    for (u, i) in costs.entries:
-        if u not in valid_inputs or i not in valid_targets:
-            raise GraphError(
-                f"cost entry ({u!r}, {i!r}) does not match the instance shape"
-            )
+    costs.check_shape(set(g.vertices), set(bg(h).vertices))
     d = Digraph(g.vertices, g.edges)
     entries = {}
     for u in g.vertices:

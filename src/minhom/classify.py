@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
-from .digraph import (Digraph, GraphError, NotMultipartiteTournament,
-                      is_acyclic, is_isomorphic, make_cycle, make_tt,
-                      make_tt_minus, partite_structure)
+from .digraph import (Digraph, GraphError, InternalError,
+                      NotMultipartiteTournament, components, is_acyclic,
+                      is_isomorphic, make_cycle, make_tt, make_tt_minus,
+                      partite_structure)
 from .minmax import (FIND_GUARD, Ordering, canonical_ordering, find_minmax,
                      verify_minmax)
 
@@ -81,7 +82,7 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
         if not validate_forbidden(g, w.structure):
             return False
         hosts = set(w.structure.host_vertices())
-        return any(hosts <= set(comp) for comp in g.components())
+        return any(hosts <= set(comp) for comp in components(g))
     return False
 
 
@@ -134,7 +135,8 @@ def find_witness(h: Digraph) -> Witness | None:
             fs = find_forbidden(bg(h.induced(subset)))
             if fs is not None:
                 w = BGForbiddenWitness(subset, fs)
-                assert validate_witness(h, w), "internal error: bad witness"
+                if not validate_witness(h, w):
+                    raise InternalError("bad witness")
                 return w
     return None
 
@@ -177,13 +179,14 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
     for cand, ordering in candidates:
         transported = _transport_ordering(cand, ordering, h)
         if transported is not None:
-            ok, _ = verify_minmax(h, transported)
-            assert ok, "internal error: transported ordering is not Min-Max"
+            if not verify_minmax(h, transported)[0]:
+                raise InternalError("transported ordering is not Min-Max")
             return Classification(POLY, "thm4.1", ordering=transported)
 
     w = find_witness(h)
-    assert w is not None and validate_witness(h, w), \
-        "internal error: no witness for a hard reflexive multipartite tournament"
+    if w is None or not validate_witness(h, w):
+        raise InternalError(
+            "no witness for a hard reflexive multipartite tournament")
     return Classification(NP_HARD, "thm4.1", witness=w)
 
 
@@ -204,14 +207,14 @@ def classify_tournament_wpl(h: Digraph) -> Classification:
     acyclic, order = is_acyclic(h)
     if acyclic:
         ordering = Ordering(order)
-        ok, _ = verify_minmax(h, ordering)
-        assert ok, "internal error: acyclic ordering should be Min-Max"
+        if not verify_minmax(h, ordering)[0]:
+            raise InternalError("acyclic ordering should be Min-Max")
         return Classification(POLY, "thm4.3", ordering=ordering)
     if len(h.vertices) == 3 and not h.loops():
         return Classification(POLY, "thm4.3")
     w = find_witness(h)
-    if w is not None:
-        assert validate_witness(h, w)
+    if w is not None and not validate_witness(h, w):
+        raise InternalError("bad witness")
     return Classification(NP_HARD, "thm4.3", witness=w)
 
 
@@ -246,7 +249,8 @@ def classify_theorem5(b) -> Classification:
         return Classification(POLY, "thm5.1", ordering=ordering, notes=notes)
     w = find_witness(h)
     if w is not None:
-        assert validate_witness(h, w)
+        if not validate_witness(h, w):
+            raise InternalError("bad witness")
         return Classification(NP_HARD, "thm5.1", witness=w)
     return Classification(NP_HARD, "thm5.1", notes=("no-witness-found",))
 
@@ -263,7 +267,8 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     """
     w = find_witness(h)
     if w is not None:
-        assert validate_witness(h, w)
+        if not validate_witness(h, w):
+            raise InternalError("bad witness")
         rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
         return Classification(NP_HARD, rule, witness=w)
     if len(h.vertices) <= guard:

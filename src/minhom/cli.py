@@ -16,8 +16,8 @@ from .birep import bg, is_proper_interval_bigraph
 from .digraph import Digraph, GraphError, make_cycle, make_tt, make_tt_minus
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 from .minmax import make_rc_k12, make_rc_k21
-from .solver import (BRUTE_BUDGET, solve_auto, solve_bruteforce, solve_cycle,
-                     solve_minmax, _as_cycle)
+from .solver import (BRUTE_BUDGET, solve_auto, solve_bruteforce,
+                     solve_cycle_target, solve_minmax)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,19 +69,22 @@ def _emit_structure(fs) -> str:
     return f"{fs.kind} {pairs}"
 
 
+def _emit_witness(w: cls.Witness, out) -> None:
+    if isinstance(w, cls.ReflexiveCycleWitness):
+        print(f"witness reflexive-cycle {' '.join(w.cycle)}", file=out)
+        print(f"loop {w.looped}", file=out)
+    else:
+        print(f"witness bg-forbidden {' '.join(w.subset)}", file=out)
+        print(f"structure {_emit_structure(w.structure)}", file=out)
+
+
 def _emit_classification(c: cls.Classification, out) -> None:
     print(f"verdict {c.verdict}", file=out)
     print(f"rule {c.rule}", file=out)
     if c.ordering is not None:
         print(f"ordering {c.ordering.serialize()}", file=out)
     if c.witness is not None:
-        w = c.witness
-        if isinstance(w, cls.ReflexiveCycleWitness):
-            print(f"witness reflexive-cycle {' '.join(w.cycle)}", file=out)
-            print(f"loop {w.looped}", file=out)
-        else:
-            print(f"witness bg-forbidden {' '.join(w.subset)}", file=out)
-            print(f"structure {_emit_structure(w.structure)}", file=out)
+        _emit_witness(c.witness, out)
     for note in c.notes:
         print(f"note {note}", file=out)
 
@@ -155,17 +158,15 @@ def _dispatch(args, out) -> int:
         d = _read(args.input, fmt.parse_digraph)
         costs = _read(args.costs, fmt.parse_costs) if args.costs else \
             fmt.parse_costs("")
+        costs.check_shape(d, h)
         if args.method == "auto":
             res = solve_auto(d, h, costs, guard=args.guard)
         elif args.method == "brute":
             res = solve_bruteforce(d, h, costs)
         elif args.method == "cycle":
-            cycle_map = _as_cycle(h)
-            if cycle_map is None:
+            res = solve_cycle_target(d, h, costs)
+            if res is None:
                 raise GraphError("target is not a directed cycle")
-            if any(i != cycle_map[i] for i in h.vertices):
-                raise GraphError("cycle method requires canonical vertex names 1..k")
-            res = solve_cycle(d, len(h.vertices), costs)
         else:
             if args.ordering:
                 ordering = Ordering.parse(args.ordering)
@@ -229,12 +230,8 @@ def _dispatch(args, out) -> int:
         w = cls.find_witness(resolve_target(args.target))
         if w is None:
             print("none", file=out)
-        elif isinstance(w, cls.ReflexiveCycleWitness):
-            print(f"witness reflexive-cycle {' '.join(w.cycle)}", file=out)
-            print(f"loop {w.looped}", file=out)
         else:
-            print(f"witness bg-forbidden {' '.join(w.subset)}", file=out)
-            print(f"structure {_emit_structure(w.structure)}", file=out)
+            _emit_witness(w, out)
         return EXIT_OK
 
     if cmd == "enumerate-rmpt":

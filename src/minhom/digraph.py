@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations
 
 
@@ -24,6 +25,12 @@ class NotMultipartiteTournament(GraphError):
 class GuardExceeded(GraphError):
     """An exhaustive search was asked to run beyond its configured size
     guard."""
+
+
+class InternalError(RuntimeError):
+    """A result or certificate failed its own re-check, or the min-cut
+    construction met a relation that contradicts min-max closure.  This
+    indicates a bug, not bad input."""
 
 
 #: Hard cap for the brute-force isomorphism search.
@@ -102,12 +109,35 @@ class Digraph:
     def sorted_arcs(self) -> list[tuple[str, str]]:
         return sorted(self.arcs)
 
-    def out_neighbors(self, v: str) -> list[str]:
-        """Out-neighbors in declaration order (including v itself on a loop)."""
-        return [w for w in self.vertices if (v, w) in self.arcs]
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]],
+                                  dict[str, tuple[str, ...]]]:
+        """Out- and in-neighbours of every vertex, in declaration order."""
+        out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        inn: dict[str, list[str]] = {v: [] for v in self.vertices}
+        idx = self._index
+        # sorted by (tail, head): each out-list gets its heads in order, and
+        # each in-list its tails in order
+        for t, h in sorted(self.arcs, key=lambda a: (idx[a[0]], idx[a[1]])):
+            out[t].append(h)
+            inn[h].append(t)
+        return ({v: tuple(ws) for v, ws in out.items()},
+                {v: tuple(ws) for v, ws in inn.items()})
 
-    def in_neighbors(self, v: str) -> list[str]:
-        return [w for w in self.vertices if (w, v) in self.arcs]
+    def out_neighbors(self, v: str) -> tuple[str, ...]:
+        """Out-neighbors in declaration order (including v itself on a loop)."""
+        return self._adjacency[0][v]
+
+    def in_neighbors(self, v: str) -> tuple[str, ...]:
+        return self._adjacency[1][v]
+
+    def neighbors(self, v: str) -> list[str]:
+        """Vertices joined to v by an arc in either direction (v itself
+        excluded), in declaration order."""
+        out, inn = self._adjacency
+        joined = set(out[v]).union(inn[v])
+        joined.discard(v)
+        return sorted(joined, key=self._index.__getitem__)
 
     def adjacent(self, u: str, v: str) -> bool:
         """True iff u and v are joined by an arc in either direction (u != v)."""
@@ -132,69 +162,33 @@ class Digraph:
         vs = tuple(v for v in self.vertices if v in sub)
         return Digraph(vs, ((t, h) for t, h in self.arcs if t in sub and h in sub))
 
-    def underlying_graph(self) -> "UndirectedGraph":
-        """Disregard orientation; a digon collapses to one edge."""
-        edges = set()
-        for t, h in self.arcs:
-            edges.add((t, h) if (t, h) == tuple(sorted((t, h))) else (h, t))
-        return UndirectedGraph(self.vertices, edges)
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Immutable undirected graph with possible self-loops."""
-
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-
-    def __init__(self, vertices, edges=()):
-        vs = tuple(vertices)
-        for v in vs:
-            check_token(v)
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex declarations")
-        declared = set(vs)
-        norm = set()
-        for u, v in edges:
-            u, v = str(u), str(v)
-            if u not in declared or v not in declared:
-                raise GraphError(f"edge ({u!r}, {v!r}) references an undeclared vertex")
-            norm.add((u, v) if u <= v else (v, u))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.edges
-
-    def neighbors(self, v: str) -> list[str]:
-        return [w for w in self.vertices if w != v and self.has_edge(v, w)]
-
 
 # -- whole-digraph predicates and builders --------------------------------
 
 
-def components(h: Digraph) -> list[tuple[str, ...]]:
-    """Connected components of the underlying graph.
+def components(g) -> list[tuple[str, ...]]:
+    """Connected components of a Digraph (orientation ignored) or a
+    BipartiteGraph: anything with `vertices` and an undirected `neighbors`.
 
     Each component is sorted by declaration order; the list is sorted by its
     smallest member (also by declaration order).
     """
-    g = h.underlying_graph()
+    pos = {v: i for i, v in enumerate(g.vertices)}
     seen: set[str] = set()
     out = []
-    for start in h.vertices:
+    for start in g.vertices:
         if start in seen:
             continue
-        comp = {start}
+        seen.add(start)
+        comp = [start]
         stack = [start]
         while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
+            for w in g.neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
                     stack.append(w)
-        seen |= comp
-        out.append(tuple(v for v in h.vertices if v in comp))
+        out.append(tuple(sorted(comp, key=pos.__getitem__)))
     return out
 
 
@@ -204,20 +198,20 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
     Loops are ignored: a loop is not a cycle.  On success also returns an
     acyclic ordering of all vertices, ties broken by declaration order.
     """
-    indeg = {v: 0 for v in h.vertices}
-    for t, head in h.nonloop_arcs():
-        indeg[head] += 1
+    indeg = {v: sum(1 for t in h.in_neighbors(v) if t != v) for v in h.vertices}
+    # declaration indices of the sources; ascending, so already a heap
+    ready = [h.decl_index(v) for v in h.vertices if indeg[v] == 0]
     order: list[str] = []
-    remaining = list(h.vertices)
-    while remaining:
-        pick = next((v for v in remaining if indeg[v] == 0), None)
-        if pick is None:
-            return False, None
-        remaining.remove(pick)
+    while ready:
+        pick = h.vertices[heappop(ready)]
         order.append(pick)
-        for t, head in h.nonloop_arcs():
-            if t == pick:
+        for head in h.out_neighbors(pick):
+            if head != pick:
                 indeg[head] -= 1
+                if indeg[head] == 0:
+                    heappush(ready, h.decl_index(head))
+    if len(order) < len(h.vertices):
+        return False, None
     return True, tuple(order)
 
 
@@ -226,12 +220,6 @@ class PartiteStructure:
     """Partite sets of a multipartite tournament, in canonical order."""
 
     parts: tuple[tuple[str, ...], ...]
-
-    def part_of(self, v: str) -> tuple[str, ...]:
-        for p in self.parts:
-            if v in p:
-                return p
-        raise GraphError(f"vertex {v!r} not in any part")
 
 
 def partite_structure(h: Digraph) -> PartiteStructure:
@@ -326,9 +314,8 @@ def extend(h: Digraph, sizes: dict[str, int]) -> tuple[Digraph, dict[str, str]]:
 
 
 def _iso_profile(h: Digraph, v: str) -> tuple[int, int, int]:
-    outd = sum(1 for t, head in h.arcs if t == v and head != v)
-    ind = sum(1 for t, head in h.arcs if head == v and t != v)
-    return outd, ind, int(h.has_loop(v))
+    loop = int(h.has_loop(v))
+    return len(h.out_neighbors(v)) - loop, len(h.in_neighbors(v)) - loop, loop
 
 
 def is_isomorphic(h1: Digraph, h2: Digraph,

@@ -48,7 +48,6 @@ class ArcPair:
     f: tuple[str, str]
     min_pair: tuple[int, int]
     max_pair: tuple[int, int]
-    nontrivial: bool
 
 
 def _check_permutation(h: Digraph, ordering: Ordering) -> dict[str, int]:
@@ -58,32 +57,35 @@ def _check_permutation(h: Digraph, ordering: Ordering) -> dict[str, int]:
     return pos
 
 
+def _first_violation(arcs: list[tuple[int, int]]
+                     ) -> tuple[tuple[int, int], ...] | None:
+    """First pair of position arcs (in list order) whose coordinatewise min
+    or max is not an arc, as (e, f, min_pair, max_pair); None if there is
+    none.  Pairs whose min and max are e and f themselves are trivial."""
+    arc_set = set(arcs)
+    for a, (i, k) in enumerate(arcs):
+        for j, s in arcs[a + 1:]:
+            mn = (min(i, j), min(k, s))
+            mx = (max(i, j), max(k, s))
+            if {mn, mx} == {(i, k), (j, s)}:
+                continue
+            if mn not in arc_set or mx not in arc_set:
+                return (i, k), (j, s), mn, mx
+    return None
+
+
 def verify_minmax(h: Digraph,
                   ordering: Ordering) -> tuple[bool, ArcPair | None]:
     """Check the Min-Max condition; on failure return the lexicographically
     first violating pair (arcs compared as position pairs)."""
     pos = _check_permutation(h, ordering)
     seq = ordering.sequence
-    pos_arcs = sorted((pos[t], pos[head]) for t, head in h.arcs)
-    arc_set = set(pos_arcs)
-    for a in range(len(pos_arcs)):
-        i, k = pos_arcs[a]
-        for b in range(a + 1, len(pos_arcs)):
-            j, s = pos_arcs[b]
-            mn = (min(i, j), min(k, s))
-            mx = (max(i, j), max(k, s))
-            if {mn, mx} == {(i, k), (j, s)}:
-                continue
-            if mn not in arc_set or mx not in arc_set:
-                pair = ArcPair(
-                    e=(seq[i - 1], seq[k - 1]),
-                    f=(seq[j - 1], seq[s - 1]),
-                    min_pair=mn,
-                    max_pair=mx,
-                    nontrivial=True,
-                )
-                return False, pair
-    return True, None
+    found = _first_violation(sorted((pos[t], pos[head]) for t, head in h.arcs))
+    if found is None:
+        return True, None
+    (i, k), (j, s), mn, mx = found
+    return False, ArcPair(e=(seq[i - 1], seq[k - 1]), f=(seq[j - 1], seq[s - 1]),
+                          min_pair=mn, max_pair=mx)
 
 
 def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
@@ -105,27 +107,11 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     seq: list[str] = []
     placed: dict[str, int] = {}
 
-    def placed_arcs() -> list[tuple[int, int]]:
-        return [(placed[t], placed[head]) for t, head in h.arcs
-                if t in placed and head in placed]
-
     def consistent() -> bool:
-        arcs = placed_arcs()
-        arc_set = set(arcs)
-        last = len(seq)
-        for a in range(len(arcs)):
-            i, k = arcs[a]
-            for b in range(a + 1, len(arcs)):
-                j, s = arcs[b]
-                mn = (min(i, j), min(k, s))
-                mx = (max(i, j), max(k, s))
-                if {mn, mx} == {(i, k), (j, s)}:
-                    continue
-                # min/max positions are all <= the largest placed rank, so
-                # both candidate arcs are decided already
-                if mn not in arc_set or mx not in arc_set:
-                    return False
-        return True
+        # min/max positions are all <= the largest placed rank, so both
+        # candidate arcs of every placed pair are decided already
+        return _first_violation([(placed[t], placed[head]) for t, head in h.arcs
+                                 if t in placed and head in placed]) is None
 
     def search() -> bool:
         if len(seq) == n:

@@ -19,18 +19,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .digraph import Digraph, GraphError
+from .digraph import Digraph, GraphError, InternalError, components, make_cycle
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 
 class BudgetExceeded(GraphError):
     """The brute-force search ran past its node budget."""
-
-
-class StaircaseViolation(RuntimeError):
-    """Internal error: the relabeled arc relation of a verified Min-Max
-    ordering failed the staircase validation.  This contradicts min-max
-    closure and indicates a bug, not bad input."""
 
 
 #: Default node budget for the brute-force solver.
@@ -54,6 +48,15 @@ class CostMatrix:
 
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
+
+    def check_shape(self, inputs, targets) -> None:
+        """GraphError unless every entry's input vertex is in `inputs` and
+        its target vertex in `targets`."""
+        for u, i in self.entries:
+            if u not in inputs or i not in targets:
+                raise GraphError(
+                    f"cost entry ({u!r}, {i!r}) does not match the instance shape"
+                )
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def is_homomorphism(d: Digraph, h: Digraph, mapping: dict[str, str]) -> bool:
     for u in d.vertices:
         if u not in mapping:
             raise GraphError(f"mapping is not total: missing {u!r}")
-        if mapping[u] not in h.vertices:
+        if mapping[u] not in h:
             raise GraphError(f"image {mapping[u]!r} is not a target vertex")
     return all(h.has_arc(mapping[t], mapping[head]) for t, head in d.arcs)
 
@@ -103,8 +106,10 @@ def map_cost(d: Digraph, costs: CostMatrix, mapping: dict[str, str]) -> int:
 
 def _revalidated(d: Digraph, h: Digraph, costs: CostMatrix,
                  mapping: dict[str, str], cost: int, method: str) -> SolveResult:
-    assert is_homomorphism(d, h, mapping), "internal error: invalid optimum"
-    assert map_cost(d, costs, mapping) == cost, "internal error: cost mismatch"
+    if not is_homomorphism(d, h, mapping):
+        raise InternalError("invalid optimum")
+    if map_cost(d, costs, mapping) != cost:
+        raise InternalError("cost mismatch")
     return SolveResult(Homomorphism(mapping, cost), method)
 
 
@@ -133,6 +138,10 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     assignment: dict[str, str] = {}
     nodes = 0
     min_cost_per_vertex = {u: min(costs.cost(u, i) for i in base[u]) for u in dv}
+    # forward checking reads only the neighbours assigned before u
+    rank = d.decl_index
+    outs = {u: [v for v in d.out_neighbors(u) if rank(v) < rank(u)] for u in dv}
+    ins = {u: [v for v in d.in_neighbors(u) if rank(v) < rank(u)] for u in dv}
 
     def lower_bound(k: int, partial: int) -> int:
         return partial + sum(min_cost_per_vertex[u] for u in dv[k:])
@@ -153,15 +162,8 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
             return
         u = dv[k]
         for i in base[u]:
-            ok = True
-            for v, j in assignment.items():
-                if d.has_arc(u, v) and not h.has_arc(i, j):
-                    ok = False
-                    break
-                if d.has_arc(v, u) and not h.has_arc(j, i):
-                    ok = False
-                    break
-            if not ok:
+            if not (all(h.has_arc(i, assignment[v]) for v in outs[u])
+                    and all(h.has_arc(assignment[v], i) for v in ins[u])):
                 continue
             assignment[u] = i
             search(k + 1, partial + costs.cost(u, i))
@@ -202,20 +204,36 @@ class FlowNetwork:
                     q.append(e[0])
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, f: int, level, it) -> int:
-        if u == t:
-            return f
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = e[0]
-            if e[1] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(f, e[1]), level, it)
-                if pushed:
-                    e[1] -= pushed
-                    self.adj[v][e[2]][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, level, it) -> int:
+        """Push flow along one s-t path of the level graph; 0 if none is left.
+
+        Depth-first without recursion: each node tries its arcs from its
+        current arc it[u] on, and a dead end advances its parent's current
+        arc, so paths of any length are found in adjacency-list order.
+        """
+        nodes = [s]
+        path: list[list[int]] = []
+        while nodes[-1] != t:
+            u = nodes[-1]
+            out = self.adj[u]
+            while it[u] < len(out):
+                e = out[it[u]]
+                if e[1] > 0 and level[e[0]] == level[u] + 1:
+                    path.append(e)
+                    nodes.append(e[0])
+                    break
+                it[u] += 1
+            else:
+                nodes.pop()
+                if not path:
+                    return 0
+                path.pop()
+                it[nodes[-1]] += 1
+        pushed = min(1 << 62, *(e[1] for e in path))
+        for e in path:
+            e[1] -= pushed
+            self.adj[e[0]][e[2]][1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -225,7 +243,7 @@ class FlowNetwork:
                 return total
             it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
+                pushed = self._augment(s, t, level, it)
                 if not pushed:
                     break
                 total += pushed
@@ -260,15 +278,15 @@ def _staircase(rows: list[int], cols: list[int],
         row = {j for x, j in r if x == i}
         want = {j for j in col_set if row_min[i] <= j <= row_max[i]}
         if row != want:
-            raise StaircaseViolation(f"row {i} is not contiguous over nonempty columns")
+            raise InternalError(f"row {i} is not contiguous over nonempty columns")
     for j in cols:
         col = {x for x, y in r if y == j}
         lo, hi = min(col), max(col)
         if col != {x for x in rows if lo <= x <= hi}:
-            raise StaircaseViolation(f"column {j} is not contiguous over nonempty rows")
+            raise InternalError(f"column {j} is not contiguous over nonempty rows")
     for a, b in zip(rows, rows[1:]):
         if row_min[a] > row_min[b] or row_max[a] > row_max[b]:
-            raise StaircaseViolation("row minima/maxima are not nondecreasing")
+            raise InternalError("row minima/maxima are not nondecreasing")
     return row_min, row_max
 
 
@@ -292,9 +310,9 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     allowed: dict[str, set[int]] = {}
     for u in d.vertices:
         labels = set(range(1, p + 1))
-        if any(t == u != head for t, head in d.arcs):
+        if any(w != u for w in d.out_neighbors(u)):
             labels &= set(rows)
-        if any(head == u != t for t, head in d.arcs):
+        if any(w != u for w in d.in_neighbors(u)):
             labels &= set(cols)
         if d.has_loop(u):
             labels &= diag
@@ -340,23 +358,22 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         for i in range(2, p):
             net.add_edge(node[(u, i + 1)], node[(u, i)], inf)
 
-    def lam(i: int) -> int | None:
-        nxt = [x for x in rows if x >= i]
-        return row_min[min(nxt)] if nxt else None
-
-    def mu(j: int) -> int | None:
-        cand = [x for x in rows if row_max[x] >= j]
-        return min(cand) if cand else None
-
+    # label(t) >= i forces label(head) >= lam[i], the least column of the
+    # first row at or above i; label(head) >= j forces label(t) >= mu[j],
+    # the first row reaching column j (rows are sorted)
+    lam = {i: next((row_min[x] for x in rows if x >= i), None)
+           for i in range(2, p + 1)}
+    mu = {j: next((x for x in rows if row_max[x] >= j), None)
+          for j in range(2, p + 1)}
     for t, head in d.arcs:
         if t == head:
             continue  # loops became unary restrictions above
         for i in range(2, p + 1):
-            target = lam(i)
+            target = lam[i]
             if target is not None and target >= 2:
                 net.add_edge(node[(t, i)], node[(head, target)], inf)
         for j in range(2, p + 1):
-            target = mu(j)
+            target = mu[j]
             if target is not None and target >= 2:
                 net.add_edge(node[(head, j)], node[(t, target)], inf)
 
@@ -388,38 +405,27 @@ def solve_cycle(d: Digraph, k: int, costs: CostMatrix) -> SolveResult:
     """
     if k < 2:
         raise GraphError(f"cycle target needs k >= 2, got {k}")
-    if any(t == head for t, head in d.arcs):
+    if d.loops():
         return SolveResult(None, "cycle")  # cycles carry no loops
-
-    from .digraph import components
 
     mapping: dict[str, str] = {}
     total = 0
     for comp in components(d):
-        comp_set = set(comp)
         root = comp[0]
         res = {root: 0}
         queue = deque([root])
         conflict = False
         while queue and not conflict:
             v = queue.popleft()
-            for t, head in d.arcs:
-                if t in comp_set and head in comp_set:
-                    forced = None
-                    if t == v:
-                        forced = (head, (res[v] + 1) % k)
-                    elif head == v:
-                        forced = (t, (res[v] - 1) % k)
-                    if forced is None:
-                        continue
-                    w, val = forced
-                    if w in res:
-                        if res[w] != val:
-                            conflict = True
-                            break
-                    else:
-                        res[w] = val
-                        queue.append(w)
+            forced = [(w, (res[v] + 1) % k) for w in d.out_neighbors(v)]
+            forced += [(w, (res[v] - 1) % k) for w in d.in_neighbors(v)]
+            for w, val in forced:
+                if w not in res:
+                    res[w] = val
+                    queue.append(w)
+                elif res[w] != val:
+                    conflict = True
+                    break
         if conflict:
             return SolveResult(None, "cycle")
         best = None
@@ -431,8 +437,6 @@ def solve_cycle(d: Digraph, k: int, costs: CostMatrix) -> SolveResult:
         total += cost
         for v in comp:
             mapping[v] = str((res[v] + c) % k + 1)
-
-    from .digraph import make_cycle
 
     return _revalidated(d, make_cycle(k), costs, mapping, total, "cycle")
 
@@ -515,31 +519,42 @@ def _as_cycle(h: Digraph) -> dict[str, str] | None:
         if len(h.out_neighbors(v)) != 1 or len(h.in_neighbors(v)) != 1:
             return None
     walk = [h.vertices[0]]
+    names = {walk[0]: "1"}
     while len(walk) < k:
         nxt = h.out_neighbors(walk[-1])[0]
-        if nxt in walk:
+        if nxt in names:
             return None
         walk.append(nxt)
+        names[nxt] = str(len(walk))
     if not h.has_arc(walk[-1], walk[0]):
         return None
-    return {v: str(i + 1) for i, v in enumerate(walk)}
+    return names
+
+
+def solve_cycle_target(d: Digraph, h: Digraph,
+                       costs: CostMatrix) -> SolveResult | None:
+    """solve_cycle for a directed-cycle target with any vertex names, or
+    None if h is not a directed |V(h)|-cycle."""
+    cycle_map = _as_cycle(h)
+    if cycle_map is None:
+        return None
+    renamed = CostMatrix({(u, cycle_map[i]): c
+                          for (u, i), c in costs.entries.items()})
+    res = solve_cycle(d, len(h.vertices), renamed)
+    if not res.feasible:
+        return res
+    inverse = {c: v for v, c in cycle_map.items()}
+    mapping = {u: inverse[i] for u, i in res.homomorphism.mapping.items()}
+    return _revalidated(d, h, costs, mapping, res.cost, "cycle")
 
 
 def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
                guard: int = FIND_GUARD,
                budget: int = BRUTE_BUDGET) -> SolveResult:
     """Dispatch: cycle target, then Min-Max route, then brute force."""
-    cycle_map = _as_cycle(h)
-    if cycle_map is not None:
-        k = len(h.vertices)
-        renamed = CostMatrix({(u, cycle_map[i]): c
-                              for (u, i), c in costs.entries.items()})
-        res = solve_cycle(d, k, renamed)
-        if not res.feasible:
-            return res
-        inverse = {c: v for v, c in cycle_map.items()}
-        mapping = {u: inverse[i] for u, i in res.homomorphism.mapping.items()}
-        return _revalidated(d, h, costs, mapping, res.cost, "cycle")
+    res = solve_cycle_target(d, h, costs)
+    if res is not None:
+        return res
     try:
         ordering = find_minmax(h, guard=guard)
     except GraphError:

@@ -130,6 +130,26 @@ def test_cli_solve_methods_agree(tmp_path):
         assert code == EXIT_OK
         results[method] = out.splitlines()[0]
     assert len(set(results.values())) == 1
+    # a directed 3-cycle whose names are not 1..k, declared out of order
+    h = write(tmp_path, "h.dg", "a y z\na z x\na x y\n")
+    d = write(tmp_path, "p.dg", "a u v\na v w\n")
+    c = write(tmp_path, "c3.txt", "c u x -2\nc v y 5\nc w z 3\nc w x -1\n")
+    outs = {method: cli("solve", "--target", h, "--input", d, "--costs", c,
+                        "--method", method)
+            for method in ("cycle", "auto", "brute")}
+    assert outs["cycle"] == outs["auto"]
+    assert {out.splitlines()[0] for _, out in outs.values()} == {"cost -1"}
+
+
+def test_cli_solve_long_augmenting_path(tmp_path):
+    # one augmenting path runs the whole 5000-vertex path: the max-flow
+    # search must not recurse once per node
+    n = 5000
+    d = write(tmp_path, "d.dg", "".join(f"a u{i} u{i + 1}\n" for i in range(n - 1)))
+    c = write(tmp_path, "c.txt", "c u0 1 1\n" +
+              "".join(f"c u{n - 1} {i} 1\n" for i in "2345"))
+    code, out = cli("solve", "--target", "rc_tt5", "--input", d, "--costs", c)
+    assert code == EXIT_OK and out.splitlines()[0] == "cost 1"
 
 
 def test_cli_solve_explicit_ordering(tmp_path):
@@ -224,7 +244,7 @@ def test_cli_enumerate_rmpt():
                for line in lines)
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     code, _ = cli("solve", "--target", "nosuchfile.dg",
                   "--input", "alsomissing.dg")
     assert code == EXIT_ERROR
@@ -233,6 +253,16 @@ def test_cli_error_paths(tmp_path):
     assert code == EXIT_ERROR
     code, _ = cli("no-such-command")
     assert code == EXIT_ERROR
+    # cost keys outside V(D) x V(H)
+    capsys.readouterr()
+    d = write(tmp_path, "d.dg", "a u0 u1\n")
+    for line in ("c nosuch 1 -5\n", "c u0 zz 7\n"):
+        c = write(tmp_path, "c.txt", line)
+        for target in ("rc_tt3", "cycle3"):
+            code, out = cli("solve", "--target", target, "--input", d,
+                            "--costs", c)
+            assert code == EXIT_ERROR and out == ""
+            assert capsys.readouterr().err.startswith("error: cost entry")
 
 
 def test_cli_deterministic_output(tmp_path):

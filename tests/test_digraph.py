@@ -1,6 +1,6 @@
 import pytest
 
-from minhom import (Digraph, GraphError, GuardExceeded,
+from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
                     NotMultipartiteTournament, components, extend, is_acyclic,
                     is_isomorphic, make_cycle, make_oriented_kb, make_tt,
                     make_tt_minus, partite_structure)
@@ -62,14 +62,14 @@ def test_induced():
         h.induced({"nope"})
 
 
-def test_underlying_graph():
-    digon = make_cycle(2)
-    g = digon.underlying_graph()
-    assert g.edges == frozenset({("1", "2")})
-    tri = make_tt(3).underlying_graph()
-    assert len(tri.edges) == 3
-    loop = Digraph(("v",), [("v", "v")]).underlying_graph()
-    assert loop.edges == frozenset({("v", "v")})
+def test_neighbor_index():
+    h = Digraph(("c", "a", "b"), [("b", "a"), ("c", "a"), ("a", "b"),
+                                  ("a", "a"), ("b", "c")])
+    assert h.out_neighbors("a") == ("a", "b")  # declaration order, loop kept
+    assert h.in_neighbors("a") == ("c", "a", "b")
+    assert h.neighbors("a") == ["c", "b"]  # a digon is one neighbour, no loop
+    assert h.neighbors("c") == ["a", "b"]
+    assert make_cycle(2).neighbors("1") == ["2"]
 
 
 def test_components():
@@ -77,6 +77,8 @@ def test_components():
     two = Digraph(("a", "b"), [("a", "a"), ("b", "b")])
     assert components(two) == [("a",), ("b",)]
     assert components(Digraph(())) == []
+    g = BipartiteGraph(("s", "t"), ("x", "y", "z"), [("t", "x"), ("s", "z")])
+    assert components(g) == [("s", "z"), ("t", "x"), ("y",)]
 
 
 def test_is_acyclic():
