@@ -7,6 +7,7 @@ Exit codes: 0 = success / feasible / classified, 2 = infeasible,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -158,7 +159,6 @@ def _dispatch(args, out) -> int:
         d = _read(args.input, fmt.parse_digraph)
         costs = _read(args.costs, fmt.parse_costs) if args.costs else \
             fmt.parse_costs("")
-        costs.check_shape(d, h)
         if args.method == "auto":
             res = solve_auto(d, h, costs, guard=args.guard)
         elif args.method == "brute":
@@ -246,7 +246,15 @@ def _dispatch(args, out) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); send what is left
+        # in the buffer to devnull so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

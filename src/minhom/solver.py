@@ -6,11 +6,17 @@ Three routes are provided:
   oracle everything else is validated against.
 * solve_minmax — the polynomial route for targets with a Min-Max ordering,
   realized as a minimum s-t cut over threshold variables
-  x_{u,i} = [label(u) >= i].
+  x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov max-flow.
+  The map is read off the nodes reachable from s in the residual network.
+  That set is the same for every maximum flow (it is the unique
+  inclusion-minimal minimum cut), so the answer does not depend on which
+  maximum flow the algorithm finds.
 * solve_cycle — rotation propagation for directed-cycle targets.
 
 All costs are signed integers; negative costs are absorbed by per-vertex
-shifts in the cut network, so every answer is exact.
+shifts in the cut network, so every answer is exact.  solve_bruteforce,
+solve_minmax and solve_cycle_target (hence solve_auto on every route) raise
+GraphError for a cost entry outside V(D) x V(H).
 """
 
 from __future__ import annotations
@@ -124,6 +130,7 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     neighbors; ties are broken so that the lexicographically smallest optimal
     map (over declaration orders) is returned.
     """
+    costs.check_shape(d, h)
     dv = d.vertices
     hv = h.vertices
     base: dict[str, list[str]] = {}
@@ -178,86 +185,184 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
 # -- max flow kernel ------------------------------------------------------
 
 
-class FlowNetwork:
-    """Integer-capacity flow network with a Dinic max-flow solver.
+#: parent[] marks of the Boykov–Kolmogorov search trees (edge ids are >= 0)
+_ROOT, _ORPHAN = -1, -2
 
-    Small and deterministic; networks built here have O(p * |V(D)|) nodes.
+
+class FlowNetwork:
+    """Integer-capacity flow network with a Boykov–Kolmogorov max-flow.
+
+    Edges live in flat arrays: edge e runs to head[e] with residual capacity
+    cap[e], its reverse is e ^ 1, and adj[u] lists the ids of the edges
+    leaving u.  max_flow grows a search tree from s and one from t,
+    augments along the path where they meet and re-attaches the nodes the
+    augmentation cut off (Boykov & Kolmogorov, TPAMI 2004).  The trees are
+    kept between augmentations, which suits the long chains of the layered
+    "label >= i" networks solve_minmax builds; every step is iterative.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and level[e[0]] < 0:
-                    level[e[0]] = level[u] + 1
-                    q.append(e[0])
-        return level if level[t] >= 0 else None
-
-    def _augment(self, s: int, t: int, level, it) -> int:
-        """Push flow along one s-t path of the level graph; 0 if none is left.
-
-        Depth-first without recursion: each node tries its arcs from its
-        current arc it[u] on, and a dead end advances its parent's current
-        arc, so paths of any length are found in adjacency-list order.
-        """
-        nodes = [s]
-        path: list[list[int]] = []
-        while nodes[-1] != t:
-            u = nodes[-1]
-            out = self.adj[u]
-            while it[u] < len(out):
-                e = out[it[u]]
-                if e[1] > 0 and level[e[0]] == level[u] + 1:
-                    path.append(e)
-                    nodes.append(e[0])
-                    break
-                it[u] += 1
-            else:
-                nodes.pop()
-                if not path:
-                    return 0
-                path.pop()
-                it[nodes[-1]] += 1
-        pushed = min(1 << 62, *(e[1] for e in path))
-        for e in path:
-            e[1] -= pushed
-            self.adj[e[0]][e[2]][1] += pushed
-        return pushed
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
 
     def max_flow(self, s: int, t: int) -> int:
+        """Value of a maximum s-t flow; the residual capacities stay in cap."""
+        head, cap, adj = self.head, self.cap, self.adj
+        n = self.n
+        # tree[v]: 0 free, 1 source tree, 2 sink tree.  parent[v], read only
+        # while v is in a tree, is the edge from v to its tree parent.
+        # ts[v] is the augmentation after which dist[v], the depth of v in
+        # its tree, was last known exact.
+        tree = [0] * n
+        parent = [_ROOT] * n
+        ts = [0] * n
+        dist = [0] * n
+        queued = [False] * n
+        tree[s], tree[t] = 1, 2
+        active = deque((s, t))
+        queued[s] = queued[t] = True
+        time = 0
         total = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return total
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
+        while active:
+            u = active[0]
+            side = tree[u]
+            if not side:
+                active.popleft()
+                queued[u] = False
+                continue
+            # growth: claim free neighbours until the trees touch at meet.
+            # e ^ rev is the arc of e's pair that runs the way flow goes
+            # from s to t: u -> v in the source tree, v -> u in the sink tree
+            meet = -1
+            rev = side - 1
+            du, tu = dist[u] + 1, ts[u]
+            for e in adj[u]:
+                if not cap[e ^ rev]:
+                    continue
+                r = e ^ 1
+                v = head[e]
+                sv = tree[v]
+                if not sv:
+                    tree[v] = side
+                    parent[v] = r
+                    ts[v] = tu
+                    dist[v] = du
+                    if not queued[v]:
+                        queued[v] = True
+                        active.append(v)
+                elif sv != side:
+                    meet = e ^ rev
                     break
-                total += pushed
+                elif ts[v] <= tu and dist[v] > du:
+                    # shorten v's path to the root
+                    parent[v] = r
+                    ts[v] = tu
+                    dist[v] = du
+            if meet < 0:
+                active.popleft()
+                queued[u] = False
+                continue
+
+            # augmentation along s ~> a -> b ~> t, a = tail of meet.  Flow
+            # takes parent edge e ^ rev: e's reverse in the source tree (from
+            # the parent down to v), e itself in the sink tree
+            time += 1
+            a, b = head[meet ^ 1], head[meet]
+            walks = ((a, s, 1), (b, t, 0))
+            push = cap[meet]
+            for v, root, rev in walks:
+                while v != root:
+                    e = parent[v]
+                    if cap[e ^ rev] < push:
+                        push = cap[e ^ rev]
+                    v = head[e]
+            total += push
+            cap[meet] -= push
+            cap[meet ^ 1] += push
+            orphans = []
+            for v, root, rev in walks:
+                while v != root:
+                    e = parent[v]
+                    cap[e ^ rev] -= push
+                    cap[e ^ rev ^ 1] += push
+                    if not cap[e ^ rev]:
+                        parent[v] = _ORPHAN
+                        orphans.append(v)
+                    v = head[e]
+
+            # adoption: give each orphan a parent in its own tree that
+            # still leads to the root, or free it and orphan its children
+            for v in orphans:
+                side = tree[v]
+                rev = 2 - side  # e ^ rev runs from w towards v as flow goes
+                best, best_d = -1, n
+                for e in adj[v]:
+                    w = head[e]
+                    if tree[w] != side or not cap[e ^ rev]:
+                        continue
+                    d = 0
+                    x = w
+                    while ts[x] != time:
+                        pe = parent[x]
+                        if pe == _ROOT:
+                            ts[x] = time
+                            dist[x] = 0
+                            break
+                        if pe == _ORPHAN:
+                            d = n
+                            break
+                        d += 1
+                        x = head[pe]
+                    else:
+                        d += dist[x]
+                    if d < n:
+                        if d < best_d:
+                            best, best_d = e, d
+                        x = w
+                        while ts[x] != time:
+                            ts[x] = time
+                            dist[x] = d
+                            d -= 1
+                            x = head[parent[x]]
+                if best >= 0:
+                    parent[v] = best
+                    ts[v] = time
+                    dist[v] = best_d + 1
+                    continue
+                tree[v] = 0
+                for e in adj[v]:
+                    w = head[e]
+                    if tree[w] != side:
+                        continue
+                    if cap[e ^ rev] and not queued[w]:
+                        queued[w] = True
+                        active.append(w)
+                    pe = parent[w]
+                    if pe >= 0 and head[pe] == v:
+                        parent[w] = _ORPHAN
+                        orphans.append(w)
+        return total
 
     def source_side(self, s: int) -> set[int]:
         """Residual-reachable nodes from s; call after max_flow."""
+        head, cap, adj = self.head, self.cap, self.adj
         seen = {s}
         stack = [s]
         while stack:
-            u = stack.pop()
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    stack.append(e[0])
+            for e in adj[stack.pop()]:
+                v = head[e]
+                if cap[e] and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
         return seen
 
 
@@ -294,6 +399,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
                  costs: CostMatrix) -> SolveResult:
     """Exact optimum via a minimum s-t cut, valid whenever the ordering
     passes verify_minmax (checked; GraphError otherwise)."""
+    costs.check_shape(d, h)
     ok, violation = verify_minmax(h, ordering)
     if not ok:
         raise GraphError(
@@ -538,6 +644,7 @@ def solve_cycle_target(d: Digraph, h: Digraph,
     cycle_map = _as_cycle(h)
     if cycle_map is None:
         return None
+    costs.check_shape(d, h)
     renamed = CostMatrix({(u, cycle_map[i]): c
                           for (u, i), c in costs.entries.items()})
     res = solve_cycle(d, len(h.vertices), renamed)
@@ -551,7 +658,10 @@ def solve_cycle_target(d: Digraph, h: Digraph,
 def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
                guard: int = FIND_GUARD,
                budget: int = BRUTE_BUDGET) -> SolveResult:
-    """Dispatch: cycle target, then Min-Max route, then brute force."""
+    """Dispatch: cycle target, then Min-Max route, then brute force.
+
+    The route taken checks the cost keys (GraphError for one outside
+    V(d) x V(h))."""
     res = solve_cycle_target(d, h, costs)
     if res is not None:
         return res

@@ -1,7 +1,12 @@
 import io as iolib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minhom
 from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     format_bipartite, format_costs, format_digraph, make_cycle,
                     make_tt, parse_bipartite, parse_costs, parse_digraph)
@@ -150,6 +155,25 @@ def test_cli_solve_long_augmenting_path(tmp_path):
               "".join(f"c u{n - 1} {i} 1\n" for i in "2345"))
     code, out = cli("solve", "--target", "rc_tt5", "--input", d, "--costs", c)
     assert code == EXIT_OK and out.splitlines()[0] == "cost 1"
+
+
+def test_cli_main_reader_closes_early(tmp_path):
+    # `minhom solve ... | head -2`: the reader leaves after two lines of an
+    # output (about 250 kB) far larger than the pipe and read buffers
+    names = [f"u{k:04d}" + "x" * 40 for k in range(5000)]
+    d = write(tmp_path, "d.dg",
+              "".join(f"a {u} {v}\n" for u, v in zip(names, names[1:])))
+    env = dict(os.environ, PYTHONPATH=str(Path(minhom.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minhom", "solve", "--target", "rc_tt5",
+         "--input", d],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == [b"cost 0\n", f"map {names[0]} 1\n".encode()]
+    assert proc.returncode == EXIT_ERROR
+    assert b"Traceback" not in err
 
 
 def test_cli_solve_explicit_ordering(tmp_path):

@@ -7,6 +7,7 @@ from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     make_cycle, make_oriented_kb, make_tt, make_tt_minus,
                     map_cost, solve_auto, solve_bruteforce, solve_cycle,
                     solve_minmax)
+from minhom.solver import FlowNetwork
 
 
 def random_target(rng, max_n=4):
@@ -92,6 +93,61 @@ def test_brute_budget():
         solve_bruteforce(d, h, CostMatrix({}), budget=3)
 
 
+# -- max-flow kernel ------------------------------------------------------
+
+
+def random_network(rng):
+    """(n, s, t, edges): at most 9 nodes, with zero and near-10^6
+    capacities, parallel edges, loops, edges into s and out of t."""
+    n = rng.randint(2, 9)
+    s, t = rng.sample(range(n), 2)
+
+    def capacity():
+        kind = rng.random()
+        if kind < 0.15:
+            return 0
+        if kind < 0.3:
+            return 10 ** 6 - rng.randint(0, 3)
+        return rng.randint(1, 12)
+
+    edges = [(rng.randrange(n), rng.randrange(n), capacity())
+             for _ in range(rng.randint(0, 3 * n))]
+    if edges and rng.random() < 0.5:
+        edges.append(rng.choice(edges)[:2] + (capacity(),))
+    edges.append((rng.randrange(n), s, capacity()))
+    edges.append((t, rng.randrange(n), capacity()))
+    rng.shuffle(edges)
+    return n, s, t, edges
+
+
+def brute_min_cuts(n, s, t, edges):
+    """Minimum cut capacity and the intersection of all minimum-cut source
+    sides, by enumerating every source side (as a bit mask)."""
+    best, meet = None, 0
+    for mask in range(1 << n):
+        if not mask >> s & 1 or mask >> t & 1:
+            continue
+        cut = sum(c for u, v, c in edges if mask >> u & 1 and not mask >> v & 1)
+        if best is None or cut < best:
+            best, meet = cut, mask
+        elif cut == best:
+            meet &= mask
+    return best, {v for v in range(n) if meet >> v & 1}
+
+
+def test_max_flow_matches_brute_force_min_cut():
+    rng = random.Random(2004)
+    for _ in range(2000):
+        n, s, t, edges = random_network(rng)
+        net = FlowNetwork(n)
+        for u, v, c in edges:
+            net.add_edge(u, v, c)
+        value, side = brute_min_cuts(n, s, t, edges)
+        assert net.max_flow(s, t) == value
+        # the residual source side is the unique minimal minimum cut
+        assert net.source_side(s) == side
+
+
 # -- min-cut route --------------------------------------------------------
 
 
@@ -140,6 +196,32 @@ def test_minmax_oracle_equivalence_seeded():
         assert r1.feasible == r2.feasible
         assert r1.cost == r2.cost
         done += 1
+
+
+def path_dp_cost(vs, h, costs):
+    """Optimal cost of mapping the directed path vs[0] -> vs[1] -> ... to h,
+    by dynamic programming over the label of each vertex in turn."""
+    best = {i: costs.cost(vs[0], i) for i in h.vertices}
+    for u in vs[1:]:
+        best = {j: costs.cost(u, j) + min(best[i] for i in h.vertices
+                                          if h.has_arc(i, j))
+                for j in h.vertices}
+    return min(best.values())
+
+
+@pytest.mark.parametrize("h", [make_tt(5).reflexive_closure(),
+                               make_tt_minus(6).reflexive_closure()],
+                         ids=["rc_tt5", "rc_ttminus6"])
+def test_minmax_long_path_matches_path_dp(h):
+    # long augmenting paths through a 4000-vertex directed path
+    rng = random.Random(4000 + len(h.vertices))
+    vs = [f"u{k}" for k in range(4000)]
+    d = Digraph(vs, list(zip(vs, vs[1:])))
+    costs = CostMatrix({(u, i): rng.randint(-20, 20)
+                        for u in vs for i in h.vertices})
+    res = solve_auto(d, h, costs)
+    assert res.method == "minmax"
+    assert res.cost == path_dp_cost(vs, h, costs)
 
 
 def test_minmax_with_input_loops():
@@ -293,6 +375,19 @@ def test_auto_dispatch_brute():
     d = Digraph(("u",))
     res = solve_auto(d, make_cycle(3).reflexive_closure(), CostMatrix({}))
     assert res.method == "brute" and res.feasible
+
+
+def test_auto_rejects_cost_keys_outside_the_instance():
+    # the cycle, min-cut and brute-force routes alike raise GraphError
+    d = Digraph(("u",))
+    targets = [make_cycle(3), make_tt(3).reflexive_closure(),
+               make_cycle(3).reflexive_closure()]
+    methods = [solve_auto(d, h, CostMatrix({})).method for h in targets]
+    assert methods == ["cycle", "minmax", "brute"]
+    for h in targets:
+        for key in (("u", "zz"), ("nosuch", "1")):
+            with pytest.raises(GraphError, match="cost entry"):
+                solve_auto(d, h, CostMatrix({key: 7}))
 
 
 def test_auto_cycle_with_renamed_target():
