@@ -11,8 +11,8 @@ from .classify import (BGForbiddenWitness, Classification,
                        enumerate_rmpt, find_witness, validate_witness)
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       NotMultipartiteTournament, PartiteStructure, components,
-                      extend, is_acyclic, is_isomorphic, make_cycle,
-                      make_oriented_kb, make_tt, make_tt_minus,
+                      cycle_walk, extend, is_acyclic, is_isomorphic,
+                      make_cycle, make_oriented_kb, make_tt, make_tt_minus,
                       partite_structure)
 from .io import (FormatError, format_bipartite, format_costs, format_digraph,
                  parse_bipartite, parse_costs, parse_digraph)
@@ -20,7 +20,6 @@ from .minmax import (ArcPair, Ordering, canonical_ordering, find_minmax,
                      verify_minmax)
 from .solver import (BudgetExceeded, CostMatrix, Homomorphism, SolveResult,
                      collapse_extension, is_homomorphism, map_cost,
-                     solve_auto, solve_bruteforce, solve_cycle,
-                     solve_cycle_target, solve_minmax)
+                     solve_auto, solve_bruteforce, solve_cycle, solve_minmax)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

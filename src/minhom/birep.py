@@ -142,38 +142,24 @@ def bg(h: Digraph) -> BipartiteGraph:
     )
 
 
-def _is_induced_cycle(g: BipartiteGraph, subset: tuple[str, ...]) -> bool:
-    degs = []
-    edge_count = 0
+def _induced_cycle(g: BipartiteGraph,
+                   subset: tuple[str, ...]) -> ForbiddenStructure | None:
+    """The cycle subset induces in g, walked from subset[0] towards its
+    first neighbour in vertex order, or None if it induces no single cycle."""
+    inside = set(subset)
+    nbrs = {}
     for v in subset:
-        d = sum(1 for w in subset if w != v and g.has_edge(v, w))
-        degs.append(d)
-        edge_count += d
-    if any(d != 2 for d in degs):
-        return False
-    if edge_count // 2 != len(subset):
-        return False
-    # connectivity: walk from the first vertex
-    seen = {subset[0]}
-    stack = [subset[0]]
-    while stack:
-        v = stack.pop()
-        for w in subset:
-            if w not in seen and g.has_edge(v, w):
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(subset)
-
-
-def _cycle_embedding(g: BipartiteGraph, subset: tuple[str, ...]) -> ForbiddenStructure:
+        ws = [w for w in g.neighbors(v) if w in inside]
+        if len(ws) != 2:
+            return None
+        nbrs[v] = ws
     start = subset[0]
-    in_cycle = set(subset)
-    nbrs = [w for w in g.vertices if w in in_cycle and w != start and g.has_edge(start, w)]
-    walk = [start, nbrs[0]]
+    walk = [start, nbrs[start][0]]
     while len(walk) < len(subset):
-        prev, cur = walk[-2], walk[-1]
-        nxt = next(w for w in subset
-                   if w != prev and w != cur and g.has_edge(cur, w))
+        a, b = nbrs[walk[-1]]
+        nxt = b if a == walk[-2] else a
+        if nxt == start:
+            return None  # closed early: subset induces several cycles
         walk.append(nxt)
     emb = tuple((f"c{i + 1}", v) for i, v in enumerate(walk))
     return ForbiddenStructure("long-induced-cycle", emb)
@@ -236,8 +222,9 @@ def find_forbidden(g: BipartiteGraph,
         )
     for length in range(6, n + 1, 2):
         for subset in combinations(g.vertices, length):
-            if _is_induced_cycle(g, subset):
-                return _cycle_embedding(g, subset)
+            found = _induced_cycle(g, subset)
+            if found is not None:
+                return found
     for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
         found = find_pattern(g, kind)
         if found is not None:

@@ -15,8 +15,8 @@ from itertools import combinations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
 from .digraph import (Digraph, GraphError, InternalError,
-                      NotMultipartiteTournament, components, is_acyclic,
-                      is_isomorphic, make_cycle, make_tt, make_tt_minus,
+                      NotMultipartiteTournament, components, cycle_walk,
+                      is_acyclic, is_isomorphic, make_tt, make_tt_minus,
                       partite_structure)
 from .minmax import (FIND_GUARD, Ordering, canonical_ordering, find_minmax,
                      verify_minmax)
@@ -62,6 +62,7 @@ class Classification:
     rule: str
     ordering: Ordering | None = None
     witness: Witness | None = None
+    cycle: tuple[str, ...] | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -88,30 +89,13 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
 
 def _induced_cycle_with_loop(h: Digraph,
                              subset: tuple[str, ...]) -> ReflexiveCycleWitness | None:
-    sub = h.induced(subset)
-    arcs = sub.nonloop_arcs()
-    k = len(subset)
-    if len(arcs) != k:
-        return None
-    succ = {}
-    for t, head in arcs:
-        if t in succ:
-            return None
-        succ[t] = head
-    if set(succ) != set(subset) or len(set(succ.values())) != k:
-        return None
-    walk = [subset[0]]
-    while len(walk) < k:
-        nxt = succ[walk[-1]]
-        if nxt in walk:
-            return None
-        walk.append(nxt)
-    if succ[walk[-1]] != walk[0]:
+    walk = cycle_walk(h.induced(subset))
+    if walk is None:
         return None
     looped = next((v for v in walk if h.has_loop(v)), None)
     if looped is None:
         return None
-    return ReflexiveCycleWitness(tuple(walk), looped)
+    return ReflexiveCycleWitness(walk, looped)
 
 
 def find_witness(h: Digraph) -> Witness | None:
@@ -261,9 +245,10 @@ def classify_theorem5(b) -> Classification:
 def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     """Best-effort classification from the generic sufficient conditions.
 
-    A found hardness witness gives NP-hard; a found Min-Max ordering gives
-    polynomial; otherwise the verdict is unknown.  Never claims more than the
-    sufficient conditions justify.
+    A found hardness witness gives NP-hard; a loopless directed cycle (solved
+    exactly by solve_cycle) or a found Min-Max ordering gives polynomial;
+    otherwise the verdict is unknown.  Never claims more than the sufficient
+    conditions justify.
     """
     w = find_witness(h)
     if w is not None:
@@ -271,6 +256,12 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
             raise InternalError("bad witness")
         rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
         return Classification(NP_HARD, rule, witness=w)
+    walk = None if h.loops() else cycle_walk(h)
+    if walk is not None:
+        k = len(walk)
+        if h.arcs != {(walk[i], walk[(i + 1) % k]) for i in range(k)}:
+            raise InternalError("bad directed-cycle certificate")
+        return Classification(POLY, "directed-cycle", cycle=walk)
     if len(h.vertices) <= guard:
         ordering = find_minmax(h, guard=guard)
         if ordering is not None:

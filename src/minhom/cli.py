@@ -13,12 +13,11 @@ import sys
 
 from . import classify as cls
 from . import io as fmt
-from .birep import bg, is_proper_interval_bigraph
+from .birep import FORBIDDEN_GUARD, bg, is_proper_interval_bigraph
 from .digraph import Digraph, GraphError, make_cycle, make_tt, make_tt_minus
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 from .minmax import make_rc_k12, make_rc_k21
-from .solver import (BRUTE_BUDGET, solve_auto, solve_bruteforce,
-                     solve_cycle_target, solve_minmax)
+from .solver import solve_auto, solve_bruteforce, solve_cycle, solve_minmax
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,6 +83,8 @@ def _emit_classification(c: cls.Classification, out) -> None:
     print(f"rule {c.rule}", file=out)
     if c.ordering is not None:
         print(f"ordering {c.ordering.serialize()}", file=out)
+    if c.cycle is not None:
+        print(f"cycle {','.join(c.cycle)}", file=out)
     if c.witness is not None:
         _emit_witness(c.witness, out)
     for note in c.notes:
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         guard={"type": int, "default": FIND_GUARD})
     add("bg", target={"required": True})
     add("pib-check", target={"required": False}, input={"required": False},
-        guard={"type": int, "default": 16})
+        guard={"type": int, "default": FORBIDDEN_GUARD})
     add("minmax-verify", target={"required": True}, ordering={"required": True})
     add("minmax-find", target={"required": True},
         guard={"type": int, "default": FIND_GUARD})
@@ -164,9 +165,7 @@ def _dispatch(args, out) -> int:
         elif args.method == "brute":
             res = solve_bruteforce(d, h, costs)
         elif args.method == "cycle":
-            res = solve_cycle_target(d, h, costs)
-            if res is None:
-                raise GraphError("target is not a directed cycle")
+            res = solve_cycle(d, h, costs)
         else:
             if args.ordering:
                 ordering = Ordering.parse(args.ordering)

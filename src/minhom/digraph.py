@@ -215,6 +215,37 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
     return True, tuple(order)
 
 
+def cycle_walk(h: Digraph) -> tuple[str, ...] | None:
+    """The loopless arcs of h as one directed cycle through all of its
+    (at least 2) vertices, walked from h.vertices[0]; None if they are not.
+
+    Loops are ignored.  One pass over the arc set, not the adjacency index:
+    the witness search calls this on many small induced subdigraphs.
+    """
+    k = len(h.vertices)
+    if k < 2:
+        return None
+    succ: dict[str, str] = {}
+    for t, head in h.arcs:
+        if t != head:
+            if t in succ:
+                return None  # out-degree above 1
+            succ[t] = head
+    if len(succ) != k:
+        return None
+    # every out-degree is 1.  A walk that repeats a vertex other than start
+    # is trapped in a cycle avoiding start, so returning to start after
+    # exactly k steps means one cycle through all k vertices (and every
+    # in-degree is 1)
+    start = h.vertices[0]
+    walk = [start]
+    v = succ[start]
+    while v != start and len(walk) < k:
+        walk.append(v)
+        v = succ[v]
+    return tuple(walk) if v == start and len(walk) == k else None
+
+
 @dataclass(frozen=True)
 class PartiteStructure:
     """Partite sets of a multipartite tournament, in canonical order."""

@@ -11,12 +11,12 @@ Three routes are provided:
   That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
   maximum flow the algorithm finds.
-* solve_cycle — rotation propagation for directed-cycle targets.
+* solve_cycle — rotation propagation for directed-cycle targets, in the
+  target's own vertex names, along the walk digraph.cycle_walk returns.
 
 All costs are signed integers; negative costs are absorbed by per-vertex
-shifts in the cut network, so every answer is exact.  solve_bruteforce,
-solve_minmax and solve_cycle_target (hence solve_auto on every route) raise
-GraphError for a cost entry outside V(D) x V(H).
+shifts in the cut network, so every answer is exact.  Every route (hence
+solve_auto) raises GraphError for a cost entry outside V(D) x V(H).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .digraph import Digraph, GraphError, InternalError, components, make_cycle
+from .digraph import Digraph, GraphError, InternalError, components, cycle_walk
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 
@@ -471,17 +471,20 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
            for i in range(2, p + 1)}
     mu = {j: next((x for x in rows if row_max[x] >= j), None)
           for j in range(2, p + 1)}
-    for t, head in d.arcs:
-        if t == head:
-            continue  # loops became unary restrictions above
-        for i in range(2, p + 1):
-            target = lam[i]
-            if target is not None and target >= 2:
-                net.add_edge(node[(t, i)], node[(head, target)], inf)
-        for j in range(2, p + 1):
-            target = mu[j]
-            if target is not None and target >= 2:
-                net.add_edge(node[(head, j)], node[(t, target)], inf)
+    # arcs in declaration order, so the network (and the max-flow's work)
+    # does not depend on the string hash seed
+    for t in d.vertices:
+        for head in d.out_neighbors(t):
+            if t == head:
+                continue  # loops became unary restrictions above
+            for i in range(2, p + 1):
+                target = lam[i]
+                if target is not None and target >= 2:
+                    net.add_edge(node[(t, i)], node[(head, target)], inf)
+            for j in range(2, p + 1):
+                target = mu[j]
+                if target is not None and target >= 2:
+                    net.add_edge(node[(head, j)], node[(t, target)], inf)
 
     value = net.max_flow(source, sink)
     if value >= big:
@@ -502,15 +505,19 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
 # -- directed-cycle targets -----------------------------------------------
 
 
-def solve_cycle(d: Digraph, k: int, costs: CostMatrix) -> SolveResult:
-    """Exact optimum for the directed k-cycle target (vertices '1'..'k').
+def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
+    """Exact optimum for a directed-cycle target h with any vertex names
+    (GraphError for any other target).
 
     Each cycle vertex has a unique in- and out-neighbor, so a component's
     homomorphism is fixed by the image of one root vertex; the k rotations
     per component are enumerated directly.
     """
-    if k < 2:
-        raise GraphError(f"cycle target needs k >= 2, got {k}")
+    walk = None if h.loops() else cycle_walk(h)
+    if walk is None:
+        raise GraphError("target is not a directed cycle")
+    costs.check_shape(d, h)
+    k = len(walk)
     if d.loops():
         return SolveResult(None, "cycle")  # cycles carry no loops
 
@@ -536,15 +543,15 @@ def solve_cycle(d: Digraph, k: int, costs: CostMatrix) -> SolveResult:
             return SolveResult(None, "cycle")
         best = None
         for c in range(k):
-            cost = sum(costs.cost(v, str((res[v] + c) % k + 1)) for v in comp)
+            cost = sum(costs.cost(v, walk[(res[v] + c) % k]) for v in comp)
             if best is None or cost < best[0]:
                 best = (cost, c)
         cost, c = best
         total += cost
         for v in comp:
-            mapping[v] = str((res[v] + c) % k + 1)
+            mapping[v] = walk[(res[v] + c) % k]
 
-    return _revalidated(d, make_cycle(k), costs, mapping, total, "cycle")
+    return _revalidated(d, h, costs, mapping, total, "cycle")
 
 
 # -- extension collapse ---------------------------------------------------
@@ -616,45 +623,6 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
 # -- dispatch -------------------------------------------------------------
 
 
-def _as_cycle(h: Digraph) -> dict[str, str] | None:
-    """If h is a directed |V(h)|-cycle, return the map to canonical names."""
-    k = len(h.vertices)
-    if k < 2 or h.loops() or len(h.arcs) != k:
-        return None
-    for v in h.vertices:
-        if len(h.out_neighbors(v)) != 1 or len(h.in_neighbors(v)) != 1:
-            return None
-    walk = [h.vertices[0]]
-    names = {walk[0]: "1"}
-    while len(walk) < k:
-        nxt = h.out_neighbors(walk[-1])[0]
-        if nxt in names:
-            return None
-        walk.append(nxt)
-        names[nxt] = str(len(walk))
-    if not h.has_arc(walk[-1], walk[0]):
-        return None
-    return names
-
-
-def solve_cycle_target(d: Digraph, h: Digraph,
-                       costs: CostMatrix) -> SolveResult | None:
-    """solve_cycle for a directed-cycle target with any vertex names, or
-    None if h is not a directed |V(h)|-cycle."""
-    cycle_map = _as_cycle(h)
-    if cycle_map is None:
-        return None
-    costs.check_shape(d, h)
-    renamed = CostMatrix({(u, cycle_map[i]): c
-                          for (u, i), c in costs.entries.items()})
-    res = solve_cycle(d, len(h.vertices), renamed)
-    if not res.feasible:
-        return res
-    inverse = {c: v for v, c in cycle_map.items()}
-    mapping = {u: inverse[i] for u, i in res.homomorphism.mapping.items()}
-    return _revalidated(d, h, costs, mapping, res.cost, "cycle")
-
-
 def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
                guard: int = FIND_GUARD,
                budget: int = BRUTE_BUDGET) -> SolveResult:
@@ -662,9 +630,8 @@ def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
 
     The route taken checks the cost keys (GraphError for one outside
     V(d) x V(h))."""
-    res = solve_cycle_target(d, h, costs)
-    if res is not None:
-        return res
+    if not h.loops() and cycle_walk(h) is not None:
+        return solve_cycle(d, h, costs)
     try:
         ordering = find_minmax(h, guard=guard)
     except GraphError:

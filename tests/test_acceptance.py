@@ -85,7 +85,7 @@ def test_criterion_03_cycle_solver():
                          if rng.random() < 0.25])
         costs = CostMatrix({(u, str(i + 1)): rng.randint(-9, 9)
                             for u in d.vertices for i in range(k)})
-        r1 = solve_cycle(d, k, costs)
+        r1 = solve_cycle(d, make_cycle(k), costs)
         r2 = solve_bruteforce(d, make_cycle(k), costs)
         assert r1.feasible == r2.feasible and r1.cost == r2.cost
     report(3, "cycle solver = brute force on 500 instances", 30,

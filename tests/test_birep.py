@@ -8,7 +8,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     find_forbidden, is_proper_interval_bigraph, lift_solution,
                     make_cycle, make_tt, project_solution, solve_bruteforce)
 from minhom.birep import (CLAW_EDGES, NET_EDGES, PATTERNS, TENT_EDGES,
-                          find_pattern, validate_forbidden)
+                          _induced_cycle, find_pattern, validate_forbidden)
 
 
 def pattern_graph(kind):
@@ -228,3 +228,70 @@ def test_pattern_edge_lists_are_frozen():
         [("x4", "y1"), ("x1", "y1"), ("x4", "y2"),
          ("x2", "y2"), ("x4", "y3"), ("x3", "y3")])
     assert len(NET_EDGES) == 7 and len(TENT_EDGES) == 8
+
+
+def test_induced_cycle_hand_cases():
+    # 6-cycle a1-b1-a2-b2-a3-b3-a1, declared so that the walk from a1 goes
+    # towards b1, its first neighbour in vertex order
+    g = BipartiteGraph(("a1", "a2", "a3"), ("b1", "b2", "b3"),
+                       [("a1", "b1"), ("a2", "b1"), ("a2", "b2"),
+                        ("a3", "b2"), ("a3", "b3"), ("a1", "b3")])
+    fs = _induced_cycle(g, g.vertices)
+    assert fs.kind == "long-induced-cycle"
+    assert fs.host_vertices() == ("a1", "b1", "a2", "b2", "a3", "b3")
+    assert validate_forbidden(g, fs)
+    # a chord leaves a1 with three neighbours in the subset
+    chord = BipartiteGraph(g.part1, g.part2, g.edges | {("a1", "b2")})
+    assert _induced_cycle(chord, chord.vertices) is None
+    # a path: the ends have one neighbour
+    path = BipartiteGraph(g.part1, g.part2, g.edges - {("a1", "b3")})
+    assert _induced_cycle(path, path.vertices) is None
+    # two disjoint 4-cycles: every degree is 2, but the walk closes early
+    two = BipartiteGraph(("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"),
+                         [("a1", "b1"), ("a1", "b2"), ("a2", "b1"),
+                          ("a2", "b2"), ("a3", "b3"), ("a3", "b4"),
+                          ("a4", "b3"), ("a4", "b4")])
+    assert _induced_cycle(two, two.vertices) is None
+    assert _induced_cycle(two, ("a1", "a2", "b1", "b2")).host_vertices() == (
+        "a1", "b1", "a2", "b2")
+
+
+def brute_induced_cycle(g, subset):
+    """subset induces one cycle iff it is connected and 2-regular in g."""
+    inside = set(subset)
+    deg = {v: sum(1 for w in subset if g.has_edge(v, w)) for v in subset}
+    if any(d != 2 for d in deg.values()):
+        return False
+    seen, stack = {subset[0]}, [subset[0]]
+    while stack:
+        v = stack.pop()
+        for w in inside - seen:
+            if g.has_edge(v, w):
+                seen.add(w)
+                stack.append(w)
+    return seen == inside
+
+
+def test_induced_cycle_matches_brute_force_seeded():
+    rng = random.Random(99)
+    hits = 0
+    for _ in range(150):
+        p1 = [f"x{i}" for i in range(rng.randint(2, 4))]
+        p2 = [f"y{i}" for i in range(rng.randint(2, 4))]
+        g = BipartiteGraph(p1, p2, [(a, b) for a in p1 for b in p2
+                                    if rng.random() < 0.5])
+        for size in range(4, len(g.vertices) + 1):
+            for subset in itertools.combinations(g.vertices, size):
+                fs = _induced_cycle(g, subset)
+                assert (fs is not None) == brute_induced_cycle(g, subset)
+                if fs is None:
+                    continue
+                hits += 1
+                walk = fs.host_vertices()
+                assert sorted(walk) == sorted(subset)
+                assert walk[0] == subset[0]
+                assert walk[1] == next(w for w in g.neighbors(subset[0])
+                                       if w in subset)
+                assert all(g.has_edge(walk[i], walk[(i + 1) % size])
+                           for i in range(size))
+    assert hits > 50

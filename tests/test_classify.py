@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from minhom import (Digraph, GraphError, build_theorem5_digraph,
-                    classify_general, classify_reflexive_mpt,
-                    classify_theorem5, classify_tournament_wpl,
-                    enumerate_rmpt, find_minmax, find_witness,
-                    make_cycle, make_oriented_kb, make_tt, make_tt_minus,
-                    validate_witness, verify_minmax)
+from minhom import (Digraph, GraphError, InternalError,
+                    build_theorem5_digraph, classify_general,
+                    classify_reflexive_mpt, classify_theorem5,
+                    classify_tournament_wpl, enumerate_rmpt, find_minmax,
+                    find_witness, make_cycle, make_oriented_kb, make_tt,
+                    make_tt_minus, validate_witness, verify_minmax)
 from minhom.classify import BGForbiddenWitness, ReflexiveCycleWitness
 
 
@@ -185,6 +185,31 @@ def test_general_open_family_case():
                 [("1", "2"), ("2", "3"), ("2", "4"), ("3", "3"), ("4", "4")])
     c = classify_general(h)
     assert c.verdict == "unknown"
+
+
+def test_general_directed_cycle():
+    c = classify_general(make_cycle(9))
+    assert (c.verdict, c.rule) == ("poly", "directed-cycle")
+    assert c.cycle == tuple(str(i) for i in range(1, 10))
+    assert c.ordering is None and c.witness is None
+    # any vertex names; the walk starts at the first declared vertex
+    h = Digraph(("x", "w", "z", "y"),
+                [("x", "y"), ("y", "w"), ("w", "z"), ("z", "x")])
+    c = classify_general(h)
+    assert (c.verdict, c.rule, c.cycle) == ("poly", "directed-cycle",
+                                             ("x", "y", "w", "z"))
+    # a loop makes it another target: no directed-cycle rule
+    looped = Digraph(make_cycle(5).vertices, make_cycle(5).arcs | {("1", "1")})
+    c = classify_general(looped)
+    assert c.rule != "directed-cycle" and c.cycle is None
+
+
+def test_general_rechecks_the_cycle_certificate(monkeypatch):
+    import minhom.classify
+    monkeypatch.setattr(minhom.classify, "cycle_walk",
+                        lambda h: ("1", "3", "2"))
+    with pytest.raises(InternalError):
+        classify_general(make_cycle(3))
 
 
 def test_general_skips_minmax_beyond_guard():

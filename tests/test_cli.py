@@ -217,6 +217,15 @@ def test_cli_classify_general(tmp_path):
     assert code == EXIT_OK and out.splitlines()[0] == "verdict unknown"
 
 
+def test_cli_classify_general_directed_cycle(tmp_path):
+    code, out = cli("classify-general", "--target", "cycle9")
+    assert code == EXIT_OK
+    assert out == "verdict poly\nrule directed-cycle\ncycle 1,2,3,4,5,6,7,8,9\n"
+    p = write(tmp_path, "h.dg", "v x\na y w\na w z\na z x\na x y\n")
+    code, out = cli("classify-general", "--target", p)
+    assert out == "verdict poly\nrule directed-cycle\ncycle x,y,w,z\n"
+
+
 def test_cli_bg_and_pib(tmp_path):
     code, out = cli("bg", "--target", "rc_tt2")
     assert code == EXIT_OK

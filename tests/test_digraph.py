@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
-                    NotMultipartiteTournament, components, extend, is_acyclic,
-                    is_isomorphic, make_cycle, make_oriented_kb, make_tt,
-                    make_tt_minus, partite_structure)
+                    NotMultipartiteTournament, components, cycle_walk, extend,
+                    is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
+                    make_tt, make_tt_minus, partite_structure)
 
 
 def test_vertex_name_validation():
@@ -158,3 +161,60 @@ def test_is_isomorphic():
     with pytest.raises(GuardExceeded):
         is_isomorphic(make_tt(11), make_tt(11))
     assert is_isomorphic(make_tt(11), make_tt(11), guard=11)
+
+
+def test_cycle_walk_hand_cases():
+    assert cycle_walk(make_cycle(2)) == ("1", "2")
+    assert cycle_walk(make_cycle(5)) == ("1", "2", "3", "4", "5")
+    # walked from the first declared vertex, loops ignored
+    h = Digraph(("b", "a", "c"), [("a", "b"), ("b", "c"), ("c", "a")])
+    assert cycle_walk(h) == ("b", "c", "a")
+    assert cycle_walk(make_cycle(3).reflexive_closure()) == ("1", "2", "3")
+    # rho: every out-degree is 1, but b has in-degree 2
+    rho = Digraph(("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "b")])
+    assert cycle_walk(rho) is None
+    two_digons = Digraph(("a", "b", "c", "d"),
+                         [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
+    assert cycle_walk(two_digons) is None
+    assert cycle_walk(Digraph(("a",))) is None
+    assert cycle_walk(Digraph(("a",), [("a", "a")])) is None
+    assert cycle_walk(make_tt(3)) is None
+    assert cycle_walk(Digraph(("a", "b"), [("a", "b")])) is None
+
+
+def brute_cycle_walk(h):
+    """Walk from the first vertex along a vertex order whose consecutive
+    pairs (cyclically) are exactly the loopless arcs, by trying them all."""
+    vs = h.vertices
+    if len(vs) < 2:
+        return None
+    for rest in itertools.permutations(vs[1:]):
+        walk = (vs[0],) + rest
+        arcs = {(walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk))}
+        if arcs == h.nonloop_arcs():
+            return walk
+    return None
+
+
+def test_cycle_walk_matches_brute_force_seeded():
+    rng = random.Random(2024)
+    hits = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0:  # random arcs
+            arcs = {(a, b) for a in vs for b in vs if rng.random() < 0.3}
+        else:  # a random permutation's arcs (one or more cycles), perturbed
+            succ = vs[:]
+            rng.shuffle(succ)
+            arcs = set(zip(vs, succ))
+            if kind == 2:
+                arcs ^= {(rng.choice(vs), rng.choice(vs))}
+        arcs |= {(v, v) for v in vs if rng.random() < 0.2}
+        rng.shuffle(vs)
+        h = Digraph(vs, arcs)
+        want = brute_cycle_walk(h)
+        assert cycle_walk(h) == want, h
+        hits += want is not None
+    assert hits > 100

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -33,3 +34,24 @@ def test_stdlib_only_imports():
                       if name.partition(".")[0] not in sys.stdlib_module_names
                       and name.partition(".")[0] != "minhom"]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_bench_spans_resolve():
+    # bench/worker.py silently skips a spanned name it cannot find, so a
+    # rename would zero that layer's metric without notice
+    path = PACKAGE.parent.parent / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    missing = []
+    spanned = set()
+    for layer, names in worker.SPANS.items():
+        for module, attr in names:
+            obj = importlib.import_module(f"minhom.{module}")
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"minhom.{module}.{attr}")
+            spanned.add(f"{layer}.{attr}")
+    assert not missing, f"spanned names missing from minhom: {missing}"
+    assert worker.COUNTED <= spanned

@@ -1,6 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import minhom
 
 from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     collapse_extension, extend, find_minmax, is_homomorphism,
@@ -276,7 +283,7 @@ def test_cost_shift_invariance():
 
 
 def test_cycle_zero_costs():
-    res = solve_cycle(make_cycle(3), 3, CostMatrix({}))
+    res = solve_cycle(make_cycle(3), make_cycle(3), CostMatrix({}))
     assert res.feasible and res.cost == 0
 
 
@@ -284,17 +291,17 @@ def test_cycle_two_rotations():
     d = Digraph(("u", "v"), [("u", "v")])
     costs = CostMatrix({("u", "1"): 1, ("u", "2"): 5,
                         ("v", "1"): 2, ("v", "2"): 1})
-    res = solve_cycle(d, 2, costs)
+    res = solve_cycle(d, make_cycle(2), costs)
     assert res.cost == 2 and res.homomorphism.mapping == {"u": "1", "v": "2"}
 
 
 def test_cycle_odd_input_infeasible():
-    assert not solve_cycle(make_cycle(3), 2, CostMatrix({})).feasible
+    assert not solve_cycle(make_cycle(3), make_cycle(2), CostMatrix({})).feasible
 
 
 def test_cycle_input_loop_infeasible():
     d = Digraph(("u",), [("u", "u")])
-    assert not solve_cycle(d, 3, CostMatrix({})).feasible
+    assert not solve_cycle(d, make_cycle(3), CostMatrix({})).feasible
 
 
 def test_cycle_oracle_equivalence_seeded():
@@ -304,7 +311,7 @@ def test_cycle_oracle_equivalence_seeded():
         d = random_input(rng)
         costs = CostMatrix({(u, str(i + 1)): rng.randint(-9, 9)
                             for u in d.vertices for i in range(k)})
-        r1 = solve_cycle(d, k, costs)
+        r1 = solve_cycle(d, make_cycle(k), costs)
         r2 = solve_bruteforce(d, make_cycle(k), costs)
         assert (r1.feasible, r1.cost) == (r2.feasible, r2.cost)
 
@@ -357,6 +364,32 @@ def test_collapse_equals_extension_optimum_seeded():
             assert map_cost(d, costs, lifted) == r2.cost
 
 
+def test_cycle_rejects_other_targets():
+    d = Digraph(("u",))
+    for h in (make_tt(3), make_cycle(3).reflexive_closure(), Digraph(("a",)),
+              Digraph(("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "b")])):
+        with pytest.raises(GraphError, match="not a directed cycle"):
+            solve_cycle(d, h, CostMatrix({}))
+
+
+def test_cycle_renamed_targets_match_brute_force_seeded():
+    # vertex names and declaration order of the target are arbitrary
+    rng = random.Random(556)
+    for _ in range(150):
+        k = rng.randint(2, 5)
+        names = [f"t{i}" for i in range(k)]
+        rng.shuffle(names)
+        arcs = [(names[i], names[(i + 1) % k]) for i in range(k)]
+        rng.shuffle(names)
+        h = Digraph(names, arcs)
+        d = random_input(rng)
+        costs = random_costs(rng, d, h)
+        r1 = solve_cycle(d, h, costs)
+        r2 = solve_bruteforce(d, h, costs)
+        assert (r1.feasible, r1.cost) == (r2.feasible, r2.cost)
+        assert solve_auto(d, h, costs) == r1
+
+
 # -- dispatch -------------------------------------------------------------
 
 
@@ -400,3 +433,40 @@ def test_auto_cycle_with_renamed_target():
     assert res.cost == min(-2 + 1, 0, 0) or res.cost <= 0
     brute = solve_bruteforce(d, h, costs)
     assert res.cost == brute.cost
+
+
+NETWORK_PROBE = """
+import json
+from minhom import CostMatrix, Digraph, make_tt, solve_auto
+from minhom.solver import FlowNetwork
+
+seen = []
+max_flow = FlowNetwork.max_flow
+
+
+def probe(net, s, t):
+    seen.append((net.head[:], net.cap[:]))
+    return max_flow(net, s, t)
+
+
+FlowNetwork.max_flow = probe
+vs = [f"v{i}" for i in range(40)]
+d = Digraph(vs, [(vs[i], vs[(7 * i + 3) % 40]) for i in range(40)]
+            + [(vs[i], vs[(11 * i + 5) % 40]) for i in range(40)])
+costs = CostMatrix({(v, str(1 + i % 4)): i % 7 - 3 for i, v in enumerate(vs)})
+solve_auto(d, make_tt(4).reflexive_closure(), costs)
+print(json.dumps(seen))
+"""
+
+
+def test_minmax_network_independent_of_hash_seed():
+    # the min-cut network is built in declaration order, not in the order of
+    # the arc frozenset, which follows the string hash seed
+    src = str(Path(minhom.__file__).parent.parent)
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", NETWORK_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == 1 and runs[0] == runs[1]
