@@ -1,8 +1,9 @@
 """Bipartite representation of a digraph and proper-interval-bigraph tests.
 
 The forbidden structures (long induced cycles, bipartite claw, net, tent) are
-searched exhaustively; every use in this project targets the bipartite
-representation of a small fixed digraph, never a problem input.
+searched exhaustively, the fixed patterns by digraph.first_injection; every
+use in this project targets the bipartite representation of a small fixed
+digraph, never a problem input.
 
 Pattern edge lists for the net and the tent were transcribed from the source
 drawings (the running-text edge lists of net and tent are identical there,
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .digraph import (Digraph, GraphError, GuardExceeded, check_token,
-                      components)
+                      components, first_injection)
 
 #: Default cap on the number of vertices searched for forbidden structures.
 FORBIDDEN_GUARD = 16
@@ -165,44 +166,35 @@ def _induced_cycle(g: BipartiteGraph,
     return ForbiddenStructure("long-induced-cycle", emb)
 
 
-def find_pattern(g: BipartiteGraph, kind: str) -> ForbiddenStructure | None:
-    """Deterministic induced-embedding search for one fixed bipartite pattern."""
-    edges = PATTERNS[kind]
-    labels = sorted({lab for e in edges for lab in e})
-    x_labels = [lab for lab in labels if lab.startswith("x")]
-    pattern_adj = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
-    for x_side in (1, 2):
-        assign: dict[str, str] = {}
-        used: set[str] = set()
+def _pattern(edges) -> tuple[list[str], set[tuple[str, str]]]:
+    """Sorted labels and adjacent label pairs (both orders) of an edge list."""
+    return (sorted({lab for e in edges for lab in e}),
+            {(a, b) for a, b in edges} | {(b, a) for a, b in edges})
 
-        def ok(lab: str, v: str) -> bool:
-            want_side = x_side if lab in x_labels else 3 - x_side
-            if g.side(v) != want_side:
+
+def find_pattern(g: BipartiteGraph, kind: str) -> ForbiddenStructure | None:
+    """First induced embedding of one fixed pattern (digraph.first_injection
+    over sorted labels and g.vertices), x labels in part1 before part2."""
+    labels, pattern_adj = _pattern(PATTERNS[kind])
+    side = dict.fromkeys(g.part1, 1) | dict.fromkeys(g.part2, 2)
+    near = {v: set(g.neighbors(v)) for v in g.vertices}
+    for x_side in (1, 2):
+        want = {lab: x_side if lab[0] == "x" else 3 - x_side for lab in labels}
+
+        def fits(lab: str, v: str, assign: dict[str, str]) -> bool:
+            if side[v] != want[lab]:
                 return False
+            nv = near[v]
+            # (lab, v) itself passes: neither pair is adjacent
             for lab2, v2 in assign.items():
-                if ((lab, lab2) in pattern_adj) != g.has_edge(v, v2):
+                if ((lab, lab2) in pattern_adj) != (v2 in nv):
                     return False
             return True
 
-        def search(k: int) -> bool:
-            if k == len(labels):
-                return True
-            lab = labels[k]
-            for v in g.vertices:
-                if v in used or not ok(lab, v):
-                    continue
-                assign[lab] = v
-                used.add(v)
-                if search(k + 1):
-                    return True
-                del assign[lab]
-                used.remove(v)
-            return False
-
-        if search(0):
+        assign = first_injection(labels, g.vertices, fits)
+        if assign is not None:
             return ForbiddenStructure(
-                kind, tuple((lab, assign[lab]) for lab in labels)
-            )
+                kind, tuple((lab, assign[lab]) for lab in labels))
     return None
 
 
@@ -233,30 +225,25 @@ def find_forbidden(g: BipartiteGraph,
 
 
 def validate_forbidden(g: BipartiteGraph, fs: ForbiddenStructure) -> bool:
-    """Re-check that an embedding induces its pattern exactly."""
+    """Re-check that an embedding induces its pattern exactly: a known kind
+    (a long cycle c1-c2-...-ck-c1 with k even and >= 6), exactly the
+    pattern's labels, and distinct hosts in g."""
     emb = dict(fs.embedding)
-    hosts = list(emb.values())
-    if len(set(hosts)) != len(hosts):
-        return False
+    k = len(fs.embedding)
     if fs.kind == "long-induced-cycle":
-        k = len(hosts)
         if k < 6 or k % 2:
             return False
-        cyc = [emb[f"c{i + 1}"] for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                expect = abs(i - j) == 1 or {i, j} == {0, k - 1}
-                if g.has_edge(cyc[i], cyc[j]) != expect:
-                    return False
-        return True
-    edges = PATTERNS[fs.kind]
-    adj = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
-    labels = list(emb)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if g.has_edge(emb[a], emb[b]) != ((a, b) in adj):
-                return False
-    return True
+        edges = tuple((f"c{i}", f"c{i % k + 1}") for i in range(1, k + 1))
+    elif fs.kind in PATTERNS:
+        edges = PATTERNS[fs.kind]
+    else:
+        return False
+    labels, adj = _pattern(edges)
+    if set(emb) != set(labels) or len(set(emb.values())) != k:
+        return False
+    # a host outside g fails below: every pattern label has a neighbour
+    return all(g.has_edge(emb[a], emb[b]) == ((a, b) in adj)
+               for a, b in combinations(labels, 2))
 
 
 def is_proper_interval_bigraph(

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
-from .digraph import (Digraph, GraphError, InternalError,
-                      NotMultipartiteTournament, components, cycle_walk,
-                      is_acyclic, is_isomorphic, make_tt, make_tt_minus,
+from .digraph import (Digraph, GraphError, InternalError, PartiteStructure,
+                      components, cycle_walk, is_acyclic, is_isomorphic,
                       partite_structure)
-from .minmax import (FIND_GUARD, Ordering, canonical_ordering, find_minmax,
-                     verify_minmax)
+from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
 NP_HARD = "np-hard"
@@ -128,12 +126,23 @@ def find_witness(h: Digraph) -> Witness | None:
 # -- reflexive multipartite tournaments -----------------------------------
 
 
-def _transport_ordering(candidate: Digraph, ordering: Ordering,
-                        h: Digraph) -> Ordering | None:
-    iso = is_isomorphic(candidate, h)
-    if iso is None:
-        return None
-    return Ordering(iso[v] for v in ordering.sequence)
+def _thm41_ordering(h: Digraph, ps: PartiteStructure) -> Ordering | None:
+    """Min-Max ordering of a polynomial non-tournament case of Theorem 4.1.
+
+    h ~ RC(TT_n^-) iff, with n - 1 parts, its loopless part is acyclic and
+    the acyclic ordering (unique: TT_n^- has the path 1..n) ends in the
+    nonadjacent pair.  The 3-vertex stars get (leaf, centre, leaf)."""
+    n = len(h.vertices)
+    if len(ps.parts) == n - 1:
+        acyclic, order = is_acyclic(h)
+        if acyclic and not h.adjacent(order[0], order[-1]):
+            return Ordering(order)
+    if n == 3:
+        # the two paths are RC(TT_3^-), so h is an oriented star
+        (centre,) = ps.parts[0]
+        first, second = (v for v in h.vertices if v != centre)
+        return Ordering((first, centre, second))
+    return None
 
 
 def classify_reflexive_mpt(h: Digraph) -> Classification:
@@ -154,18 +163,11 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
     if k == n:
         return classify_tournament_wpl(h)
 
-    candidates: list[tuple[Digraph, Ordering]] = []
-    if n >= 3 and k == n - 1:
-        candidates.append(canonical_ordering("rc_ttminus", n))
-    if n == 3:
-        candidates.append(canonical_ordering("rc_k12"))
-        candidates.append(canonical_ordering("rc_k21"))
-    for cand, ordering in candidates:
-        transported = _transport_ordering(cand, ordering, h)
-        if transported is not None:
-            if not verify_minmax(h, transported)[0]:
-                raise InternalError("transported ordering is not Min-Max")
-            return Classification(POLY, "thm4.1", ordering=transported)
+    ordering = _thm41_ordering(h, ps)
+    if ordering is not None:
+        if not verify_minmax(h, ordering)[0]:
+            raise InternalError("Theorem 4.1 ordering is not Min-Max")
+        return Classification(POLY, "thm4.1", ordering=ordering)
 
     w = find_witness(h)
     if w is None or not validate_witness(h, w):
@@ -245,23 +247,27 @@ def classify_theorem5(b) -> Classification:
 def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     """Best-effort classification from the generic sufficient conditions.
 
-    A found hardness witness gives NP-hard; a loopless directed cycle (solved
-    exactly by solve_cycle) or a found Min-Max ordering gives polynomial;
-    otherwise the verdict is unknown.  Never claims more than the sufficient
-    conditions justify.
+    A loopless directed cycle (solved exactly by solve_cycle) gives
+    polynomial; then a found hardness witness gives NP-hard and a found
+    Min-Max ordering polynomial; otherwise the verdict is unknown.  Never
+    claims more than the sufficient conditions justify.
     """
-    w = find_witness(h)
-    if w is not None:
-        if not validate_witness(h, w):
-            raise InternalError("bad witness")
-        rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
-        return Classification(NP_HARD, rule, witness=w)
+    # A loopless directed cycle has no witness: it has no loop for a
+    # reflexive cycle, and BG of each of its induced subdigraphs is a
+    # matching, which holds no forbidden structure.  So this rule may run
+    # before the witness search without changing any answer.
     walk = None if h.loops() else cycle_walk(h)
     if walk is not None:
         k = len(walk)
         if h.arcs != {(walk[i], walk[(i + 1) % k]) for i in range(k)}:
             raise InternalError("bad directed-cycle certificate")
         return Classification(POLY, "directed-cycle", cycle=walk)
+    w = find_witness(h)
+    if w is not None:
+        if not validate_witness(h, w):
+            raise InternalError("bad witness")
+        rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
+        return Classification(NP_HARD, rule, witness=w)
     if len(h.vertices) <= guard:
         ordering = find_minmax(h, guard=guard)
         if ordering is not None:
@@ -284,7 +290,9 @@ def _partitions(n: int, smallest: int = 1):
 
 def enumerate_rmpt(n: int) -> list[Digraph]:
     """All reflexive multipartite tournaments on n vertices with >= 2 partite
-    sets, up to isomorphism, in a deterministic order."""
+    sets, up to isomorphism, in a deterministic order (n >= 2)."""
+    if n < 2:
+        raise GraphError(f"enumerate_rmpt needs n >= 2, got {n}")
     found: list[Digraph] = []
     for part_sizes in sorted(_partitions(n), reverse=True):
         if len(part_sizes) < 2:

@@ -7,6 +7,7 @@ Exit codes: 0 = success / feasible / classified, 2 = infeasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -24,21 +25,28 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
+#: Largest size in a built-in target name (rc_tt<p>, rc_ttminus<p>, cycle<k>).
+BUILTIN_TARGET_LIMIT = 1000
+
+_SIZED_TARGETS = {"rc_tt": lambda p: make_tt(p).reflexive_closure(),
+                  "rc_ttminus": lambda p: make_tt_minus(p).reflexive_closure(),
+                  "cycle": make_cycle}
+
+
 def resolve_target(spec: str) -> Digraph:
     """Expand a built-in target name, or read a digraph file."""
-    m = re.fullmatch(r"rc_tt(\d+)", spec)
+    m = re.fullmatch(r"(rc_tt|rc_ttminus|cycle)0*(\d+)", spec)
     if m:
-        return make_tt(int(m.group(1))).reflexive_closure()
-    m = re.fullmatch(r"rc_ttminus(\d+)", spec)
-    if m:
-        return make_tt_minus(int(m.group(1))).reflexive_closure()
+        digits = m.group(2)  # length first: int() refuses over 4300 digits
+        if (len(digits) > len(str(BUILTIN_TARGET_LIMIT))
+                or int(digits) > BUILTIN_TARGET_LIMIT):
+            raise GraphError(f"built-in target {spec!r} is too large: "
+                             f"sizes are limited to {BUILTIN_TARGET_LIMIT}")
+        return _SIZED_TARGETS[m.group(1)](int(digits))
     if spec == "rc_k12":
         return make_rc_k12()
     if spec == "rc_k21":
         return make_rc_k21()
-    m = re.fullmatch(r"cycle(\d+)", spec)
-    if m:
-        return make_cycle(int(m.group(1)))
     m = re.fullmatch(r"t5_(none|(?:11|22|33|44)+)", spec)
     if m:
         return cls.build_theorem5_digraph(_parse_b(m.group(1)))
@@ -101,6 +109,7 @@ def _emit_solve(res, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minhom",
@@ -140,9 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:

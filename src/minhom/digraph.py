@@ -2,7 +2,8 @@
 
 Digraphs may carry loops but never parallel arcs.  Vertex iteration order is
 the declaration order; every derived set is emitted in a deterministic order
-so that CLI output and test goldens are reproducible.
+so that CLI output and test goldens are reproducible.  first_injection is the
+one backtracking search for isomorphisms, pattern embeddings and orderings.
 """
 
 from __future__ import annotations
@@ -349,13 +350,42 @@ def _iso_profile(h: Digraph, v: str) -> tuple[int, int, int]:
     return len(h.out_neighbors(v)) - loop, len(h.in_neighbors(v)) - loop, loop
 
 
+def first_injection(labels, hosts, fits) -> dict | None:
+    """First injective map labels -> hosts in lexicographic order, or None.
+
+    Labels are placed in order, each trying the hosts in order, and
+    fits(label, host, assign) must hold right after each placement.  The
+    one backtracking search behind is_isomorphic, birep.find_pattern and
+    minmax.find_minmax."""
+    assign: dict = {}
+    used: set = set()
+
+    def search(k: int) -> bool:
+        if k == len(labels):
+            return True
+        lab = labels[k]
+        for v in hosts:
+            if v in used:
+                continue
+            assign[lab] = v
+            if fits(lab, v, assign):
+                used.add(v)
+                if search(k + 1):
+                    return True
+                used.remove(v)
+            del assign[lab]
+        return False
+
+    return assign if search(0) else None
+
+
 def is_isomorphic(h1: Digraph, h2: Digraph,
                   guard: int = ISO_GUARD) -> dict[str, str] | None:
     """Search for an arc-preserving-and-reflecting bijection h1 -> h2.
 
     Returns the lexicographically first bijection (h1 vertices in declaration
     order, candidates in h2 declaration order), or None.  Exhaustive with
-    degree pruning; refuses graphs beyond the guard.
+    degree pruning (first_injection); refuses graphs beyond the guard.
     """
     if len(h1.vertices) > guard or len(h2.vertices) > guard:
         raise GuardExceeded(
@@ -369,11 +399,7 @@ def is_isomorphic(h1: Digraph, h2: Digraph,
     if sorted(prof1.values()) != sorted(prof2.values()):
         return None
 
-    order = h1.vertices
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(v: str, w: str) -> bool:
+    def fits(v: str, w: str, mapping: dict[str, str]) -> bool:
         if prof1[v] != prof2[w]:
             return False
         for v2, w2 in mapping.items():
@@ -383,19 +409,4 @@ def is_isomorphic(h1: Digraph, h2: Digraph,
                 return False
         return True
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in h2.vertices:
-            if w in used or not compatible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if search(k + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return dict(mapping) if search(0) else None
+    return first_injection(h1.vertices, h2.vertices, fits)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (Digraph, GraphError, GuardExceeded, make_oriented_kb,
-                      make_tt, make_tt_minus)
+from .digraph import (Digraph, GraphError, GuardExceeded, first_injection,
+                      make_oriented_kb, make_tt, make_tt_minus)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -91,9 +91,9 @@ def verify_minmax(h: Digraph,
 def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     """Lexicographically first Min-Max ordering, or None.
 
-    Permutations are explored in declaration order with incremental pruning:
-    a partial placement is abandoned as soon as some fully placed pair of
-    arcs violates the condition.
+    Ranks 1..n are filled in turn, each trying the vertices in declaration
+    order (digraph.first_injection); a partial placement is abandoned as soon
+    as some fully placed pair of arcs violates the condition.
     """
     n = len(h.vertices)
     if n > guard:
@@ -104,32 +104,15 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     if n == 0:
         return Ordering(())
 
-    seq: list[str] = []
-    placed: dict[str, int] = {}
-
-    def consistent() -> bool:
+    def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
         # min/max positions are all <= the largest placed rank, so both
         # candidate arcs of every placed pair are decided already
+        placed = {w: r for r, w in by_rank.items()}
         return _first_violation([(placed[t], placed[head]) for t, head in h.arcs
                                  if t in placed and head in placed]) is None
 
-    def search() -> bool:
-        if len(seq) == n:
-            return True
-        for v in h.vertices:
-            if v in placed:
-                continue
-            seq.append(v)
-            placed[v] = len(seq)
-            if consistent() and search():
-                return True
-            seq.pop()
-            del placed[v]
-        return False
-
-    if search():
-        return Ordering(seq)
-    return None
+    seq = first_injection(range(1, n + 1), h.vertices, fits)
+    return None if seq is None else Ordering(seq.values())
 
 
 def make_rc_k12() -> Digraph:

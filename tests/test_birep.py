@@ -295,3 +295,78 @@ def test_induced_cycle_matches_brute_force_seeded():
                 assert all(g.has_edge(walk[i], walk[(i + 1) % size])
                            for i in range(size))
     assert hits > 50
+
+
+def brute_first_pattern(g, kind):
+    """First induced embedding in itertools.permutations order: x labels on
+    part1 before part2, each label set placed in sorted label order."""
+    edges = PATTERNS[kind]
+    labels = sorted({a for a, _ in edges}) + sorted({b for _, b in edges})
+    nx = sum(lab[0] == "x" for lab in labels)
+    adj = {frozenset(e) for e in edges}
+    pairs = [(i, j, frozenset((labels[i], labels[j])) in adj)
+             for i, j in itertools.combinations(range(len(labels)), 2)]
+    for xpart, ypart in ((g.part1, g.part2), (g.part2, g.part1)):
+        for px in itertools.permutations(xpart, nx):
+            for py in itertools.permutations(ypart, len(labels) - nx):
+                hosts = px + py
+                if all(g.has_edge(hosts[i], hosts[j]) == e for i, j, e in pairs):
+                    return tuple(zip(labels, hosts))
+    return None
+
+
+def test_find_pattern_is_first_permutation_seeded():
+    rng = random.Random(63)
+    graphs = []
+    for _ in range(100):
+        vs = [f"v{i}" for i in range(4)]
+        rng.shuffle(vs)
+        graphs.append(bg(Digraph(vs, [(a, b) for a in vs for b in vs
+                                      if rng.random() < 0.55])))
+    # each pattern, parts shuffled, plus one vertex joined at random
+    for kind in sorted(PATTERNS) * 4:
+        g = pattern_graph(kind)
+        p1, p2 = list(g.part1) + ["x9"], list(g.part2)
+        rng.shuffle(p1)
+        rng.shuffle(p2)
+        extra = [("x9", y) for y in p2 if rng.random() < 0.5]
+        graphs.append(BipartiteGraph(p1, p2, [*g.edges, *extra]))
+    found = 0
+    for g in graphs:
+        for kind in PATTERNS:
+            fs = find_pattern(g, kind)
+            want = brute_first_pattern(g, kind)
+            assert (None if fs is None else fs.embedding) == want
+            found += fs is not None
+    assert found > 30
+
+
+def test_validate_forbidden_rejects_bad_certificates():
+    from minhom import ForbiddenStructure
+    g = bg(make_cycle(3).reflexive_closure())
+    six = find_forbidden(g)
+    assert six.kind == "long-induced-cycle" and validate_forbidden(g, six)
+    emb = six.embedding
+    bad = [
+        ("bipartite-tent", ()),                       # empty embedding
+        ("long-induced-cycle", ()),
+        ("no-such-kind", emb),                        # unknown kind
+        ("long-induced-cycle",                        # labels not c1..c6
+         tuple((f"d{i}", v) for i, (_, v) in enumerate(emb))),
+        ("long-induced-cycle", emb[:5]),              # incomplete
+        ("long-induced-cycle", emb[:4]),              # k < 6
+        ("long-induced-cycle", emb + (("c7", "nosuch"),)),   # odd k
+        ("long-induced-cycle", emb[:5] + (("c6", emb[0][1]),)),  # repeated host
+        ("long-induced-cycle", emb[:5] + (("c1", emb[5][1]),)),  # repeated label
+        ("long-induced-cycle",
+         emb[:4] + (("c5", "nosuch"), ("c6", "other"))),     # hosts not in g
+    ]
+    for kind, embedding in bad:
+        assert validate_forbidden(g, ForbiddenStructure(kind, embedding)) is False
+    # a complete pattern embedding validates; dropping or adding a label does not
+    for kind in PATTERNS:
+        pg = pattern_graph(kind)
+        fs = find_pattern(pg, kind)
+        assert validate_forbidden(pg, fs)
+        for embedding in (fs.embedding[1:], fs.embedding + (("z1", "y9"),)):
+            assert not validate_forbidden(pg, ForbiddenStructure(kind, embedding))

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -92,6 +94,42 @@ def test_classify_rmpt_transported_ordering_on_relabeled_target():
                 [(names[t], names[u]) for t, u in base.arcs])
     c = classify_reflexive_mpt(h)
     assert c.verdict == "poly" and verify_minmax(h, c.ordering)[0]
+
+
+def test_classify_rmpt_beyond_ten_vertices():
+    for n in (11, 12):
+        c = classify_reflexive_mpt(make_tt_minus(n).reflexive_closure())
+        assert (c.verdict, c.rule) == ("poly", "thm4.1")
+        assert c.ordering.sequence == tuple(str(i) for i in range(1, n + 1))
+    # relabelled, declared in shuffled order: the ordering is the image of 1..12
+    base = make_tt_minus(12).reflexive_closure()
+    rng = random.Random(64)
+    names = dict(zip(base.vertices, rng.sample([f"q{i}" for i in range(12)], 12)))
+    h = Digraph([names[v] for v in rng.sample(base.vertices, 12)],
+                [(names[t], names[u]) for t, u in base.arcs])
+    c = classify_reflexive_mpt(h)
+    assert (c.verdict, c.rule) == ("poly", "thm4.1")
+    assert c.ordering.sequence == tuple(names[v] for v in base.vertices)
+    # RC(TT_11^-) with the arc 1->2 reversed: 11 vertices, 10 parts, hard
+    rc11 = make_tt_minus(11).reflexive_closure()
+    hard = Digraph(rc11.vertices, (rc11.arcs - {("1", "2")}) | {("2", "1")})
+    c = classify_reflexive_mpt(hard)
+    assert (c.verdict, c.rule) == ("np-hard", "thm4.1")
+    assert validate_witness(hard, c.witness)
+
+
+def test_classify_rmpt_three_vertex_orderings():
+    # a path is RC(TT_3^-), ordered along the path; an oriented star is
+    # ordered (first declared leaf, centre, second declared leaf)
+    for order in itertools.permutations("abc"):
+        first, second = (v for v in order if v != "c")
+        for arcs, want in (((("a", "c"), ("c", "b")), ("a", "c", "b")),
+                           ((("b", "c"), ("c", "a")), ("b", "c", "a")),
+                           ((("c", "a"), ("c", "b")), (first, "c", second)),
+                           ((("a", "c"), ("b", "c")), (first, "c", second))):
+            c = classify_reflexive_mpt(Digraph(order, arcs).reflexive_closure())
+            assert (c.verdict, c.rule) == ("poly", "thm4.1")
+            assert c.ordering.sequence == want
 
 
 # -- tournaments w.p.l. ---------------------------------------------------
@@ -210,6 +248,22 @@ def test_general_rechecks_the_cycle_certificate(monkeypatch):
                         lambda h: ("1", "3", "2"))
     with pytest.raises(InternalError):
         classify_general(make_cycle(3))
+
+
+def test_general_answers_long_cycles_without_the_witness_search():
+    start = time.perf_counter()
+    c = classify_general(make_cycle(40))
+    assert time.perf_counter() - start < 1.0
+    assert (c.verdict, c.rule) == ("poly", "directed-cycle")
+    assert c.cycle == tuple(str(i) for i in range(1, 41))
+
+
+def test_validate_witness_rejects_mislabelled_structures():
+    from minhom import ForbiddenStructure
+    c3 = make_cycle(3)
+    for kind in ("bipartite-net", "bipartite-tent", "no-such-kind"):
+        w = BGForbiddenWitness(("1",), ForbiddenStructure(kind, ()))
+        assert validate_witness(c3, w) is False
 
 
 def test_general_skips_minmax_beyond_guard():

@@ -8,8 +8,9 @@ import pytest
 
 import minhom
 from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
-                    format_bipartite, format_costs, format_digraph, make_cycle,
-                    make_tt, parse_bipartite, parse_costs, parse_digraph)
+                    GraphError, format_bipartite, format_costs,
+                    format_digraph, make_cycle, make_tt, parse_bipartite,
+                    parse_costs, parse_digraph)
 from minhom.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, resolve_target,
                         run)
 
@@ -226,6 +227,25 @@ def test_cli_classify_general_directed_cycle(tmp_path):
     assert out == "verdict poly\nrule directed-cycle\ncycle x,y,w,z\n"
 
 
+def test_cli_classify_rmpt_beyond_ten_vertices():
+    code, out = cli("classify-rmpt", "--target", "rc_ttminus12")
+    assert code == EXIT_OK
+    assert out == "verdict poly\nrule thm4.1\nordering 1,2,3,4,5,6,7,8,9,10,11,12\n"
+
+
+def test_cli_parser_is_built_once():
+    from minhom.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_cli_builtin_target_limit():
+    from minhom.cli import BUILTIN_TARGET_LIMIT
+    assert len(resolve_target(f"cycle{BUILTIN_TARGET_LIMIT}").vertices) \
+        == BUILTIN_TARGET_LIMIT
+    with pytest.raises(GraphError, match="limited to"):
+        resolve_target(f"rc_ttminus{BUILTIN_TARGET_LIMIT + 1}")
+
+
 def test_cli_bg_and_pib(tmp_path):
     code, out = cli("bg", "--target", "rc_tt2")
     assert code == EXIT_OK
@@ -296,6 +316,15 @@ def test_cli_error_paths(tmp_path, capsys):
                             "--costs", c)
             assert code == EXIT_ERROR and out == ""
             assert capsys.readouterr().err.startswith("error: cost entry")
+    # sizes out of range: a built-in target beyond its limit, n below 2
+    for argv in (("classify-general", "--target", "rc_tt99999999999"),
+                 ("bg", "--target", "cycle" + "9" * 5000),
+                 ("solve", "--target", "cycle1001", "--input", d),
+                 ("enumerate-rmpt", "--n", "1"),
+                 ("enumerate-rmpt", "--n", "-1")):
+        code, out = cli(*argv)
+        assert code == EXIT_ERROR and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_deterministic_output(tmp_path):

@@ -218,3 +218,36 @@ def test_cycle_walk_matches_brute_force_seeded():
         assert cycle_walk(h) == want, h
         hits += want is not None
     assert hits > 100
+
+
+def brute_first_isomorphism(h1, h2):
+    """First bijection in itertools.permutations order that maps the arc
+    set of h1 exactly onto that of h2."""
+    if len(h1.vertices) != len(h2.vertices):
+        return None
+    for perm in itertools.permutations(h2.vertices):
+        m = dict(zip(h1.vertices, perm))
+        if {(m[t], m[u]) for t, u in h1.arcs} == h2.arcs:
+            return m
+    return None
+
+
+def test_is_isomorphic_is_first_permutation_seeded():
+    rng = random.Random(61)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(n)]
+        arcs = [(a, b) for a in vs for b in vs if rng.random() < 0.35]
+        h1 = Digraph(vs, arcs)
+        # a shuffled, renamed copy (always isomorphic) or the converse
+        order = vs[:]
+        rng.shuffle(order)
+        ren = {v: f"w{i}" for i, v in enumerate(order)}
+        rng.shuffle(order)
+        copy = Digraph([ren[v] for v in order], [(ren[a], ren[b]) for a, b in arcs])
+        for h2 in (copy, h1.converse()):
+            iso = is_isomorphic(h1, h2)
+            assert iso == brute_first_isomorphism(h1, h2)
+            found += iso is not None
+    assert found > 350

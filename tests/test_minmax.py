@@ -113,3 +113,20 @@ def test_canonical_ordering_values():
         canonical_ordering("nope")
     with pytest.raises(GraphError):
         canonical_ordering("rc_tt")
+
+
+def test_find_minmax_is_first_permutation_seeded():
+    import random
+    rng = random.Random(62)
+    found = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(n)]
+        rng.shuffle(vs)
+        p = rng.choice((0.3, 0.5, 0.7))
+        h = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
+        first = next((Ordering(perm) for perm in itertools.permutations(vs)
+                      if verify_minmax(h, Ordering(perm))[0]), None)
+        assert find_minmax(h) == first
+        found += first is not None
+    assert 30 < found < 140
