@@ -83,13 +83,6 @@ class BipartiteGraph:
     def vertices(self) -> tuple[str, ...]:
         return self.part1 + self.part2
 
-    def side(self, v: str) -> int:
-        if v in self.part1:
-            return 1
-        if v in self.part2:
-            return 2
-        raise GraphError(f"unknown vertex {v!r}")
-
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 

@@ -10,13 +10,12 @@ forbidden structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import combinations, permutations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
 from .digraph import (Digraph, GraphError, InternalError, PartiteStructure,
-                      components, cycle_walk, is_acyclic, is_isomorphic,
-                      partite_structure)
+                      components, cycle_walk, is_acyclic, partite_structure)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
@@ -69,7 +68,7 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
     if isinstance(w, ReflexiveCycleWitness):
         cyc = w.cycle
         k = len(cyc)
-        if k < 3 or len(set(cyc)) != k:
+        if k < 3 or len(set(cyc)) != k or not all(v in h for v in cyc):
             return False
         if w.looped not in cyc or not h.has_loop(w.looped):
             return False
@@ -77,6 +76,8 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
         want = {(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
         return sub.nonloop_arcs() == frozenset(want)
     if isinstance(w, BGForbiddenWitness):
+        if not all(v in h for v in w.subset):
+            return False
         g = bg(h.induced(w.subset))
         if not validate_forbidden(g, w.structure):
             return False
@@ -85,15 +86,19 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
     return False
 
 
-def _induced_cycle_with_loop(h: Digraph,
-                             subset: tuple[str, ...]) -> ReflexiveCycleWitness | None:
-    walk = cycle_walk(h.induced(subset))
-    if walk is None:
-        return None
-    looped = next((v for v in walk if h.has_loop(v)), None)
-    if looped is None:
-        return None
-    return ReflexiveCycleWitness(walk, looped)
+def _witnesses(h: Digraph):
+    """Every hardness witness candidate, in find_witness's search order."""
+    for length in (3, 4):
+        for subset in combinations(h.vertices, length):
+            walk = cycle_walk(h.induced(subset)) or ()
+            looped = next((v for v in walk if h.has_loop(v)), None)
+            if looped is not None:
+                yield ReflexiveCycleWitness(walk, looped)
+    for size in range(1, WITNESS_SUBSET_CAP + 1):
+        for subset in combinations(h.vertices, size):
+            fs = find_forbidden(bg(h.induced(subset)))
+            if fs is not None:
+                yield BGForbiddenWitness(subset, fs)
 
 
 def find_witness(h: Digraph) -> Witness | None:
@@ -102,25 +107,13 @@ def find_witness(h: Digraph) -> Witness | None:
     First all induced directed cycles of length 3..4 carrying a loop, then
     all induced subsets of size <= 4 whose bipartite representation contains
     a forbidden structure.  The forbidden patterns are connected, so every
-    hit automatically lies in one component of the bipartite graph.
+    hit automatically lies in one component of the bipartite graph.  The
+    witness returned has passed validate_witness; InternalError otherwise.
     """
-    n = len(h.vertices)
-    for length in (3, 4):
-        if length > n:
-            break
-        for subset in combinations(h.vertices, length):
-            w = _induced_cycle_with_loop(h, subset)
-            if w is not None:
-                return w
-    for size in range(1, min(n, WITNESS_SUBSET_CAP) + 1):
-        for subset in combinations(h.vertices, size):
-            fs = find_forbidden(bg(h.induced(subset)))
-            if fs is not None:
-                w = BGForbiddenWitness(subset, fs)
-                if not validate_witness(h, w):
-                    raise InternalError("bad witness")
-                return w
-    return None
+    w = next(_witnesses(h), None)
+    if w is not None and not validate_witness(h, w):
+        raise InternalError("bad witness")
+    return w
 
 
 # -- reflexive multipartite tournaments -----------------------------------
@@ -170,7 +163,7 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
         return Classification(POLY, "thm4.1", ordering=ordering)
 
     w = find_witness(h)
-    if w is None or not validate_witness(h, w):
+    if w is None:
         raise InternalError(
             "no witness for a hard reflexive multipartite tournament")
     return Classification(NP_HARD, "thm4.1", witness=w)
@@ -198,10 +191,7 @@ def classify_tournament_wpl(h: Digraph) -> Classification:
         return Classification(POLY, "thm4.3", ordering=ordering)
     if len(h.vertices) == 3 and not h.loops():
         return Classification(POLY, "thm4.3")
-    w = find_witness(h)
-    if w is not None and not validate_witness(h, w):
-        raise InternalError("bad witness")
-    return Classification(NP_HARD, "thm4.3", witness=w)
+    return Classification(NP_HARD, "thm4.3", witness=find_witness(h))
 
 
 # -- the 16-case family on four vertices ----------------------------------
@@ -235,8 +225,6 @@ def classify_theorem5(b) -> Classification:
         return Classification(POLY, "thm5.1", ordering=ordering, notes=notes)
     w = find_witness(h)
     if w is not None:
-        if not validate_witness(h, w):
-            raise InternalError("bad witness")
         return Classification(NP_HARD, "thm5.1", witness=w)
     return Classification(NP_HARD, "thm5.1", notes=("no-witness-found",))
 
@@ -264,8 +252,6 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
         return Classification(POLY, "directed-cycle", cycle=walk)
     w = find_witness(h)
     if w is not None:
-        if not validate_witness(h, w):
-            raise InternalError("bad witness")
         rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
         return Classification(NP_HARD, rule, witness=w)
     if len(h.vertices) <= guard:
@@ -290,7 +276,16 @@ def _partitions(n: int, smallest: int = 1):
 
 def enumerate_rmpt(n: int) -> list[Digraph]:
     """All reflexive multipartite tournaments on n vertices with >= 2 partite
-    sets, up to isomorphism, in a deterministic order (n >= 2)."""
+    sets, up to isomorphism, in a deterministic order (n >= 2).
+
+    Each part-size partition gets fixed labelled parts, and its cross pairs
+    are oriented in product order.  An isomorphism maps partite sets onto
+    partite sets, so two orientations of one partition are isomorphic
+    exactly when a move (a vertex permutation sending every part into one
+    part) carries one onto the other; different partitions never are.  The
+    first orientation of each orbit is kept, and its whole orbit is marked
+    seen as bit tuples (bit 0 for the cross pair (u, v) is the arc u -> v).
+    """
     if n < 2:
         raise GraphError(f"enumerate_rmpt needs n >= 2, got {n}")
     found: list[Digraph] = []
@@ -305,11 +300,25 @@ def enumerate_rmpt(n: int) -> list[Digraph]:
         vertices = [v for part in parts for v in part]
         cross = [(u, v) for a, b in combinations(parts, 2)
                  for u in a for v in b]
+        index = {pair: i for i, pair in enumerate(cross)}
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        moves = []  # per move, where each cross bit goes and whether it flips
+        for perm in permutations(vertices):
+            m = dict(zip(vertices, perm))
+            if all(len({part_of[m[v]] for v in part}) == 1 for part in parts):
+                moves.append([(index[m[u], m[v]], 0) if (m[u], m[v]) in index
+                              else (index[m[v], m[u]], 1) for u, v in cross])
+        seen: set[tuple[int, ...]] = set()
         for bits in product((0, 1), repeat=len(cross)):
+            if bits in seen:
+                continue
             arcs = [(v, v) for v in vertices]
             for (u, v), bit in zip(cross, bits):
                 arcs.append((u, v) if bit == 0 else (v, u))
-            h = Digraph(vertices, arcs)
-            if not any(is_isomorphic(h, seen) for seen in found):
-                found.append(h)
+            found.append(Digraph(vertices, arcs))
+            for move in moves:
+                image = [0] * len(cross)
+                for bit, (j, flip) in zip(bits, move):
+                    image[j] = bit ^ flip
+                seen.add(tuple(image))
     return found

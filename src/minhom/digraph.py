@@ -345,18 +345,16 @@ def extend(h: Digraph, sizes: dict[str, int]) -> tuple[Digraph, dict[str, str]]:
     return Digraph(new_vertices, arcs), decomposition
 
 
-def _iso_profile(h: Digraph, v: str) -> tuple[int, int, int]:
-    loop = int(h.has_loop(v))
-    return len(h.out_neighbors(v)) - loop, len(h.in_neighbors(v)) - loop, loop
-
-
 def first_injection(labels, hosts, fits) -> dict | None:
     """First injective map labels -> hosts in lexicographic order, or None.
 
     Labels are placed in order, each trying the hosts in order, and
     fits(label, host, assign) must hold right after each placement.  The
     one backtracking search behind is_isomorphic, birep.find_pattern and
-    minmax.find_minmax."""
+    minmax.find_minmax.  None at once when there are more labels than
+    hosts."""
+    if len(labels) > len(hosts):
+        return None
     assign: dict = {}
     used: set = set()
 
@@ -384,8 +382,9 @@ def is_isomorphic(h1: Digraph, h2: Digraph,
     """Search for an arc-preserving-and-reflecting bijection h1 -> h2.
 
     Returns the lexicographically first bijection (h1 vertices in declaration
-    order, candidates in h2 declaration order), or None.  Exhaustive with
-    degree pruning (first_injection); refuses graphs beyond the guard.
+    order, candidates in h2 declaration order), or None.  A plain exhaustive
+    search (first_injection), kept as a test oracle; refuses graphs beyond
+    the guard.
     """
     if len(h1.vertices) > guard or len(h2.vertices) > guard:
         raise GuardExceeded(
@@ -394,14 +393,8 @@ def is_isomorphic(h1: Digraph, h2: Digraph,
         )
     if len(h1.vertices) != len(h2.vertices) or len(h1.arcs) != len(h2.arcs):
         return None
-    prof1 = {v: _iso_profile(h1, v) for v in h1.vertices}
-    prof2 = {v: _iso_profile(h2, v) for v in h2.vertices}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return None
 
     def fits(v: str, w: str, mapping: dict[str, str]) -> bool:
-        if prof1[v] != prof2[w]:
-            return False
         for v2, w2 in mapping.items():
             if ((v, v2) in h1.arcs) != ((w, w2) in h2.arcs):
                 return False

@@ -108,7 +108,7 @@ def in_poly_families(h):
 def test_criterion_04_rmpt_dichotomy_exhaustive():
     start = time.monotonic()
     total = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for h in enumerate_rmpt(n):
             total += 1
             c = classify_reflexive_mpt(h)

@@ -31,6 +31,32 @@ def test_witness_looped_star_claw():
         assert w2 is not None and validate_witness(variant, w2)
 
 
+def test_find_witness_checks_each_witness_once(monkeypatch):
+    import minhom.classify
+    rc3 = make_cycle(3).reflexive_closure()
+    star = make_oriented_kb(1, 3).reflexive_closure()
+    calls = []
+    check = minhom.classify.validate_witness
+    monkeypatch.setattr(minhom.classify, "validate_witness",
+                        lambda h, w: calls.append(w) or check(h, w))
+    kinds = set()
+    for classify, h in ((classify_general, rc3), (classify_general, star),
+                        (classify_reflexive_mpt, rc3),
+                        (classify_reflexive_mpt, star),
+                        (classify_theorem5, {"11", "22"})):
+        calls.clear()
+        c = classify(h)
+        assert c.witness is not None and calls == [c.witness]
+        kinds.add(type(c.witness))
+    assert kinds == {ReflexiveCycleWitness, BGForbiddenWitness}
+    # a witness that fails its check is never returned, of either kind
+    monkeypatch.setattr(minhom.classify, "validate_witness",
+                        lambda h, w: False)
+    for h in (rc3, star):
+        with pytest.raises(InternalError):
+            find_witness(h)
+
+
 def test_witness_fully_looped_t5_tent_exists():
     from minhom.birep import bg, find_pattern, validate_forbidden
     h = build_theorem5_digraph({"11", "22", "33", "44"})
@@ -264,6 +290,11 @@ def test_validate_witness_rejects_mislabelled_structures():
     for kind in ("bipartite-net", "bipartite-tent", "no-such-kind"):
         w = BGForbiddenWitness(("1",), ForbiddenStructure(kind, ()))
         assert validate_witness(c3, w) is False
+    # a witness naming a vertex outside h
+    rc3 = c3.reflexive_closure()
+    w = BGForbiddenWitness(("zz",), ForbiddenStructure("bipartite-net", ()))
+    assert validate_witness(rc3, w) is False
+    assert validate_witness(rc3, ReflexiveCycleWitness(("1", "2", "zz"), "1")) is False
 
 
 def test_general_skips_minmax_beyond_guard():
@@ -301,6 +332,40 @@ def test_out_star_family_exhaustive():
 def test_enumerate_rmpt_counts():
     assert len(enumerate_rmpt(2)) == 1
     assert len(enumerate_rmpt(3)) == 5
+    assert len(enumerate_rmpt(4)) == 22
+    assert len(enumerate_rmpt(5)) == 143
+    assert len(enumerate_rmpt(6)) == 1643
+
+
+def pairwise_rmpt(n):
+    """The enumeration with every candidate compared against every class
+    kept so far, through is_isomorphic as the oracle."""
+    from minhom import is_isomorphic
+    from minhom.classify import _partitions
+    found = []
+    for part_sizes in sorted(_partitions(n), reverse=True):
+        if len(part_sizes) < 2:
+            continue
+        vertices = [str(i) for i in range(1, n + 1)]
+        bounds = list(itertools.accumulate(part_sizes, initial=0))
+        parts = [vertices[a:b] for a, b in zip(bounds, bounds[1:])]
+        cross = [(u, v) for a, b in itertools.combinations(parts, 2)
+                 for u in a for v in b]
+        for bits in itertools.product((0, 1), repeat=len(cross)):
+            arcs = [(v, v) for v in vertices]
+            arcs += [(u, v) if bit == 0 else (v, u)
+                     for (u, v), bit in zip(cross, bits)]
+            h = Digraph(vertices, arcs)
+            if not any(is_isomorphic(h, c) for c in found):
+                found.append(h)
+    return found
+
+
+def test_enumerate_rmpt_matches_pairwise_isomorphism():
+    for n in range(2, 6):
+        got = [(h.vertices, h.sorted_arcs()) for h in enumerate_rmpt(n)]
+        want = [(h.vertices, h.sorted_arcs()) for h in pairwise_rmpt(n)]
+        assert got == want, n
 
 
 def test_enumerate_rmpt_all_reflexive_multipartite():

@@ -7,6 +7,7 @@ from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
                     NotMultipartiteTournament, components, cycle_walk, extend,
                     is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
                     make_tt, make_tt_minus, partite_structure)
+from minhom.digraph import first_injection
 
 
 def test_vertex_name_validation():
@@ -251,3 +252,16 @@ def test_is_isomorphic_is_first_permutation_seeded():
             assert iso == brute_first_isomorphism(h1, h2)
             found += iso is not None
     assert found > 350
+
+
+def test_first_injection_more_labels_than_hosts():
+    calls = []
+
+    def fits(lab, v, assign):
+        calls.append((lab, v))
+        return True
+
+    assert first_injection(("a", "b", "c"), ("x", "y"), fits) is None
+    assert first_injection(range(4), (), fits) is None
+    assert calls == []
+    assert first_injection(("a",), ("x", "y"), fits) == {"a": "x"}
