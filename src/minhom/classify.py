@@ -94,7 +94,9 @@ def _witnesses(h: Digraph):
             looped = next((v for v in walk if h.has_loop(v)), None)
             if looped is not None:
                 yield ReflexiveCycleWitness(walk, looped)
-    for size in range(1, WITNESS_SUBSET_CAP + 1):
+    # BG(H[S]) has 2|S| vertices and the smallest forbidden structure (the
+    # 6-cycle) has 6, so subsets of fewer than 3 vertices hold none
+    for size in range(3, WITNESS_SUBSET_CAP + 1):
         for subset in combinations(h.vertices, size):
             fs = find_forbidden(bg(h.induced(subset)))
             if fs is not None:
@@ -105,10 +107,11 @@ def find_witness(h: Digraph) -> Witness | None:
     """Deterministic search for a machine-checkable hardness witness.
 
     First all induced directed cycles of length 3..4 carrying a loop, then
-    all induced subsets of size <= 4 whose bipartite representation contains
-    a forbidden structure.  The forbidden patterns are connected, so every
-    hit automatically lies in one component of the bipartite graph.  The
-    witness returned has passed validate_witness; InternalError otherwise.
+    all induced subsets of 3 or 4 vertices whose bipartite representation
+    contains a forbidden structure.  The forbidden patterns are connected,
+    so every hit automatically lies in one component of the bipartite
+    graph.  The witness returned has passed validate_witness;
+    InternalError otherwise.
     """
     w = next(_witnesses(h), None)
     if w is not None and not validate_witness(h, w):

@@ -50,11 +50,7 @@ def resolve_target(spec: str) -> Digraph:
     m = re.fullmatch(r"t5_(none|(?:11|22|33|44)+)", spec)
     if m:
         return cls.build_theorem5_digraph(_parse_b(m.group(1)))
-    try:
-        with open(spec, encoding="utf-8") as handle:
-            return fmt.parse_digraph(handle.read())
-    except OSError as exc:
-        raise GraphError(f"cannot read target {spec!r}: {exc}") from exc
+    return _read(spec, fmt.parse_digraph)
 
 
 def _parse_b(text: str) -> frozenset[str]:
@@ -65,11 +61,16 @@ def _parse_b(text: str) -> frozenset[str]:
 
 
 def _read(path: str, parser):
+    """Parse a UTF-8 file; GraphError if it cannot be read or decoded."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parser(handle.read())
+            text = handle.read()
     except OSError as exc:
         raise GraphError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read {path!r}: not UTF-8 "
+                         f"(byte {exc.start}: {exc.reason})") from exc
+    return parser(text)
 
 
 def _emit_structure(fs) -> str:

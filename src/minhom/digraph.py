@@ -39,12 +39,13 @@ ISO_GUARD = 10
 
 
 def check_token(name: str) -> str:
-    """Validate a vertex name: nonempty, no whitespace, no commas."""
+    """Validate a vertex name: nonempty, no whitespace, no commas, no `#`
+    (the file formats read it as the start of a comment)."""
     if not isinstance(name, str) or not name:
         raise GraphError(f"vertex name must be a nonempty string, got {name!r}")
-    if "," in name or any(ch.isspace() for ch in name):
+    if "," in name or "#" in name or any(ch.isspace() for ch in name):
         raise GraphError(
-            f"bad vertex name {name!r}: whitespace and commas are not allowed"
+            f"bad vertex name {name!r}: whitespace, commas and '#' are not allowed"
         )
     return name
 

@@ -103,6 +103,9 @@ def parse_costs(text: str) -> CostMatrix:
         if toks[0] != "c" or len(toks) != 4:
             raise FormatError(f"line {lineno}: expected 'c <u> <i> <cost>'")
         try:
+            # int() alone would also read "1_000" and non-ASCII digits
+            if "_" in toks[3] or not toks[3].isascii():
+                raise ValueError(toks[3])
             value = int(toks[3])
         except ValueError:
             raise FormatError(f"line {lineno}: cost {toks[3]!r} is not an integer")

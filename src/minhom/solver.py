@@ -7,6 +7,10 @@ Three routes are provided:
 * solve_minmax — the polynomial route for targets with a Min-Max ordering,
   realized as a minimum s-t cut over threshold variables
   x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov max-flow.
+  Each input vertex is one chain read from one cost vector; node
+  k * (p - 1) + i is x_{u,i} of the k-th declared vertex (p labels,
+  i = 2..p).  The staircase form of the relabelled arc relation is
+  re-checked on every call.
   The map is read off the nodes reachable from s in the residual network.
   That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
@@ -369,12 +373,15 @@ class FlowNetwork:
 # -- min-cut route for Min-Max ordered targets ----------------------------
 
 
-def _staircase(rows: list[int], cols: list[int],
-               r: set[tuple[int, int]]) -> tuple[dict[int, int], dict[int, int]]:
+def _staircase(rows: list[int], cols: list[int], r: set[tuple[int, int]],
+               p: int) -> tuple[list[int], list[int]]:
     """Validate the staircase form of the relabeled arc relation.
 
-    Returns row minima and maxima.  Any violation is an internal error: it
-    would contradict closure under coordinatewise min and max.
+    Returns lam and mu, indexed by label 0..p (0 where there is none):
+    label(t) >= i forces label(head) >= lam[i], the least column of the
+    first row at or above i; label(head) >= j forces label(t) >= mu[j],
+    the first row reaching column j.  Any violation is an internal error:
+    it would contradict closure under coordinatewise min and max.
     """
     row_min = {i: min(j for x, j in r if x == i) for i in rows}
     row_max = {i: max(j for x, j in r if x == i) for i in rows}
@@ -392,7 +399,12 @@ def _staircase(rows: list[int], cols: list[int],
     for a, b in zip(rows, rows[1:]):
         if row_min[a] > row_min[b] or row_max[a] > row_max[b]:
             raise InternalError("row minima/maxima are not nondecreasing")
-    return row_min, row_max
+    lam = [0] * (p + 1)
+    mu = [0] * (p + 1)
+    for i in range(2, p + 1):
+        lam[i] = next((row_min[x] for x in rows if x >= i), 0)
+        mu[i] = next((x for x in rows if row_max[x] >= i), 0)
+    return lam, mu
 
 
 def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
@@ -412,8 +424,14 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     rows = sorted({i for i, _ in r})
     cols = sorted({j for _, j in r})
     diag = {i for i, j in r if i == j}
+    lam, mu = _staircase(rows, cols, r, p)
 
-    allowed: dict[str, set[int]] = {}
+    # one pass per input vertex over its cost vector: the labels its arcs
+    # and loop allow, its shift and the capacities of its p label edges
+    # (None where the label is barred: those cost big, known only after)
+    chains = []
+    shifts = 0
+    big = 1
     for u in d.vertices:
         labels = set(range(1, p + 1))
         if any(w != u for w in d.out_neighbors(u)):
@@ -424,67 +442,41 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
             labels &= diag
         if not labels:
             return SolveResult(None, "minmax")
-        allowed[u] = labels
-
-    if rows:
-        row_min, row_max = _staircase(rows, cols, r)
-    else:
-        row_min, row_max = {}, {}
-
-    shift = {}
-    big = 1
-    for u in d.vertices:
         cs = [costs.cost(u, i) for i in seq]
-        shift[u] = max(0, -min(cs))
-        big += shift[u] + max(0, max(cs))
+        shift = max(0, -min(cs))
+        shifts += shift
+        big += shift + max(0, max(cs))
+        chains.append([shift + c if i in labels else None
+                       for i, c in enumerate(cs, 1)])
     inf = (len(d.vertices) + 2) * big
 
-    if p == 1:
-        # single target label; feasibility was settled by the restrictions
-        mapping = {u: seq[0] for u in d.vertices}
-        return _revalidated(d, h, costs, mapping,
-                            map_cost(d, costs, mapping), "minmax")
-
-    # nodes: 0 = source, 1 = sink, then (u, i) for i in 2..p
-    node = {}
-    nid = 2
-    for u in d.vertices:
-        for i in range(2, p + 1):
-            node[(u, i)] = nid
-            nid += 1
-    net = FlowNetwork(nid)
+    # nodes: 0 = source, 1 = sink; k * (p - 1) + i is "label >= i"
+    # (i = 2..p) of the k-th declared input vertex
+    net = FlowNetwork(2 + len(chains) * (p - 1))
     source, sink = 0, 1
-
-    for u in d.vertices:
-        for i in range(1, p + 1):
-            cap = shift[u] + costs.cost(u, seq[i - 1]) if i in allowed[u] else big
-            tail = source if i == 1 else node[(u, i)]
-            head = sink if i == p else node[(u, i + 1)]
-            net.add_edge(tail, head, cap)
+    for k, caps in enumerate(chains):
+        base = k * (p - 1)
+        for i, cap in enumerate(caps, 1):
+            tail = source if i == 1 else base + i
+            head = sink if i == p else base + i + 1
+            net.add_edge(tail, head, big if cap is None else cap)
         for i in range(2, p):
-            net.add_edge(node[(u, i + 1)], node[(u, i)], inf)
+            net.add_edge(base + i + 1, base + i, inf)
 
-    # label(t) >= i forces label(head) >= lam[i], the least column of the
-    # first row at or above i; label(head) >= j forces label(t) >= mu[j],
-    # the first row reaching column j (rows are sorted)
-    lam = {i: next((row_min[x] for x in rows if x >= i), None)
-           for i in range(2, p + 1)}
-    mu = {j: next((x for x in rows if row_max[x] >= j), None)
-          for j in range(2, p + 1)}
     # arcs in declaration order, so the network (and the max-flow's work)
     # does not depend on the string hash seed
     for t in d.vertices:
+        a = d.decl_index(t) * (p - 1)
         for head in d.out_neighbors(t):
             if t == head:
                 continue  # loops became unary restrictions above
+            b = d.decl_index(head) * (p - 1)
             for i in range(2, p + 1):
-                target = lam[i]
-                if target is not None and target >= 2:
-                    net.add_edge(node[(t, i)], node[(head, target)], inf)
+                if lam[i] >= 2:
+                    net.add_edge(a + i, b + lam[i], inf)
             for j in range(2, p + 1):
-                target = mu[j]
-                if target is not None and target >= 2:
-                    net.add_edge(node[(head, j)], node[(t, target)], inf)
+                if mu[j] >= 2:
+                    net.add_edge(b + j, a + mu[j], inf)
 
     value = net.max_flow(source, sink)
     if value >= big:
@@ -492,14 +484,13 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
 
     side = net.source_side(source)
     mapping = {}
-    for u in d.vertices:
+    for k, u in enumerate(d.vertices):
         label = 1
         for i in range(2, p + 1):
-            if node[(u, i)] in side:
+            if k * (p - 1) + i in side:
                 label = i
         mapping[u] = seq[label - 1]
-    cost = value - sum(shift.values())
-    return _revalidated(d, h, costs, mapping, cost, "minmax")
+    return _revalidated(d, h, costs, mapping, value - shifts, "minmax")
 
 
 # -- directed-cycle targets -----------------------------------------------

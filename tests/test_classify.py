@@ -57,6 +57,31 @@ def test_find_witness_checks_each_witness_once(monkeypatch):
             find_witness(h)
 
 
+def test_find_witness_skips_subsets_too_small_for_a_structure(monkeypatch):
+    # BG(H[S]) has 2|S| vertices; the smallest forbidden structure has 6
+    import minhom.classify
+    sizes = []
+    search = minhom.classify.find_forbidden
+    monkeypatch.setattr(minhom.classify, "find_forbidden",
+                        lambda g: sizes.append(len(g.vertices)) or search(g))
+    rng = random.Random(11)
+    targets = [make_tt(4).reflexive_closure(),
+               make_oriented_kb(1, 3).reflexive_closure(),
+               build_theorem5_digraph({"11", "22"})]
+    for _ in range(40):
+        vs = [str(i) for i in range(rng.randint(1, 6))]
+        targets.append(Digraph(vs, [(a, b) for a in vs for b in vs
+                                    if rng.random() < 0.4]))
+    found = 0
+    for h in targets:
+        found += find_witness(h) is not None
+    assert sizes and min(sizes) == 6 and found
+    # the first one-vertex subset is never searched, so neither is h
+    sizes.clear()
+    assert find_witness(Digraph(("a", "b"), [("a", "b"), ("b", "a")])) is None
+    assert sizes == []
+
+
 def test_witness_fully_looped_t5_tent_exists():
     from minhom.birep import bg, find_pattern, validate_forbidden
     h = build_theorem5_digraph({"11", "22", "33", "44"})

@@ -1,7 +1,9 @@
 import io as iolib
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,17 @@ def test_bipartite_round_trip():
     assert format_bipartite(g) == "p1 s\np2 t\np2 u\ne s t\n"
 
 
+def test_names_with_a_hash_are_rejected():
+    # the file formats would read the rest of such a name as a comment
+    for name in ("a#b", "#"):
+        with pytest.raises(GraphError, match="'#'"):
+            Digraph((name,))
+        with pytest.raises(GraphError, match="'#'"):
+            BipartiteGraph((name,), ("t",))
+    h = Digraph(("x!y", "a-b", "c"), [("x!y", "a-b"), ("c", "c")])
+    assert parse_digraph(format_digraph(h)) == h
+
+
 def test_parse_bipartite_requires_declaration():
     with pytest.raises(FormatError, match="line 1"):
         parse_bipartite("e s t\n")
@@ -63,6 +76,10 @@ def test_costs_round_trip_and_errors():
         parse_costs("c u 1 3\nc u 1 4\n")
     with pytest.raises(FormatError, match="not an integer"):
         parse_costs("c u 1 x\n")
+    # int() alone reads "1_0" as 10 and an Arabic-Indic three as 3
+    for token in ("1_0", "\u0663"):
+        with pytest.raises(FormatError, match="line 2: cost .* not an integer"):
+            parse_costs(f"c u 1 1\nc u 2 {token}\n")
 
 
 # -- built-in target names ------------------------------------------------
@@ -325,6 +342,65 @@ def test_cli_error_paths(tmp_path, capsys):
         code, out = cli(*argv)
         assert code == EXIT_ERROR and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+    # a file that is not UTF-8, wherever a file is read
+    bad = str(tmp_path / "bad.dg")
+    Path(bad).write_bytes(b"a u v\n\xff\n")
+    for argv in (("solve", "--target", "rc_tt3", "--input", bad),
+                 ("solve", "--target", bad, "--input", d),
+                 ("solve", "--target", "rc_tt3", "--input", d, "--costs", bad),
+                 ("pib-check", "--input", bad)):
+        code, out = cli(*argv)
+        assert code == EXIT_ERROR and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _mutate(rng, data, kind):
+    """One seeded mutation of a valid input file."""
+    if kind == 0:  # a flipped byte, every other time to 0xff
+        buf = bytearray(data)
+        k = rng.randrange(len(buf))
+        buf[k] = 0xFF if rng.random() < 0.5 else buf[k] ^ 1 << rng.randrange(8)
+        return bytes(buf)
+    lines = [line.split() for line in data.splitlines()]
+    toks = lines[rng.randrange(len(lines))]
+    k = rng.randrange(len(toks))
+    if kind == 1:
+        del toks[k]
+    elif kind == 2:
+        toks.insert(k, rng.choice((b"v", b"a", b"c", b"e", b"7", b"x")))
+    elif kind == 3:
+        toks[k] = b"9" * 5000
+    else:  # a '#' inside a token
+        toks[k] = toks[k][:1] + b"#" + toks[k][1:]
+    return b"\n".join(b" ".join(line) for line in lines) + b"\n"
+
+
+def test_cli_survives_mutated_files(tmp_path, capsys):
+    rng = random.Random(3)
+    files = {"d.dg": b"v a\nv b\na a b\na b c\na c c\n",
+             "c.txt": b"c a 1 -3\nc b 2 4\nc c 3 12\n",
+             "g.bg": b"p1 s\np2 t\np2 u\ne s t\ne s u\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    d, c, g, m = (str(tmp_path / name)
+                  for name in ("d.dg", "c.txt", "g.bg", "m"))
+    commands = {"d.dg": [("solve", "--target", "rc_tt3", "--input", m),
+                         ("solve", "--target", m, "--input", d),
+                         ("classify-general", "--target", m),
+                         ("minmax-find", "--target", m)],
+                "c.txt": [("solve", "--target", "rc_tt3", "--input", d,
+                           "--costs", m)],
+                "g.bg": [("pib-check", "--input", m)]}
+    names = sorted(files)
+    start = time.perf_counter()
+    for k in range(210):
+        name = names[k % 3]
+        Path(m).write_bytes(_mutate(rng, files[name], k // 3 % 5))
+        for argv in commands[name]:
+            code, _ = cli(*argv)
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE), argv
+        capsys.readouterr()
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_deterministic_output(tmp_path):

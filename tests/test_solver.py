@@ -470,3 +470,27 @@ def test_minmax_network_independent_of_hash_seed():
                               capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]) == 1 and runs[0] == runs[1]
+
+
+def test_minmax_one_label_and_arcless_targets():
+    # one target label gives a network with only source -> sink edges;
+    # an arcless or empty target leaves every arc and loop of d unmappable
+    targets = [Digraph(("1",), [("1", "1")]), Digraph(("1",)),
+               Digraph(("1", "2")), Digraph(("1", "2"), [("1", "1")]),
+               Digraph(())]
+    rng = random.Random(8)
+    seen = set()
+    for h in targets:
+        ordering = find_minmax(h)
+        inputs = [Digraph(())] + [random_input(rng, max_n=5, p=q)
+                                  for q in (0.0, 0.15, 0.3) for _ in range(20)]
+        for d in inputs:
+            costs = random_costs(rng, d, h)
+            got = solve_minmax(d, h, ordering, costs)
+            want = solve_bruteforce(d, h, costs)
+            assert got.method == "minmax"
+            assert (got.feasible, got.cost) == (want.feasible, want.cost)
+            seen.add((len(h.vertices), got.feasible, bool(d.arcs)))
+    # feasible and infeasible answers, with and without arcs in d
+    assert {(1, True, True), (1, True, False), (2, True, False),
+            (2, False, True), (0, True, False), (0, False, False)} <= seen
