@@ -104,7 +104,12 @@ def _emit_solve(res, out) -> int:
     if not res.feasible:
         print("infeasible", file=out)
         return EXIT_INFEASIBLE
-    print(f"cost {res.cost}", file=out)
+    try:
+        line = f"cost {res.cost}"  # before any output: it may be too long
+    except ValueError as exc:  # the int-to-str digit limit
+        raise GraphError("the optimum has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
+    print(line, file=out)
     for u, i in res.homomorphism.mapping.items():
         print(f"map {u} {i}", file=out)
     return EXIT_OK

@@ -113,7 +113,7 @@ def parse_costs(text: str) -> CostMatrix:
         if key in entries:
             raise FormatError(f"line {lineno}: duplicate cost entry for {key}")
         entries[key] = value
-    return CostMatrix(entries)
+    return CostMatrix._wrap(entries)
 
 
 def format_costs(costs: CostMatrix) -> str:

@@ -4,17 +4,27 @@ Three routes are provided:
 
 * solve_bruteforce — backtracking with forward checking; the independent
   oracle everything else is validated against.
-* solve_minmax — the polynomial route for targets with a Min-Max ordering,
-  realized as a minimum s-t cut over threshold variables
-  x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov max-flow.
-  Each input vertex is one chain read from one cost vector; node
-  k * (p - 1) + i is x_{u,i} of the k-th declared vertex (p labels,
-  i = 2..p).  The staircase form of the relabelled arc relation is
+* solve_minmax — the polynomial route for targets with a Min-Max ordering.
+  Each input vertex gets one cost vector.  Pendant trees are folded first
+  (the treewidth-1 case of CSP dynamic programming, Freuder 1990): a
+  vertex with one non-loop arc left adds, for each label of its
+  neighbour, its least cost over the labels that arc allows, and goes.
+  The rest, the core, is solved as a minimum s-t cut over threshold
+  variables x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov
+  max-flow: node c * (p - 1) + i is x_{u,i} of the c-th core vertex in
+  declaration order (p labels, i = 2..p).  A forest input builds no
+  network.  The staircase form of the relabelled arc relation is
   re-checked on every call.
-  The map is read off the nodes reachable from s in the residual network.
-  That set is the same for every maximum flow (it is the unique
+  The core's map is read off the nodes reachable from s in the residual
+  network.  That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
-  maximum flow the algorithm finds.
+  maximum flow the algorithm finds.  The optimal maps form a lattice
+  under the coordinatewise order of ranks, and that cut is its least
+  element.  Restricted to the core, the least optimum of the whole input
+  is the least optimum of the folded one; the folded vertices, last
+  removed first, then take the least-rank label of least folded cost that
+  their neighbour's label allows, which is again the least optimum.  So
+  the map is the one the cut over the whole input would give.
 * solve_cycle — rotation propagation for directed-cycle targets, in the
   target's own vertex names, along the walk digraph.cycle_walk returns.
 
@@ -52,6 +62,14 @@ class CostMatrix:
         for (u, i), c in dict(entries or {}).items():
             norm[(str(u), str(i))] = int(c)
         object.__setattr__(self, "entries", norm)
+
+    @classmethod
+    def _wrap(cls, entries: dict[tuple[str, str], int]) -> "CostMatrix":
+        """A matrix holding `entries` as they are: keys already pairs of
+        str and values int (io.parse_costs builds such a dict)."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     def cost(self, u: str, i: str) -> int:
         return self.entries.get((u, i), 0)
@@ -407,10 +425,54 @@ def _staircase(rows: list[int], cols: list[int], r: set[tuple[int, int]],
     return lam, mu
 
 
+def _fold_pendants(vecs: list[list[int | None]], outs: list[list[int]],
+                   ins: list[list[int]], preds: list[list[int]],
+                   succs: list[list[int]]) -> tuple[list[tuple], list[int]]:
+    """Fold pendant trees into unary costs, in place (Freuder's tree DP).
+
+    Repeatedly removes an input vertex k with at most one non-loop arc
+    left.  With one arc, to or from w, each label j of w gains k's least
+    cost over the labels that arc allows next to j (preds[j] for k -> w,
+    succs[j] for w -> k; None if there is none).  Returns the removed
+    vertices in removal order as (k, w, allowed), with w = -1 and allowed
+    None for a vertex removed with no arc left, and the core: the vertices
+    left, ascending.  Degrees count arcs, so the two arcs of a digon keep
+    both of its ends.
+    """
+    n = len(vecs)
+    deg = [len(outs[k]) + len(ins[k]) for k in range(n)]
+    gone = [False] * n
+    folded = []
+    stack = [k for k in range(n) if deg[k] <= 1]
+    while stack:
+        k = stack.pop()
+        gone[k] = True
+        if not deg[k]:
+            folded.append((k, -1, None))
+            continue
+        w, allowed = ([(x, preds) for x in outs[k] if not gone[x]]
+                      or [(x, succs) for x in ins[k] if not gone[x]])[0]
+        folded.append((k, w, allowed))
+        vk, vw = vecs[k], vecs[w]
+        for j, c in enumerate(vw):
+            if c is not None:
+                least = None
+                for i in allowed[j]:
+                    x = vk[i]
+                    if x is not None and (least is None or x < least):
+                        least = x
+                vw[j] = None if least is None else c + least
+        deg[w] -= 1
+        if deg[w] == 1:
+            stack.append(w)
+    return folded, [k for k in range(n) if not gone[k]]
+
+
 def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
                  costs: CostMatrix) -> SolveResult:
-    """Exact optimum via a minimum s-t cut, valid whenever the ordering
-    passes verify_minmax (checked; GraphError otherwise)."""
+    """Exact optimum: pendant trees folded into unary costs, then one
+    minimum s-t cut over the rest of d.  Valid whenever the ordering passes
+    verify_minmax (checked; GraphError otherwise)."""
     costs.check_shape(d, h)
     ok, violation = verify_minmax(h, ordering)
     if not ok:
@@ -425,72 +487,112 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     cols = sorted({j for _, j in r})
     diag = {i for i, j in r if i == j}
     lam, mu = _staircase(rows, cols, r, p)
+    # cost vectors, preds and succs index labels by rank 0..p-1 (label
+    # i = rank + 1 in r and in the network); preds[j] and succs[i] list,
+    # ascending, the i with (i, j) in r and the j with (i, j) in r
+    preds: list[list[int]] = [[] for _ in range(p)]
+    succs: list[list[int]] = [[] for _ in range(p)]
+    for i, j in sorted(r):
+        succs[i - 1].append(j - 1)
+        preds[j - 1].append(i - 1)
 
-    # one pass per input vertex over its cost vector: the labels its arcs
-    # and loop allow, its shift and the capacities of its p label edges
-    # (None where the label is barred: those cost big, known only after)
-    chains = []
-    shifts = 0
-    big = 1
-    for u in d.vertices:
-        labels = set(range(1, p + 1))
-        if any(w != u for w in d.out_neighbors(u)):
-            labels &= set(rows)
-        if any(w != u for w in d.in_neighbors(u)):
-            labels &= set(cols)
+    # one pass per input vertex: its non-loop arcs by declaration index,
+    # and one cost read giving its vector over the labels its arcs and loop
+    # allow (None where barred)
+    vs = d.vertices
+    index = {u: k for k, u in enumerate(vs)}
+    every, row_set, col_set = set(range(1, p + 1)), set(rows), set(cols)
+    get = costs.entries.get
+    outs, ins, vecs = [], [], []
+    for u in vs:
+        out = [index[w] for w in d.out_neighbors(u) if w != u]
+        inn = [index[w] for w in d.in_neighbors(u) if w != u]
+        labels = every
+        if out:
+            labels = labels & row_set
+        if inn:
+            labels = labels & col_set
         if d.has_loop(u):
-            labels &= diag
+            labels = labels & diag
         if not labels:
             return SolveResult(None, "minmax")
-        cs = [costs.cost(u, i) for i in seq]
-        shift = max(0, -min(cs))
-        shifts += shift
-        big += shift + max(0, max(cs))
-        chains.append([shift + c if i in labels else None
-                       for i, c in enumerate(cs, 1)])
-    inf = (len(d.vertices) + 2) * big
+        outs.append(out)
+        ins.append(inn)
+        vecs.append([get((u, i), 0) if k in labels else None
+                     for k, i in enumerate(seq, 1)])
 
-    # nodes: 0 = source, 1 = sink; k * (p - 1) + i is "label >= i"
-    # (i = 2..p) of the k-th declared input vertex
-    net = FlowNetwork(2 + len(chains) * (p - 1))
-    source, sink = 0, 1
-    for k, caps in enumerate(chains):
-        base = k * (p - 1)
-        for i, cap in enumerate(caps, 1):
-            tail = source if i == 1 else base + i
-            head = sink if i == p else base + i + 1
-            net.add_edge(tail, head, big if cap is None else cap)
-        for i in range(2, p):
-            net.add_edge(base + i + 1, base + i, inf)
+    folded, core = _fold_pendants(vecs, outs, ins, preds, succs)
+    label = [0] * len(vs)
+    chain = [-1] * len(vs)  # position of each core vertex in core
+    total = 0
+    if core:
+        # shifts make the core's costs nonnegative; a barred label's edge
+        # costs big, more than every cut without one
+        shifts = []
+        big = 1
+        for c, k in enumerate(core):
+            chain[k] = c
+            finite = [x for x in vecs[k] if x is not None]
+            if not finite:
+                return SolveResult(None, "minmax")
+            shifts.append(max(0, -min(finite)))
+            big += shifts[-1] + max(0, max(finite))
+        inf = (len(core) + 2) * big
 
-    # arcs in declaration order, so the network (and the max-flow's work)
-    # does not depend on the string hash seed
-    for t in d.vertices:
-        a = d.decl_index(t) * (p - 1)
-        for head in d.out_neighbors(t):
-            if t == head:
-                continue  # loops became unary restrictions above
-            b = d.decl_index(head) * (p - 1)
+        # nodes: 0 = source, 1 = sink; c * (p - 1) + i is "label >= i"
+        # (i = 2..p) of the c-th core vertex
+        net = FlowNetwork(2 + len(core) * (p - 1))
+        source, sink = 0, 1
+        for c, k in enumerate(core):
+            base = c * (p - 1)
+            for i, x in enumerate(vecs[k], 1):
+                tail = source if i == 1 else base + i
+                head = sink if i == p else base + i + 1
+                net.add_edge(tail, head, big if x is None else x + shifts[c])
+            for i in range(2, p):
+                net.add_edge(base + i + 1, base + i, inf)
+
+        # arcs in declaration order, so the network (and the max-flow's
+        # work) does not depend on the string hash seed
+        for c, k in enumerate(core):
+            a = c * (p - 1)
+            for w in outs[k]:
+                if chain[w] < 0:
+                    continue
+                b = chain[w] * (p - 1)
+                for i in range(2, p + 1):
+                    if lam[i] >= 2:
+                        net.add_edge(a + i, b + lam[i], inf)
+                for j in range(2, p + 1):
+                    if mu[j] >= 2:
+                        net.add_edge(b + j, a + mu[j], inf)
+
+        value = net.max_flow(source, sink)
+        if value >= big:
+            return SolveResult(None, "minmax")
+        total = value - sum(shifts)
+        side = net.source_side(source)
+        for c, k in enumerate(core):
             for i in range(2, p + 1):
-                if lam[i] >= 2:
-                    net.add_edge(a + i, b + lam[i], inf)
-            for j in range(2, p + 1):
-                if mu[j] >= 2:
-                    net.add_edge(b + j, a + mu[j], inf)
+                if c * (p - 1) + i in side:
+                    label[k] = i - 1
 
-    value = net.max_flow(source, sink)
-    if value >= big:
-        return SolveResult(None, "minmax")
-
-    side = net.source_side(source)
-    mapping = {}
-    for k, u in enumerate(d.vertices):
-        label = 1
-        for i in range(2, p + 1):
-            if k * (p - 1) + i in side:
-                label = i
-        mapping[u] = seq[label - 1]
-    return _revalidated(d, h, costs, mapping, value - shifts, "minmax")
+    # the folded vertices, last removed first: the least-rank argmin of the
+    # vertex's vector, over the labels its arc allows next to its
+    # neighbour's label (over all labels for a vertex removed with no arc)
+    for k, w, allowed in reversed(folded):
+        vk = vecs[k]
+        best = -1
+        for i in range(p) if w < 0 else allowed[label[w]]:
+            if vk[i] is not None and (best < 0 or vk[i] < vk[best]):
+                best = i
+        if best < 0:
+            return SolveResult(None, "minmax")
+        label[k] = best
+        if w < 0:
+            total += vk[best]
+    mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
+    return _revalidated(d, h, costs, mapping, total, "minmax")
 
 
 # -- directed-cycle targets -----------------------------------------------

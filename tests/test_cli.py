@@ -76,6 +76,13 @@ def test_costs_round_trip_and_errors():
         parse_costs("c u 1 3\nc u 1 4\n")
     with pytest.raises(FormatError, match="not an integer"):
         parse_costs("c u 1 x\n")
+    # parse_costs hands its dict over as it is; a library caller's keys and
+    # values are still normalised to str pairs and int
+    assert CostMatrix({(1, 2): "3"}).entries == {("1", "2"): 3}
+    parsed = parse_costs("c 1 2 3\n").entries
+    assert parsed == {("1", "2"): 3}
+    assert [type(x) for key, value in parsed.items()
+            for x in (*key, value)] == [str, str, int]
     # int() alone reads "1_0" as 10 and an Arabic-Indic three as 3
     for token in ("1_0", "\u0663"):
         with pytest.raises(FormatError, match="line 2: cost .* not an integer"):
@@ -352,6 +359,14 @@ def test_cli_error_paths(tmp_path, capsys):
         code, out = cli(*argv)
         assert code == EXIT_ERROR and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+    # an optimum of more than 4300 digits (each cost has 4300, which
+    # parse_costs reads): no cost line, no map lines, no traceback
+    two = write(tmp_path, "two.dg", "v a\nv b\n")
+    c = write(tmp_path, "big.txt", "".join(f"c {u} {i} {'9' * 4300}\n"
+                                           for u in "ab" for i in "12"))
+    code, out = cli("solve", "--target", "rc_tt2", "--input", two, "--costs", c)
+    assert code == EXIT_ERROR and out == ""
+    assert capsys.readouterr().err == "error: the optimum has more than 4300 digits\n"
 
 
 def _mutate(rng, data, kind):

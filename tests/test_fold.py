@@ -1,0 +1,173 @@
+"""The pendant-tree fold of solve_minmax against exhaustive search.
+
+solve_minmax folds every vertex with at most one arc left into its
+neighbour's costs and cuts only the rest (the core).  Its cost must be the
+brute-force optimum, and its map the least optimum: the coordinatewise
+minimum, by ordering rank, of all optimal maps.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minhom import (CostMatrix, Digraph, find_minmax, make_tt, make_tt_minus,
+                    solve_bruteforce, solve_minmax)
+from minhom.minmax import make_rc_k12
+from minhom.solver import FlowNetwork
+
+TARGETS = {"rc_tt3": make_tt(3).reflexive_closure(),
+           "rc_tt5": make_tt(5).reflexive_closure(),
+           "rc_ttminus6": make_tt_minus(6).reflexive_closure(),
+           "rc_k12": make_rc_k12(),
+           "tt4": make_tt(4)}
+ORDERINGS = {name: find_minmax(h) for name, h in TARGETS.items()}
+
+
+def least_optimum(d, h, ordering, costs, best):
+    """Coordinatewise least map, by rank in ordering, over every
+    homomorphism d -> h of cost best (found by exhaustive search)."""
+    rank = ordering.rank()
+    vs = d.vertices
+    low = [min(costs.cost(u, i) for i in h.vertices) for u in vs]
+    rest = [sum(low[k:]) for k in range(len(vs) + 1)]
+    least: dict[str, str] = {}
+    assign: dict[str, str] = {}
+
+    def search(k, partial):
+        if partial + rest[k] > best:
+            return
+        if k == len(vs):
+            for u, i in assign.items():
+                if u not in least or rank[i] < rank[least[u]]:
+                    least[u] = i
+            return
+        u = vs[k]
+        for i in h.vertices:
+            if d.has_loop(u) and not h.has_loop(i):
+                continue
+            if all(h.has_arc(assign[t], i) for t in d.in_neighbors(u)
+                   if t in assign) and \
+               all(h.has_arc(i, assign[w]) for w in d.out_neighbors(u)
+                   if w in assign):
+                assign[u] = i
+                search(k + 1, partial + costs.cost(u, i))
+                del assign[u]
+
+    search(0, 0)
+    return least
+
+
+@st.composite
+def instances(draw):
+    """(target name, d, costs): a random forest on up to 7 vertices (some
+    isolated), then up to two extra arcs (cycles, digons, loops) and input
+    loops, with costs in [-3, 3] so that optima tie."""
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    h = TARGETS[name]
+    n = draw(st.integers(1, 7))
+    vs = [f"u{k}" for k in range(n)]
+    arcs = set()
+    for k in range(1, n):
+        parent = draw(st.integers(-1, k - 1))  # -1: no arc, k starts a tree
+        if parent >= 0:
+            pair = (vs[k], vs[parent])
+            arcs.add(pair if draw(st.booleans()) else pair[::-1])
+    pick = st.sampled_from(vs)
+    for _ in range(draw(st.integers(0, 2))):
+        arcs.add((draw(pick), draw(pick)))
+    for u in draw(st.lists(pick, max_size=2)):
+        arcs.add((u, u))
+    order = draw(st.permutations(vs))
+    values = st.integers(-3, 3)
+    costs = CostMatrix({(u, i): draw(values)
+                        for u in vs for i in h.vertices})
+    return name, Digraph(order, arcs), costs
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(instances())
+def test_fold_matches_brute_force_and_least_optimum(instance):
+    name, d, costs = instance
+    h, ordering = TARGETS[name], ORDERINGS[name]
+    got = solve_minmax(d, h, ordering, costs)
+    want = solve_bruteforce(d, h, costs)
+    assert (got.feasible, got.cost) == (want.feasible, want.cost)
+    if got.feasible:
+        assert got.homomorphism.mapping == \
+            least_optimum(d, h, ordering, costs, want.cost)
+
+
+@pytest.mark.parametrize("name", ["tt4", "rc_tt3"])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_fold_pendant_path_makes_instance_infeasible(name, extra):
+    # a directed path of 4 + extra arcs hangs off a transitive triangle.
+    # TT_4 has the triangle but no such path, so the folded costs of the
+    # triangle's vertex are all barred
+    h = TARGETS[name]
+    vs = [f"p{k}" for k in range(5 + extra)]
+    d = Digraph(["a", "b", "c"] + vs,
+                [("a", "b"), ("b", "c"), ("a", "c"), ("c", vs[0])]
+                + list(zip(vs, vs[1:])))
+    res = solve_minmax(d, h, ORDERINGS[name], CostMatrix({}))
+    assert res.feasible == (name == "rc_tt3")
+    assert res.feasible == solve_bruteforce(d, h, CostMatrix({})).feasible
+
+
+def random_forest(rng, n):
+    vs = [f"v{k}" for k in range(n)]
+    arcs = []
+    for k in range(1, n):
+        parent = rng.randrange(-1, k)
+        if parent >= 0:
+            pair = (vs[k], vs[parent])
+            arcs.append(pair if rng.random() < 0.5 else pair[::-1])
+    return Digraph(vs, arcs)
+
+
+def test_forest_input_builds_no_network(monkeypatch):
+    def refuse(net, s, t):
+        raise AssertionError("a forest input reached max_flow")
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", refuse)
+    rng = random.Random(1990)
+    for name in sorted(TARGETS):
+        h = TARGETS[name]
+        for n in (1, 2, 5, 200):
+            d = random_forest(rng, n)
+            costs = CostMatrix({(u, i): rng.randint(-9, 9)
+                                for u in d.vertices for i in h.vertices})
+            res = solve_minmax(d, h, ORDERINGS[name], costs)
+            if n <= 5:
+                assert res.cost == solve_bruteforce(d, h, costs).cost
+
+
+def test_tree_plus_one_cycle_cuts_only_the_cycle(monkeypatch):
+    sizes = []
+    max_flow = FlowNetwork.max_flow
+
+    def record(net, s, t):
+        sizes.append(net.n)
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
+    rng = random.Random(4)
+    h = TARGETS["rc_tt5"]
+    p = len(h.vertices)
+    # a 5-cycle with mixed orientations, a 40-vertex tree hanging off one
+    # of its vertices and a pendant vertex off another
+    cycle = [f"c{k}" for k in range(5)]
+    arcs = [(cycle[k], cycle[(k + 1) % 5]) if k % 2 else
+            (cycle[(k + 1) % 5], cycle[k]) for k in range(5)]
+    tree = [f"v{k}" for k in range(40)]
+    for k in range(1, 40):
+        pair = (tree[k], tree[rng.randrange(k)])
+        arcs.append(pair if rng.random() < 0.5 else pair[::-1])
+    arcs += [(cycle[0], "v0"), ("x", cycle[3])]
+    d = Digraph(tree + cycle + ["x"], arcs)
+    costs = CostMatrix({(u, i): rng.randint(-9, 9)
+                        for u in d.vertices for i in h.vertices})
+    res = solve_minmax(d, h, ORDERINGS["rc_tt5"], costs)
+    assert sizes == [2 + len(cycle) * (p - 1)]
+    assert res.feasible

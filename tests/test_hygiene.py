@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +58,23 @@ def test_bench_spans_resolve():
             spanned.add(f"{layer}.{attr}")
     assert not missing, f"spanned names missing from minhom: {missing}"
     assert worker.COUNTED <= spanned
+
+
+def test_solve_bytes_survive_python_O(tmp_path):
+    # the result checks raise instead of asserting, so `python -O` prints
+    # the same answer: a tree folded into a 6-cycle, cut into rc_tt5
+    rng = random.Random(3)
+    arcs = [(f"c{k}", f"c{(k + 1) % 6}") for k in range(6)]
+    arcs += [(f"t{k}", f"t{rng.randrange(k)}" if k else "c0")
+             for k in range(30)]
+    (tmp_path / "d.dg").write_text("".join(f"a {t} {h}\n" for t, h in arcs))
+    (tmp_path / "c.txt").write_text("".join(
+        f"c {u} {i} {rng.randint(-20, 20)}\n"
+        for u in sorted({v for arc in arcs for v in arc}) for i in "12345"))
+    argv = ["-m", "minhom", "solve", "--target", "rc_tt5",
+            "--input", str(tmp_path / "d.dg"), "--costs", str(tmp_path / "c.txt")]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    outs = [subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, check=True).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0].startswith(b"cost ") and outs[0] == outs[1]

@@ -216,19 +216,42 @@ def path_dp_cost(vs, h, costs):
     return min(best.values())
 
 
-@pytest.mark.parametrize("h", [make_tt(5).reflexive_closure(),
-                               make_tt_minus(6).reflexive_closure()],
-                         ids=["rc_tt5", "rc_ttminus6"])
-def test_minmax_long_path_matches_path_dp(h):
-    # long augmenting paths through a 4000-vertex directed path
+def ring_dp_cost(vs, h, costs):
+    """Optimal cost of mapping the directed ring vs[0] -> ... -> vs[-1] ->
+    vs[0] to h: the path dynamic programme once for each label a of vs[0],
+    closed by an arc from the label of vs[-1] back to a."""
+    none = float("inf")
+    best = none
+    for a in h.vertices:
+        row = {i: costs.cost(vs[0], i) if i == a else none for i in h.vertices}
+        for u in vs[1:]:
+            row = {j: costs.cost(u, j) + min(row[i] for i in h.vertices
+                                             if h.has_arc(i, j))
+                   for j in h.vertices}
+        best = min([best] + [row[i] for i in h.vertices if h.has_arc(i, a)])
+    return best
+
+
+RC_TT5 = make_tt(5).reflexive_closure()
+RC_TTMINUS6 = make_tt_minus(6).reflexive_closure()
+
+
+@pytest.mark.parametrize("h, ring", [(RC_TT5, False), (RC_TTMINUS6, False),
+                                     (RC_TT5, True), (RC_TTMINUS6, True)],
+                         ids=["rc_tt5", "rc_ttminus6", "rc_tt5-ring",
+                              "rc_ttminus6-ring"])
+def test_minmax_long_path_matches_path_dp(h, ring):
+    # long augmenting paths through a 4000-vertex directed path.  The path
+    # folds away before any network is built; nothing folds in the ring
+    # (the path closed by one more arc), so its paths reach the max-flow
     rng = random.Random(4000 + len(h.vertices))
     vs = [f"u{k}" for k in range(4000)]
-    d = Digraph(vs, list(zip(vs, vs[1:])))
+    d = Digraph(vs, list(zip(vs, vs[1:])) + [(vs[-1], vs[0])] * ring)
     costs = CostMatrix({(u, i): rng.randint(-20, 20)
                         for u in vs for i in h.vertices})
     res = solve_auto(d, h, costs)
     assert res.method == "minmax"
-    assert res.cost == path_dp_cost(vs, h, costs)
+    assert res.cost == (ring_dp_cost if ring else path_dp_cost)(vs, h, costs)
 
 
 def test_minmax_with_input_loops():
