@@ -1,9 +1,10 @@
 """Bipartite representation of a digraph and proper-interval-bigraph tests.
 
 The forbidden structures (long induced cycles, bipartite claw, net, tent) are
-searched exhaustively, the fixed patterns by digraph.first_injection; every
-use in this project targets the bipartite representation of a small fixed
-digraph, never a problem input.
+searched exhaustively: the cycles over vertex subsets, the fixed patterns by
+placing their four x labels in one part and narrowing the hosts left for
+each y label in the other.  Every use in this project targets the bipartite
+representation of a small fixed digraph, never a problem input.
 
 Pattern edge lists for the net and the tent were transcribed from the source
 drawings (the running-text edge lists of net and tent are identical there,
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .digraph import (Digraph, GraphError, GuardExceeded, check_token,
-                      components, first_injection)
+                      components)
 
 #: Default cap on the number of vertices searched for forbidden structures.
 FORBIDDEN_GUARD = 16
@@ -165,29 +166,55 @@ def _pattern(edges) -> tuple[list[str], set[tuple[str, str]]]:
             {(a, b) for a, b in edges} | {(b, a) for a, b in edges})
 
 
+def _columns(edges) -> tuple[list[str], list[str], list[set[int]]]:
+    """Sorted x labels, sorted y labels, and per y label the positions (in
+    the x list) of its neighbours."""
+    labels, adj = _pattern(edges)
+    xs = [lab for lab in labels if lab[0] == "x"]
+    ys = [lab for lab in labels if lab[0] == "y"]
+    return xs, ys, [{d for d, x in enumerate(xs) if (x, y) in adj} for y in ys]
+
+
+_COLUMNS = {kind: _columns(edges) for kind, edges in PATTERNS.items()}
+
+
 def find_pattern(g: BipartiteGraph, kind: str) -> ForbiddenStructure | None:
-    """First induced embedding of one fixed pattern (digraph.first_injection
-    over sorted labels and g.vertices), x labels in part1 before part2."""
-    labels, pattern_adj = _pattern(PATTERNS[kind])
-    side = dict.fromkeys(g.part1, 1) | dict.fromkeys(g.part2, 2)
-    near = {v: set(g.neighbors(v)) for v in g.vertices}
-    for x_side in (1, 2):
-        want = {lab: x_side if lab[0] == "x" else 3 - x_side for lab in labels}
+    """First induced embedding of one fixed pattern, x labels in part1
+    before part2: hosts are tried in g.vertices order, labels placed in
+    sorted order (x1..x4, then y1..y3), and the first embedding in that
+    lexicographic order is returned.
 
-        def fits(lab: str, v: str, assign: dict[str, str]) -> bool:
-            if side[v] != want[lab]:
-                return False
-            nv = near[v]
-            # (lab, v) itself passes: neither pair is adjacent
-            for lab2, v2 in assign.items():
-                if ((lab, lab2) in pattern_adj) != (v2 in nv):
-                    return False
-            return True
+    The x labels are pairwise nonadjacent, and so are the y labels, so the
+    x hosts are any four distinct vertices of one part.  Each y then needs a
+    host in the other part whose neighbours among the x hosts are exactly
+    its pattern neighbours; the y columns are distinct, so no two y labels
+    can share a host.  The x hosts are placed in order, keeping per y the
+    hosts still possible, and a branch is cut as soon as some y has none.
+    """
+    xs, ys, cols = _COLUMNS[kind]
 
-        assign = first_injection(labels, g.vertices, fits)
-        if assign is not None:
-            return ForbiddenStructure(
-                kind, tuple((lab, assign[lab]) for lab in labels))
+    def place(x_part, x_hosts: list[str], options: list[list[str]]):
+        d = len(x_hosts)
+        if d == len(xs):
+            return x_hosts + [hosts[0] for hosts in options]
+        for a in x_part:
+            if a in x_hosts:
+                continue
+            near = g.neighbors(a)
+            narrowed = [[b for b in hosts if (b in near) == (d in col)]
+                        for hosts, col in zip(options, cols)]
+            if all(narrowed):
+                found = place(x_part, x_hosts + [a], narrowed)
+                if found is not None:
+                    return found
+        return None
+
+    for x_part, y_part in ((g.part1, g.part2), (g.part2, g.part1)):
+        if len(x_part) < len(xs) or len(y_part) < len(ys):
+            continue
+        found = place(x_part, [], [list(y_part)] * len(ys))
+        if found is not None:
+            return ForbiddenStructure(kind, tuple(zip(xs + ys, found)))
     return None
 
 
@@ -205,11 +232,14 @@ def find_forbidden(g: BipartiteGraph,
             f"forbidden-structure search is limited to {guard} vertices; "
             "raise the guard explicitly to search this graph"
         )
-    for length in range(6, n + 1, 2):
-        for subset in combinations(g.vertices, length):
-            found = _induced_cycle(g, subset)
-            if found is not None:
-                return found
+    # a cycle alternates between the parts, so it takes half of its
+    # vertices from each: those subsets, in the same order
+    for half in range(3, min(len(g.part1), len(g.part2)) + 1):
+        for a in combinations(g.part1, half):
+            for b in combinations(g.part2, half):
+                found = _induced_cycle(g, a + b)
+                if found is not None:
+                    return found
     for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
         found = find_pattern(g, kind)
         if found is not None:

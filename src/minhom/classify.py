@@ -87,9 +87,29 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
 
 
 def _witnesses(h: Digraph):
-    """Every hardness witness candidate, in find_witness's search order."""
-    for length in (3, 4):
-        for subset in combinations(h.vertices, length):
+    """Every hardness witness candidate over the weakly connected subsets,
+    in find_witness's search order."""
+    near: dict[str, set[str]] = {v: set() for v in h.vertices}
+    for t, head in h.arcs:
+        if t != head:
+            near[t].add(head)
+            near[head].add(t)
+
+    def connected(size: int):
+        """Weakly connected subsets of size vertices, in combinations order."""
+        for subset in combinations(h.vertices, size):
+            inside = set(subset)
+            reached = {subset[0]}
+            stack = [subset[0]]
+            while stack:
+                for w in near[stack.pop()] & inside - reached:
+                    reached.add(w)
+                    stack.append(w)
+            if len(reached) == size:
+                yield subset
+
+    for size in range(3, WITNESS_SUBSET_CAP + 1):
+        for subset in connected(size):
             walk = cycle_walk(h.induced(subset)) or ()
             looped = next((v for v in walk if h.has_loop(v)), None)
             if looped is not None:
@@ -97,7 +117,7 @@ def _witnesses(h: Digraph):
     # BG(H[S]) has 2|S| vertices and the smallest forbidden structure (the
     # 6-cycle) has 6, so subsets of fewer than 3 vertices hold none
     for size in range(3, WITNESS_SUBSET_CAP + 1):
-        for subset in combinations(h.vertices, size):
+        for subset in connected(size):
             fs = find_forbidden(bg(h.induced(subset)))
             if fs is not None:
                 yield BGForbiddenWitness(subset, fs)
@@ -108,10 +128,20 @@ def find_witness(h: Digraph) -> Witness | None:
 
     First all induced directed cycles of length 3..4 carrying a loop, then
     all induced subsets of 3 or 4 vertices whose bipartite representation
-    contains a forbidden structure.  The forbidden patterns are connected,
-    so every hit automatically lies in one component of the bipartite
-    graph.  The witness returned has passed validate_witness;
-    InternalError otherwise.
+    contains a forbidden structure, each phase over subsets in lexicographic
+    order (declaration order).  The forbidden patterns are connected, so
+    every hit automatically lies in one component of the bipartite graph.
+
+    Only weakly connected subsets S are visited, in both phases, and the
+    first witness is the same as over all subsets.  A directed cycle through
+    S is connected.  BG(H[S]) is the disjoint union of BG over the weak
+    components of H[S], and a forbidden structure is connected, so one in
+    BG(H[S]) for a disconnected S lies in BG(H[S1]) for a component
+    S1 of S: S1 is searched first (it is smaller), or it has at most 2
+    vertices and holds no structure.
+
+    The witness returned has passed validate_witness; InternalError
+    otherwise.
     """
     w = next(_witnesses(h), None)
     if w is not None and not validate_witness(h, w):

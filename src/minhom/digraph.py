@@ -3,7 +3,7 @@
 Digraphs may carry loops but never parallel arcs.  Vertex iteration order is
 the declaration order; every derived set is emitted in a deterministic order
 so that CLI output and test goldens are reproducible.  first_injection is the
-one backtracking search for isomorphisms, pattern embeddings and orderings.
+one backtracking search for isomorphisms and Min-Max orderings.
 """
 
 from __future__ import annotations
@@ -158,11 +158,17 @@ class Digraph:
     def induced(self, subset) -> "Digraph":
         """Subdigraph induced by the given vertices (declaration order kept)."""
         sub = set(subset)
-        unknown = sub - set(self.vertices)
+        unknown = sub - self._index.keys()
         if unknown:
             raise GraphError(f"unknown vertices in induced(): {sorted(unknown)}")
-        vs = tuple(v for v in self.vertices if v in sub)
-        return Digraph(vs, ((t, h) for t, h in self.arcs if t in sub and h in sub))
+        # names and arcs of self are checked already: skip __init__'s checks
+        # (the witness search induces thousands of small subdigraphs)
+        out = object.__new__(Digraph)
+        object.__setattr__(out, "vertices",
+                           tuple(v for v in self.vertices if v in sub))
+        object.__setattr__(out, "arcs", frozenset(
+            (t, h) for t, h in self.arcs if t in sub and h in sub))
+        return out
 
 
 # -- whole-digraph predicates and builders --------------------------------
@@ -351,9 +357,8 @@ def first_injection(labels, hosts, fits) -> dict | None:
 
     Labels are placed in order, each trying the hosts in order, and
     fits(label, host, assign) must hold right after each placement.  The
-    one backtracking search behind is_isomorphic, birep.find_pattern and
-    minmax.find_minmax.  None at once when there are more labels than
-    hosts."""
+    one backtracking search behind is_isomorphic and minmax.find_minmax.
+    None at once when there are more labels than hosts."""
     if len(labels) > len(hosts):
         return None
     assign: dict = {}

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     GuardExceeded, bg, digraph_instance_from_bipartite,
                     find_forbidden, is_proper_interval_bigraph, lift_solution,
                     make_cycle, make_tt, project_solution, solve_bruteforce)
 from minhom.birep import (CLAW_EDGES, NET_EDGES, PATTERNS, TENT_EDGES,
-                          _induced_cycle, find_pattern, validate_forbidden)
+                          _induced_cycle, _pattern, find_pattern,
+                          validate_forbidden)
+from minhom.digraph import first_injection
 
 
 def pattern_graph(kind):
@@ -370,3 +374,86 @@ def test_validate_forbidden_rejects_bad_certificates():
         assert validate_forbidden(pg, fs)
         for embedding in (fs.embedding[1:], fs.embedding + (("z1", "y9"),)):
             assert not validate_forbidden(pg, ForbiddenStructure(kind, embedding))
+
+
+# -- the searches against the plain exhaustive ones --------------------------
+
+
+def injection_pattern(g, kind):
+    """find_pattern as a plain search: digraph.first_injection of the sorted
+    labels over all of g's vertices, x labels in part1 before part2."""
+    labels, pattern_adj = _pattern(PATTERNS[kind])
+    side = dict.fromkeys(g.part1, 1) | dict.fromkeys(g.part2, 2)
+    for x_side in (1, 2):
+        want = {lab: x_side if lab[0] == "x" else 3 - x_side
+                for lab in labels}
+
+        def fits(lab, v, assign):
+            return side[v] == want[lab] and all(
+                ((lab, lab2) in pattern_adj) == g.has_edge(v, v2)
+                for lab2, v2 in assign.items() if lab2 != lab)
+
+        assign = first_injection(labels, g.vertices, fits)
+        if assign is not None:
+            return tuple((lab, assign[lab]) for lab in labels)
+    return None
+
+
+def exhaustive_forbidden(g):
+    """find_forbidden as a plain search: cycles over every vertex subset of
+    each even length, then the patterns by injection_pattern."""
+    for length in range(6, len(g.vertices) + 1, 2):
+        for subset in itertools.combinations(g.vertices, length):
+            found = _induced_cycle(g, subset)
+            if found is not None:
+                return found.kind, found.embedding
+    for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
+        found = injection_pattern(g, kind)
+        if found is not None:
+            return kind, found
+    return None
+
+
+@st.composite
+def bigraphs(draw, most=10):
+    n1 = draw(st.integers(2, most // 2 + 1))
+    n2 = draw(st.integers(most // 2 - 1, most - n1))
+    names = draw(st.permutations([f"v{i}" for i in range(n1 + n2)]))
+    part1, part2 = names[:n1], names[n1:]
+    p = draw(st.sampled_from((0.3, 0.5, 0.7)))
+    rng = draw(st.randoms(use_true_random=False))
+    return BipartiteGraph(part1, part2, [(u, v) for u in part1 for v in part2
+                                         if rng.random() < p])
+
+
+@settings(max_examples=200)
+@given(bigraphs())
+def test_find_pattern_matches_the_injection_search(g):
+    for kind in PATTERNS:
+        fs = find_pattern(g, kind)
+        assert (None if fs is None else fs.embedding) == \
+            injection_pattern(g, kind)
+
+
+@settings(max_examples=200)
+@given(bigraphs())
+def test_find_forbidden_matches_the_exhaustive_search(g):
+    fs = find_forbidden(g)
+    assert (None if fs is None else (fs.kind, fs.embedding)) == \
+        exhaustive_forbidden(g)
+
+
+def test_induced_cycles_of_every_length_up_to_the_guard():
+    rng = random.Random(65)
+    for k in range(3, 9):
+        xs = [f"x{i}" for i in range(k)]
+        ys = [f"y{i}" for i in range(k)]
+        edges = [(xs[i], ys[i]) for i in range(k)]
+        edges += [(xs[(i + 1) % k], ys[i]) for i in range(k)]
+        rng.shuffle(xs)
+        rng.shuffle(ys)
+        g = BipartiteGraph(xs, ys, edges)
+        fs = find_forbidden(g)
+        assert (fs.kind, len(fs.embedding)) == ("long-induced-cycle", 2 * k)
+        assert validate_forbidden(g, fs)
+        assert (fs.kind, fs.embedding) == exhaustive_forbidden(g)

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minhom import (Digraph, GraphError, InternalError,
                     build_theorem5_digraph, classify_general,
@@ -10,7 +12,10 @@ from minhom import (Digraph, GraphError, InternalError,
                     classify_tournament_wpl, enumerate_rmpt, find_minmax,
                     find_witness, make_cycle, make_oriented_kb, make_tt,
                     make_tt_minus, validate_witness, verify_minmax)
-from minhom.classify import BGForbiddenWitness, ReflexiveCycleWitness
+from minhom.birep import bg, find_forbidden
+from minhom.classify import (WITNESS_SUBSET_CAP, BGForbiddenWitness,
+                             ReflexiveCycleWitness)
+from minhom.digraph import cycle_walk
 
 
 def test_witness_none_for_rc_tt3():
@@ -406,3 +411,35 @@ def test_consistency_general_vs_rmpt():
         general = classify_general(h).verdict
         if general != "unknown":
             assert general == verdict, h.arcs
+
+
+def all_subsets_witness(h):
+    """find_witness over every subset, connected or not: looped cycles
+    through 3 or 4 vertices, then forbidden structures in BG(H[S])."""
+    for size in range(3, WITNESS_SUBSET_CAP + 1):
+        for subset in itertools.combinations(h.vertices, size):
+            walk = cycle_walk(h.induced(subset)) or ()
+            looped = next((v for v in walk if h.has_loop(v)), None)
+            if looped is not None:
+                return ReflexiveCycleWitness(walk, looped)
+    for size in range(3, WITNESS_SUBSET_CAP + 1):
+        for subset in itertools.combinations(h.vertices, size):
+            fs = find_forbidden(bg(h.induced(subset)))
+            if fs is not None:
+                return BGForbiddenWitness(subset, fs)
+    return None
+
+
+@st.composite
+def digraphs(draw, most=7):
+    n = draw(st.integers(1, most))
+    vs = draw(st.permutations([str(i) for i in range(n)]))
+    p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.7)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
+
+
+@settings(max_examples=400)
+@given(digraphs())
+def test_find_witness_matches_the_all_subsets_search(h):
+    assert find_witness(h) == all_subsets_witness(h)

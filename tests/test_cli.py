@@ -257,6 +257,16 @@ def test_cli_classify_rmpt_beyond_ten_vertices():
     assert out == "verdict poly\nrule thm4.1\nordering 1,2,3,4,5,6,7,8,9,10,11,12\n"
 
 
+def test_cli_classify_rmpt_hundred_vertices_is_fast():
+    # the Min-Max re-check of the ordering is O(m log m) in the 5049 arcs
+    start = time.perf_counter()
+    code, out = cli("classify-rmpt", "--target", "rc_ttminus100")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    assert out == ("verdict poly\nrule thm4.1\nordering "
+                   + ",".join(str(i) for i in range(1, 101)) + "\n")
+
+
 def test_cli_parser_is_built_once():
     from minhom.cli import build_parser
     assert build_parser() is build_parser()

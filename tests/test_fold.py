@@ -86,7 +86,7 @@ def instances(draw):
     return name, Digraph(order, arcs), costs
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(instances())
 def test_fold_matches_brute_force_and_least_optimum(instance):
     name, d, costs = instance

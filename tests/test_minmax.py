@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from minhom import (Digraph, GraphError, GuardExceeded, Ordering,
                     canonical_ordering, find_minmax, make_cycle,
                     make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
+from minhom.minmax import _first_violation
 
 
 def test_ordering_parse_serialize():
@@ -130,3 +132,52 @@ def test_find_minmax_is_first_permutation_seeded():
         assert find_minmax(h) == first
         found += first is not None
     assert 30 < found < 140
+
+
+def pair_scan_verdict(h, ordering):
+    """verify_minmax's verdict by the scan of every pair of arcs."""
+    pos = ordering.rank()
+    return _first_violation(sorted((pos[t], pos[u]) for t, u in h.arcs)) is None
+
+
+def test_verify_verdict_matches_the_pair_scan_exhaustive():
+    for n in range(1, 4):
+        vs = tuple(str(i) for i in range(1, n + 1))
+        orderings = [Ordering(p) for p in itertools.permutations(vs)]
+        for h in all_digraphs_on(vs):
+            for o in orderings:
+                assert verify_minmax(h, o)[0] == pair_scan_verdict(h, o)
+    # every ordering of a digraph on 4 vertices gives, in positions, one of
+    # these arc sets under the identity ordering
+    vs = ("1", "2", "3", "4")
+    o = Ordering(vs)
+    agree = 0
+    for h in all_digraphs_on(vs):
+        ok = verify_minmax(h, o)[0]
+        assert ok == pair_scan_verdict(h, o)
+        agree += ok
+    assert 0 < agree < 2 ** 16
+
+
+def test_verify_verdict_matches_the_pair_scan_seeded():
+    rng = random.Random(64)
+    verdicts = []
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        # rows of a random staircase, then up to two arcs flipped
+        bounds = sorted(rng.randint(1, n) for _ in range(2 * n))
+        lo, hi = sorted(bounds[0::2]), sorted(bounds[1::2])
+        rows = [i for i in range(1, n + 1) if rng.random() < 0.8]
+        arcs = {(i, k) for i in rows for k in range(lo[i - 1], hi[i - 1] + 1)}
+        for _ in range(rng.randint(0, 2)):
+            arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
+        # the ordering puts v{i} at position i + 1; the digraph declares
+        # its vertices in another order
+        names = [f"v{i}" for i in range(n)]
+        o = Ordering(names)
+        rng.shuffle(names)
+        h = Digraph(names, [(f"v{i - 1}", f"v{k - 1}") for i, k in arcs])
+        ok = verify_minmax(h, o)[0]
+        assert ok == pair_scan_verdict(h, o)
+        verdicts.append(ok)
+    assert 300 < sum(verdicts) < 1200
