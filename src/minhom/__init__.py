@@ -16,8 +16,7 @@ from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       partite_structure)
 from .io import (FormatError, format_bipartite, format_costs, format_digraph,
                  parse_bipartite, parse_costs, parse_digraph)
-from .minmax import (ArcPair, Ordering, canonical_ordering, find_minmax,
-                     verify_minmax)
+from .minmax import ArcPair, Ordering, find_minmax, verify_minmax
 from .solver import (BudgetExceeded, CostMatrix, Homomorphism, SolveResult,
                      collapse_extension, is_homomorphism, map_cost,
                      solve_auto, solve_bruteforce, solve_cycle, solve_minmax)

@@ -80,6 +80,18 @@ class BipartiteGraph:
         object.__setattr__(self, "part2", p2)
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def _wrap(cls, part1: tuple[str, ...], part2: tuple[str, ...],
+              edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
+        """A graph holding the parts and edges as they are, unchecked: only
+        for a graph derived from an already checked one, whose names,
+        parts and (part1, part2) edges are valid by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "part1", part1)
+        object.__setattr__(g, "part2", part2)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @cached_property
     def vertices(self) -> tuple[str, ...]:
         return self.part1 + self.part2
@@ -129,12 +141,14 @@ class ForbiddenStructure:
 
 
 def bg(h: Digraph) -> BipartiteGraph:
-    """Bipartite representation: edge u_1 -- w_2 iff u -> w (loops included)."""
-    return BipartiteGraph(
-        (f"{v}_1" for v in h.vertices),
-        (f"{v}_2" for v in h.vertices),
-        ((f"{t}_1", f"{head}_2") for t, head in h.arcs),
-    )
+    """Bipartite representation: edge u_1 -- w_2 iff u -> w (loops included).
+
+    h's names are checked, so the names v_1 and v_2 are valid, distinct
+    and in disjoint parts: the graph is built unchecked."""
+    return BipartiteGraph._wrap(
+        tuple(f"{v}_1" for v in h.vertices),
+        tuple(f"{v}_2" for v in h.vertices),
+        frozenset((f"{t}_1", f"{head}_2") for t, head in h.arcs))
 
 
 def _induced_cycle(g: BipartiteGraph,

@@ -56,7 +56,9 @@ def resolve_target(spec: str) -> Digraph:
 def _parse_b(text: str) -> frozenset[str]:
     if text in ("", "none"):
         return frozenset()
-    toks = text.split(",") if "," in text else re.findall(r"\d\d", text)
+    # two-character tokens: t5_config rejects a stray character
+    toks = (text.split(",") if "," in text
+            else [text[k:k + 2] for k in range(0, len(text), 2)])
     return cls.t5_config(toks)
 
 

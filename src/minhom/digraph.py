@@ -72,6 +72,17 @@ class Digraph:
         object.__setattr__(self, "arcs", aset)
 
     @classmethod
+    def _wrap(cls, vertices: tuple[str, ...],
+              arcs: frozenset[tuple[str, str]]) -> "Digraph":
+        """A digraph holding `vertices` and `arcs` as they are, unchecked:
+        only for a graph derived from an already checked one, whose names
+        and arcs are valid by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "arcs", arcs)
+        return g
+
+    @classmethod
     def from_arcs(cls, arcs, vertices=()) -> "Digraph":
         """Build a digraph, auto-declaring arc endpoints in first-use order."""
         order = list(vertices)
@@ -153,7 +164,8 @@ class Digraph:
 
     def reflexive_closure(self) -> "Digraph":
         """Add a loop to every vertex lacking one.  Idempotent."""
-        return Digraph(self.vertices, set(self.arcs) | {(v, v) for v in self.vertices})
+        return Digraph._wrap(self.vertices,
+                             self.arcs | {(v, v) for v in self.vertices})
 
     def induced(self, subset) -> "Digraph":
         """Subdigraph induced by the given vertices (declaration order kept)."""
@@ -161,14 +173,9 @@ class Digraph:
         unknown = sub - self._index.keys()
         if unknown:
             raise GraphError(f"unknown vertices in induced(): {sorted(unknown)}")
-        # names and arcs of self are checked already: skip __init__'s checks
-        # (the witness search induces thousands of small subdigraphs)
-        out = object.__new__(Digraph)
-        object.__setattr__(out, "vertices",
-                           tuple(v for v in self.vertices if v in sub))
-        object.__setattr__(out, "arcs", frozenset(
-            (t, h) for t, h in self.arcs if t in sub and h in sub))
-        return out
+        return Digraph._wrap(
+            tuple(v for v in self.vertices if v in sub),
+            frozenset((t, h) for t, h in self.arcs if t in sub and h in sub))
 
 
 # -- whole-digraph predicates and builders --------------------------------
@@ -306,7 +313,7 @@ def make_tt_minus(p: int) -> Digraph:
     if p < 2:
         raise GraphError(f"TT_p^- needs p >= 2, got {p}")
     base = make_tt(p)
-    return Digraph(base.vertices, base.arcs - {("1", str(p))})
+    return Digraph._wrap(base.vertices, base.arcs - {("1", str(p))})
 
 
 def make_cycle(k: int) -> Digraph:

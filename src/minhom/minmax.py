@@ -1,9 +1,11 @@
-"""Min-Max orderings: verification, exhaustive search, canonical families.
+"""Min-Max orderings: the staircase verdict, verification and search.
 
 An ordering of V(H) is Min-Max when, for every non-trivial pair of arcs
 e = ik and f = js (as position pairs), both (min(i,j), min(k,s)) and
 (max(i,j), max(k,s)) are again arcs.  Targets with a Min-Max ordering admit
 a polynomial minimum cost homomorphism solver (see solver.solve_minmax).
+_is_staircase is the one test of the condition: verify_minmax and
+find_minmax decide by it, and solve_minmax builds on verify_minmax.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      first_injection, make_oriented_kb, make_tt,
-                      make_tt_minus)
+                      first_injection, make_oriented_kb)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -39,7 +40,12 @@ class Ordering:
 
     @classmethod
     def parse(cls, text: str) -> "Ordering":
-        return cls(tok for tok in text.split(",") if tok)
+        """Comma-separated names; "" is the empty ordering, and an empty
+        name (",," or a comma at either end) is a GraphError."""
+        toks = text.split(",") if text else []
+        if "" in toks:
+            raise GraphError(f"ordering {text!r} has an empty vertex name")
+        return cls(toks)
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,15 @@ def _check_permutation(h: Digraph, ordering: Ordering) -> dict[str, int]:
     return pos
 
 
-def _first_violation(arcs: list[tuple[int, int]], fresh: int = 0
+def _first_violation(arcs: list[tuple[int, int]]
                      ) -> tuple[tuple[int, int], ...] | None:
-    """First pair of position arcs (in list order), the later of them at
-    index fresh or beyond, whose coordinatewise min or max is not an arc, as
-    (e, f, min_pair, max_pair); None if there is none.  Pairs whose min and
-    max are e and f themselves are trivial."""
+    """First pair of position arcs (in list order) whose coordinatewise min
+    or max is not an arc, as (e, f, min_pair, max_pair); None if there is
+    none.  Pairs whose min and max are e and f themselves are trivial.
+    Only verify_minmax's failure path calls it, to report the pair."""
     arc_set = set(arcs)
     for a, (i, k) in enumerate(arcs):
-        for j, s in arcs[max(a + 1, fresh):]:
+        for j, s in arcs[a + 1:]:
             mn = (min(i, j), min(k, s))
             mx = (max(i, j), max(k, s))
             if {mn, mx} == {(i, k), (j, s)}:
@@ -123,9 +129,10 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
 
     Ranks 1..n are filled in turn, each trying the vertices in declaration
     order (digraph.first_injection); a partial placement is abandoned as soon
-    as some fully placed pair of arcs violates the condition.  Pairs of
-    arcs between earlier placed vertices passed at an earlier rank, so each
-    placement checks only the pairs with an arc at the vertex just placed.
+    as the position arcs among the placed vertices fail _is_staircase, the
+    one Min-Max verdict.  Every min and max position of two placed arcs is
+    a placed rank, so that verdict is the pair condition on the placed
+    arcs, and a failure stays a failure whatever is placed later.
     """
     n = len(h.vertices)
     if n > guard:
@@ -137,15 +144,10 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
         return Ordering(())
 
     def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
-        # min/max positions are all <= the largest placed rank, so both
-        # candidate arcs of every placed pair are decided already
         placed = {w: r for r, w in by_rank.items()}
-        arcs = [(placed[t], placed[head]) for t, head in h.arcs
-                if t in placed and head in placed]
-        # v has the largest rank; arcs without it passed at earlier ranks
-        old = [arc for arc in arcs if rank not in arc]
-        new = [arc for arc in arcs if rank in arc]
-        return _first_violation(old + new, len(old)) is None
+        return _is_staircase(sorted((placed[t], placed[head])
+                                    for t, head in h.arcs
+                                    if t in placed and head in placed))
 
     seq = first_injection(range(1, n + 1), h.vertices, fits)
     return None if seq is None else Ordering(seq.values())
@@ -159,28 +161,3 @@ def make_rc_k12() -> Digraph:
 def make_rc_k21() -> Digraph:
     """Reflexive closure of the single-sink orientation of K_{2,1}."""
     return make_oriented_kb(2, 1).reflexive_closure()
-
-
-def canonical_ordering(family: str, p: int | None = None
-                       ) -> tuple[Digraph, Ordering]:
-    """Known Min-Max ordering for one of the polynomial target families.
-
-    family is 'rc_tt', 'rc_ttminus' (both take p), 'rc_k12' or 'rc_k21'.
-    """
-    if family == "rc_tt":
-        if p is None:
-            raise GraphError("rc_tt needs a size parameter")
-        h = make_tt(p).reflexive_closure()
-        return h, Ordering(h.vertices)
-    if family == "rc_ttminus":
-        if p is None:
-            raise GraphError("rc_ttminus needs a size parameter")
-        h = make_tt_minus(p).reflexive_closure()
-        return h, Ordering(h.vertices)
-    if family == "rc_k12":
-        # the source vertex sits between the two sinks
-        return make_rc_k12(), Ordering(("2", "1", "3"))
-    if family == "rc_k21":
-        # converse-symmetric placement: the sink sits between the two sources
-        return make_rc_k21(), Ordering(("1", "3", "2"))
-    raise GraphError(f"unknown canonical family {family!r}")

@@ -13,8 +13,9 @@ Three routes are provided:
   variables x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov
   max-flow: node c * (p - 1) + i is x_{u,i} of the c-th core vertex in
   declaration order (p labels, i = 2..p).  A forest input builds no
-  network.  The staircase form of the relabelled arc relation is
-  re-checked on every call.
+  network.  Every call first runs verify_minmax, whose one staircase
+  verdict (minmax._is_staircase) guards the construction; the thresholds
+  lam and mu are then read off that staircase.
   The core's map is read off the nodes reachable from s in the residual
   network.  That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
@@ -391,37 +392,27 @@ class FlowNetwork:
 # -- min-cut route for Min-Max ordered targets ----------------------------
 
 
-def _staircase(rows: list[int], cols: list[int], r: set[tuple[int, int]],
-               p: int) -> tuple[list[int], list[int]]:
-    """Validate the staircase form of the relabeled arc relation.
-
-    Returns lam and mu, indexed by label 0..p (0 where there is none):
-    label(t) >= i forces label(head) >= lam[i], the least column of the
-    first row at or above i; label(head) >= j forces label(t) >= mu[j],
-    the first row reaching column j.  Any violation is an internal error:
-    it would contradict closure under coordinatewise min and max.
-    """
-    row_min = {i: min(j for x, j in r if x == i) for i in rows}
-    row_max = {i: max(j for x, j in r if x == i) for i in rows}
-    col_set = set(cols)
-    for i in rows:
-        row = {j for x, j in r if x == i}
-        want = {j for j in col_set if row_min[i] <= j <= row_max[i]}
-        if row != want:
-            raise InternalError(f"row {i} is not contiguous over nonempty columns")
-    for j in cols:
-        col = {x for x, y in r if y == j}
-        lo, hi = min(col), max(col)
-        if col != {x for x in rows if lo <= x <= hi}:
-            raise InternalError(f"column {j} is not contiguous over nonempty rows")
-    for a, b in zip(rows, rows[1:]):
-        if row_min[a] > row_min[b] or row_max[a] > row_max[b]:
-            raise InternalError("row minima/maxima are not nondecreasing")
+def _thresholds(succs: list[list[int]], p: int
+                ) -> tuple[list[int], list[int]]:
+    """lam and mu of a Min-Max relation, indexed by label 0..p (0 where
+    there is none), read off succs (succs[i - 1] lists, ascending, each
+    j - 1 with (i, j) in the relation): label(t) >= i forces label(head) >=
+    lam[i], the first column of the nearest nonempty row at or above i;
+    label(head) >= j forces label(t) >= mu[j], the first row reaching
+    column j.  The relation is a staircase (verify_minmax), so row maxima
+    never decrease and mu's row only moves down as j grows."""
     lam = [0] * (p + 1)
     mu = [0] * (p + 1)
-    for i in range(2, p + 1):
-        lam[i] = next((row_min[x] for x in rows if x >= i), 0)
-        mu[i] = next((x for x in rows if row_max[x] >= i), 0)
+    first = 0
+    for i in range(p, 1, -1):
+        if succs[i - 1]:
+            first = succs[i - 1][0] + 1
+        lam[i] = first
+    x = 0
+    for j in range(2, p + 1):
+        while x < p and (not succs[x] or succs[x][-1] + 1 < j):
+            x += 1
+        mu[j] = x + 1 if x < p else 0
     return lam, mu
 
 
@@ -482,26 +473,25 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     seq = ordering.sequence
     pos = ordering.rank()
     p = len(seq)
-    r = {(pos[t], pos[head]) for t, head in h.arcs}
-    rows = sorted({i for i, _ in r})
-    cols = sorted({j for _, j in r})
-    diag = {i for i, j in r if i == j}
-    lam, mu = _staircase(rows, cols, r, p)
     # cost vectors, preds and succs index labels by rank 0..p-1 (label
-    # i = rank + 1 in r and in the network); preds[j] and succs[i] list,
-    # ascending, the i with (i, j) in r and the j with (i, j) in r
+    # i = rank + 1 in the network); preds[j] and succs[i] list, ascending,
+    # the i and the j with an arc from rank i to rank j
     preds: list[list[int]] = [[] for _ in range(p)]
     succs: list[list[int]] = [[] for _ in range(p)]
-    for i, j in sorted(r):
-        succs[i - 1].append(j - 1)
-        preds[j - 1].append(i - 1)
+    for i, j in sorted((pos[t] - 1, pos[head] - 1) for t, head in h.arcs):
+        succs[i].append(j)
+        preds[j].append(i)
+    lam, mu = _thresholds(succs, p)
 
     # one pass per input vertex: its non-loop arcs by declaration index,
     # and one cost read giving its vector over the labels its arcs and loop
     # allow (None where barred)
     vs = d.vertices
     index = {u: k for k, u in enumerate(vs)}
-    every, row_set, col_set = set(range(1, p + 1)), set(rows), set(cols)
+    every = set(range(p))
+    rows = {i for i in every if succs[i]}
+    cols = {j for j in every if preds[j]}
+    diag = {i for i in every if h.has_loop(seq[i])}
     get = costs.entries.get
     outs, ins, vecs = [], [], []
     for u in vs:
@@ -509,9 +499,9 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         inn = [index[w] for w in d.in_neighbors(u) if w != u]
         labels = every
         if out:
-            labels = labels & row_set
+            labels = labels & rows
         if inn:
-            labels = labels & col_set
+            labels = labels & cols
         if d.has_loop(u):
             labels = labels & diag
         if not labels:
@@ -519,7 +509,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         outs.append(out)
         ins.append(inn)
         vecs.append([get((u, i), 0) if k in labels else None
-                     for k, i in enumerate(seq, 1)])
+                     for k, i in enumerate(seq)])
 
     folded, core = _fold_pendants(vecs, outs, ins, preds, succs)
     label = [0] * len(vs)

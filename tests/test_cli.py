@@ -267,6 +267,19 @@ def test_cli_classify_rmpt_hundred_vertices_is_fast():
                    + ",".join(str(i) for i in range(1, 101)) + "\n")
 
 
+def test_cli_solve_minmax_four_hundred_labels_is_fast(tmp_path):
+    # lam and mu are read off the staircase in one pass over the 80 200
+    # arcs, not by a scan of the arcs per label
+    d = write(tmp_path, "d.dg", "a u v\n")
+    ordering = ",".join(str(i) for i in range(1, 401))
+    start = time.perf_counter()
+    code, out = cli("solve", "--target", "rc_tt400", "--input", d,
+                    "--method", "minmax", "--ordering", ordering)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    assert out == "cost 0\nmap u 1\nmap v 1\n"
+
+
 def test_cli_parser_is_built_once():
     from minhom.cli import build_parser
     assert build_parser() is build_parser()
@@ -377,6 +390,15 @@ def test_cli_error_paths(tmp_path, capsys):
     code, out = cli("solve", "--target", "rc_tt2", "--input", two, "--costs", c)
     assert code == EXIT_ERROR and out == ""
     assert capsys.readouterr().err == "error: the optimum has more than 4300 digits\n"
+    # malformed tokens: a stray character in the loop set, an empty name
+    # in an ordering
+    for argv in (("classify-t5", "--b", "113"),
+                 ("classify-t5", "--b", "1x33"),
+                 ("minmax-verify", "--target", "rc_tt3",
+                  "--ordering", "1,,2,3,")):
+        code, out = cli(*argv)
+        assert code == EXIT_ERROR and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _mutate(rng, data, kind):

@@ -3,18 +3,23 @@ import random
 
 import pytest
 
-from minhom import (Digraph, GraphError, GuardExceeded, Ordering,
-                    canonical_ordering, find_minmax, make_cycle,
-                    make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
-from minhom.minmax import _first_violation
+from minhom import (Digraph, GraphError, GuardExceeded, Ordering, find_minmax,
+                    make_cycle, make_oriented_kb, make_tt, make_tt_minus,
+                    verify_minmax)
+from minhom.minmax import _first_violation, make_rc_k12, make_rc_k21
 
 
 def test_ordering_parse_serialize():
     o = Ordering(("2", "1", "3"))
     assert o.serialize() == "2,1,3"
     assert Ordering.parse("2,1,3") == o
+    assert Ordering.parse("") == Ordering(())
     with pytest.raises(GraphError):
         Ordering(("a", "a"))
+    # an empty name is an error, not a name dropped
+    for text in ("1,,2", "1,2,", ",1", ","):
+        with pytest.raises(GraphError, match="empty vertex name"):
+            Ordering.parse(text)
 
 
 def test_verify_requires_permutation():
@@ -99,22 +104,18 @@ def test_verify_invariant_under_reversal_exhaustive():
 
 
 def test_canonical_orderings_all_verify():
-    cases = [canonical_ordering("rc_k12"), canonical_ordering("rc_k21")]
-    cases += [canonical_ordering("rc_tt", p) for p in range(1, 9)]
-    cases += [canonical_ordering("rc_ttminus", p) for p in range(2, 9)]
+    # each star's centre (the source of rc_k12, the sink of rc_k21) sits
+    # between its two other vertices
+    cases = [(make_rc_k12(), Ordering(("2", "1", "3"))),
+             (make_rc_k21(), Ordering(("1", "3", "2")))]
+    for p in range(1, 9):
+        h = make_tt(p).reflexive_closure()
+        cases.append((h, Ordering(h.vertices)))
+    for p in range(2, 9):
+        h = make_tt_minus(p).reflexive_closure()
+        cases.append((h, Ordering(h.vertices)))
     for h, ordering in cases:
         assert verify_minmax(h, ordering)[0]
-
-
-def test_canonical_ordering_values():
-    h, o = canonical_ordering("rc_k12")
-    assert o == Ordering(("2", "1", "3"))
-    _, o = canonical_ordering("rc_ttminus", 5)
-    assert o == Ordering(("1", "2", "3", "4", "5"))
-    with pytest.raises(GraphError):
-        canonical_ordering("nope")
-    with pytest.raises(GraphError):
-        canonical_ordering("rc_tt")
 
 
 def test_find_minmax_is_first_permutation_seeded():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -14,7 +15,8 @@ from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     make_cycle, make_oriented_kb, make_tt, make_tt_minus,
                     map_cost, solve_auto, solve_bruteforce, solve_cycle,
                     solve_minmax)
-from minhom.solver import FlowNetwork
+from minhom.minmax import _is_staircase
+from minhom.solver import FlowNetwork, _thresholds
 
 
 def random_target(rng, max_n=4):
@@ -156,6 +158,48 @@ def test_max_flow_matches_brute_force_min_cut():
 
 
 # -- min-cut route --------------------------------------------------------
+
+
+def row_column_thresholds(r, p):
+    """lam and mu by their definitions, scanning the rows and columns of
+    the relation r on labels 1..p, after checking that every row and
+    column is contiguous over the nonempty ones and that row minima and
+    maxima never decrease (the checks a staircase implies)."""
+    rows = sorted({i for i, _ in r})
+    cols = sorted({j for _, j in r})
+    row_min = {i: min(j for x, j in r if x == i) for i in rows}
+    row_max = {i: max(j for x, j in r if x == i) for i in rows}
+    for i in rows:
+        assert {j for x, j in r if x == i} == {
+            j for j in cols if row_min[i] <= j <= row_max[i]}
+    for j in cols:
+        col = {x for x, y in r if y == j}
+        assert col == {x for x in rows if min(col) <= x <= max(col)}
+    for a, b in zip(rows, rows[1:]):
+        assert row_min[a] <= row_min[b] and row_max[a] <= row_max[b]
+    lam = [0] * (p + 1)
+    mu = [0] * (p + 1)
+    for i in range(2, p + 1):
+        lam[i] = next((row_min[x] for x in rows if x >= i), 0)
+        mu[i] = next((x for x in rows if row_max[x] >= i), 0)
+    return lam, mu
+
+
+def test_thresholds_match_the_row_and_column_scan_exhaustive():
+    # every relation on at most 4 labels that passes the staircase verdict
+    staircases = 0
+    for p in range(1, 5):
+        cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+        for bits in itertools.product((0, 1), repeat=len(cells)):
+            arcs = [cell for cell, bit in zip(cells, bits) if bit]
+            if not _is_staircase(arcs):
+                continue
+            succs = [[] for _ in range(p)]
+            for i, j in arcs:
+                succs[i - 1].append(j - 1)
+            assert _thresholds(succs, p) == row_column_thresholds(set(arcs), p)
+            staircases += 1
+    assert 2000 < staircases < 2 ** 16
 
 
 def test_minmax_rejects_bad_ordering():
