@@ -212,22 +212,108 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
 
     Loops are ignored: a loop is not a cycle.  On success also returns an
     acyclic ordering of all vertices, ties broken by declaration order.
+    In-degrees and successor lists, by declaration index, come from one
+    pass over the arc set, not from the adjacency index.
     """
-    indeg = {v: sum(1 for t in h.in_neighbors(v) if t != v) for v in h.vertices}
-    # declaration indices of the sources; ascending, so already a heap
-    ready = [h.decl_index(v) for v in h.vertices if indeg[v] == 0]
+    idx = h._index
+    indeg = [0] * len(h.vertices)
+    succ: list[list[int]] = [[] for _ in h.vertices]
+    for t, head in h.arcs:
+        if t != head:
+            succ[idx[t]].append(idx[head])
+            indeg[idx[head]] += 1
+    # declaration indices of the sources; ascending, so already a heap.
+    # Every successor of a pick is pushed before the next pop, so the order
+    # does not depend on the order of a successor list
+    ready = [k for k, x in enumerate(indeg) if not x]
     order: list[str] = []
     while ready:
-        pick = h.vertices[heappop(ready)]
-        order.append(pick)
-        for head in h.out_neighbors(pick):
-            if head != pick:
-                indeg[head] -= 1
-                if indeg[head] == 0:
-                    heappush(ready, h.decl_index(head))
+        k = heappop(ready)
+        order.append(h.vertices[k])
+        for x in succ[k]:
+            indeg[x] -= 1
+            if not indeg[x]:
+                heappush(ready, x)
     if len(order) < len(h.vertices):
         return False, None
     return True, tuple(order)
+
+
+def strong_components(succs: list[list[int]],
+                      nodes: list[int]) -> list[list[int]]:
+    """Strong components of the digraph on `nodes` (ascending integers
+    below len(succs)) with an arc k -> x for every x in succs[k] that is
+    among `nodes`.
+
+    Each component lists its members ascending; the components are sorted
+    by their first member.  Tarjan's algorithm (SIAM J. Comput. 1, 1972)
+    with an explicit stack of successor iterators, so a long directed path
+    or ring does not recurse.
+    """
+    inside = [False] * len(succs)
+    for k in nodes:
+        inside[k] = True
+    order = [0] * len(succs)  # 1 + discovery time; 0 while unvisited
+    low = [0] * len(succs)
+    done = [False] * len(succs)  # already in an emitted component
+    stack: list[int] = []
+    found: list[list[int]] = []
+    clock = 0
+    for root in nodes:
+        if order[root]:
+            continue
+        clock += 1
+        order[root] = low[root] = clock
+        stack.append(root)
+        work = [(root, iter(succs[root]))]
+        while work:
+            k, rest = work[-1]
+            for x in rest:
+                if not inside[x] or done[x]:
+                    continue
+                if not order[x]:
+                    clock += 1
+                    order[x] = low[x] = clock
+                    stack.append(x)
+                    work.append((x, iter(succs[x])))
+                    break
+                if order[x] < low[k]:
+                    low[k] = order[x]
+            else:
+                work.pop()
+                if work and low[k] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[k]
+                if low[k] == order[k]:
+                    at = len(stack) - 1
+                    while stack[at] != k:
+                        at -= 1
+                    members = sorted(stack[at:])
+                    del stack[at:]
+                    for x in members:
+                        done[x] = True
+                    found.append(members)
+    found.sort()
+    return found
+
+
+def quotient(succs: list[list[int]], groups: list[list[int]]
+             ) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-lists, ascending, of the digraph with one vertex per
+    group (disjoint lists of integers below len(succs)): one arc g -> g'
+    for each pair of distinct groups joined by some arc k -> x, x in
+    succs[k].  Arcs to integers in no group are dropped."""
+    of = [-1] * len(succs)
+    for g, members in enumerate(groups):
+        for k in members:
+            of[k] = g
+    outs = []
+    ins: list[list[int]] = [[] for _ in groups]
+    for g, members in enumerate(groups):
+        heads = sorted({of[x] for k in members for x in succs[k]} - {-1, g})
+        for x in heads:
+            ins[x].append(g)
+        outs.append(heads)
+    return outs, ins
 
 
 def cycle_walk(h: Digraph) -> tuple[str, ...] | None:

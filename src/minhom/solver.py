@@ -26,6 +26,16 @@ Three routes are provided:
   removed first, then take the least-rank label of least folded cost that
   their neighbour's label allows, which is again the least optimum.  So
   the map is the one the cut over the whole input would give.
+  When the loopless part of the target is acyclic, every closed walk of d
+  maps to one looped vertex, so every homomorphism is constant on each
+  strong component of the core (Tarjan's search, iterative).  Each
+  component becomes one vertex whose vector sums its members' (only
+  looped labels for two or more members), with one arc per pair of
+  components; the condensation is folded again and its core cut.  Maps
+  of d and of the condensation correspond one to one, with equal cost
+  and the same coordinatewise order, so the least optimum lifts to the
+  least optimum.  Otherwise, or when every component is one vertex, the
+  core is cut as it is.
 * solve_cycle — rotation propagation for directed-cycle targets, in the
   target's own vertex names, along the walk digraph.cycle_walk returns.
 
@@ -40,7 +50,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .digraph import Digraph, GraphError, InternalError, components, cycle_walk
+from .digraph import (Digraph, GraphError, InternalError, components,
+                      cycle_walk, is_acyclic, quotient,
+                      strong_components)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 
@@ -459,10 +471,92 @@ def _fold_pendants(vecs: list[list[int | None]], outs: list[list[int]],
     return folded, [k for k in range(n) if not gone[k]]
 
 
+def _cut(vecs: list[list[int | None]], outs: list[list[int]],
+         core: list[int], lam: list[int], mu: list[int],
+         label: list[int]) -> int | None:
+    """Least optimum of the core by one minimum s-t cut: writes each core
+    vertex's rank into label and returns the cost (None if infeasible)."""
+    p = len(lam) - 1
+    chain = [-1] * len(vecs)  # position of each core vertex in core
+    # shifts make the core's costs nonnegative; a barred label's edge
+    # costs big, more than every cut without one
+    shifts = []
+    big = 1
+    for c, k in enumerate(core):
+        chain[k] = c
+        finite = [x for x in vecs[k] if x is not None]
+        if not finite:
+            return None
+        shifts.append(max(0, -min(finite)))
+        big += shifts[-1] + max(0, max(finite))
+    inf = (len(core) + 2) * big
+
+    # nodes: 0 = source, 1 = sink; c * (p - 1) + i is "label >= i"
+    # (i = 2..p) of the c-th core vertex
+    net = FlowNetwork(2 + len(core) * (p - 1))
+    source, sink = 0, 1
+    for c, k in enumerate(core):
+        base = c * (p - 1)
+        for i, x in enumerate(vecs[k], 1):
+            tail = source if i == 1 else base + i
+            head = sink if i == p else base + i + 1
+            net.add_edge(tail, head, big if x is None else x + shifts[c])
+        for i in range(2, p):
+            net.add_edge(base + i + 1, base + i, inf)
+
+    # arcs in declaration order, so the network (and the max-flow's
+    # work) does not depend on the string hash seed
+    for c, k in enumerate(core):
+        a = c * (p - 1)
+        for w in outs[k]:
+            if chain[w] < 0:
+                continue
+            b = chain[w] * (p - 1)
+            for i in range(2, p + 1):
+                if lam[i] >= 2:
+                    net.add_edge(a + i, b + lam[i], inf)
+            for j in range(2, p + 1):
+                if mu[j] >= 2:
+                    net.add_edge(b + j, a + mu[j], inf)
+
+    value = net.max_flow(source, sink)
+    if value >= big:
+        return None
+    side = net.source_side(source)
+    for c, k in enumerate(core):
+        for i in range(2, p + 1):
+            if c * (p - 1) + i in side:
+                label[k] = i - 1
+    return value - sum(shifts)
+
+
+def _unfold(vecs: list[list[int | None]], folded: list[tuple],
+            label: list[int]) -> int | None:
+    """Label the folded vertices, last removed first: the least-rank
+    argmin of the vertex's vector, over the labels its arc allows next to
+    its neighbour's label (over all labels for a vertex removed with no
+    arc).  Returns the cost of those removed with no arc (None if a vector
+    allows no label)."""
+    total = 0
+    for k, w, allowed in reversed(folded):
+        vk = vecs[k]
+        best = -1
+        for i in range(len(vk)) if w < 0 else allowed[label[w]]:
+            if vk[i] is not None and (best < 0 or vk[i] < vk[best]):
+                best = i
+        if best < 0:
+            return None
+        label[k] = best
+        if w < 0:
+            total += vk[best]
+    return total
+
+
 def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
                  costs: CostMatrix) -> SolveResult:
-    """Exact optimum: pendant trees folded into unary costs, then one
-    minimum s-t cut over the rest of d.  Valid whenever the ordering passes
+    """Exact optimum: pendant trees folded into unary costs, strong
+    components contracted when h is acyclic up to loops, then one minimum
+    s-t cut over the rest of d.  Valid whenever the ordering passes
     verify_minmax (checked; GraphError otherwise)."""
     costs.check_shape(d, h)
     ok, violation = verify_minmax(h, ordering)
@@ -511,78 +605,38 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         vecs.append([get((u, i), 0) if k in labels else None
                      for k, i in enumerate(seq)])
 
+    # into a target acyclic up to loops, every closed walk of d stays at
+    # one looped vertex, so each strong component of the core takes one
+    # label.  Contracting them leaves new pendants, so the condensation is
+    # folded again (with one-vertex groups it is the core, and nothing folds)
     folded, core = _fold_pendants(vecs, outs, ins, preds, succs)
+    if core and is_acyclic(h)[0]:
+        groups = strong_components(outs, core)
+    else:
+        groups = [[k] for k in core]
+    # a group's vector sums its members' (barred where one is); two or
+    # more members need a looped label
+    looped = [i in diag for i in range(p)]
+    cvecs = [list(vecs[ks[0]]) if len(ks) == 1 else
+             [None if not ok or None in xs else sum(xs)
+              for ok, *xs in zip(looped, *(vecs[k] for k in ks))]
+             for ks in groups]
+    couts, cins = quotient(outs, groups)
+    cfolded, ccore = _fold_pendants(cvecs, couts, cins, preds, succs)
+    clabel = [0] * len(groups)
+    total = _cut(cvecs, couts, ccore, lam, mu, clabel) if ccore else 0
+    extra = None if total is None else _unfold(cvecs, cfolded, clabel)
+    if extra is None:
+        return SolveResult(None, "minmax")
     label = [0] * len(vs)
-    chain = [-1] * len(vs)  # position of each core vertex in core
-    total = 0
-    if core:
-        # shifts make the core's costs nonnegative; a barred label's edge
-        # costs big, more than every cut without one
-        shifts = []
-        big = 1
-        for c, k in enumerate(core):
-            chain[k] = c
-            finite = [x for x in vecs[k] if x is not None]
-            if not finite:
-                return SolveResult(None, "minmax")
-            shifts.append(max(0, -min(finite)))
-            big += shifts[-1] + max(0, max(finite))
-        inf = (len(core) + 2) * big
-
-        # nodes: 0 = source, 1 = sink; c * (p - 1) + i is "label >= i"
-        # (i = 2..p) of the c-th core vertex
-        net = FlowNetwork(2 + len(core) * (p - 1))
-        source, sink = 0, 1
-        for c, k in enumerate(core):
-            base = c * (p - 1)
-            for i, x in enumerate(vecs[k], 1):
-                tail = source if i == 1 else base + i
-                head = sink if i == p else base + i + 1
-                net.add_edge(tail, head, big if x is None else x + shifts[c])
-            for i in range(2, p):
-                net.add_edge(base + i + 1, base + i, inf)
-
-        # arcs in declaration order, so the network (and the max-flow's
-        # work) does not depend on the string hash seed
-        for c, k in enumerate(core):
-            a = c * (p - 1)
-            for w in outs[k]:
-                if chain[w] < 0:
-                    continue
-                b = chain[w] * (p - 1)
-                for i in range(2, p + 1):
-                    if lam[i] >= 2:
-                        net.add_edge(a + i, b + lam[i], inf)
-                for j in range(2, p + 1):
-                    if mu[j] >= 2:
-                        net.add_edge(b + j, a + mu[j], inf)
-
-        value = net.max_flow(source, sink)
-        if value >= big:
-            return SolveResult(None, "minmax")
-        total = value - sum(shifts)
-        side = net.source_side(source)
-        for c, k in enumerate(core):
-            for i in range(2, p + 1):
-                if c * (p - 1) + i in side:
-                    label[k] = i - 1
-
-    # the folded vertices, last removed first: the least-rank argmin of the
-    # vertex's vector, over the labels its arc allows next to its
-    # neighbour's label (over all labels for a vertex removed with no arc)
-    for k, w, allowed in reversed(folded):
-        vk = vecs[k]
-        best = -1
-        for i in range(p) if w < 0 else allowed[label[w]]:
-            if vk[i] is not None and (best < 0 or vk[i] < vk[best]):
-                best = i
-        if best < 0:
-            return SolveResult(None, "minmax")
-        label[k] = best
-        if w < 0:
-            total += vk[best]
+    for g, members in enumerate(groups):
+        for k in members:
+            label[k] = clabel[g]
+    rest = _unfold(vecs, folded, label)
+    if rest is None:
+        return SolveResult(None, "minmax")
     mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
-    return _revalidated(d, h, costs, mapping, total, "minmax")
+    return _revalidated(d, h, costs, mapping, total + extra + rest, "minmax")
 
 
 # -- directed-cycle targets -----------------------------------------------

@@ -280,6 +280,30 @@ def test_cli_solve_minmax_four_hundred_labels_is_fast(tmp_path):
     assert out == "cost 0\nmap u 1\nmap v 1\n"
 
 
+def test_cli_solve_directed_ring_is_fast(tmp_path):
+    # a directed ring is one strong component: into a target acyclic up to
+    # loops it maps to one looped vertex, so it contracts to one vertex and
+    # builds no flow network.  The optimum is the least-rank label of least
+    # total cost
+    n = 10_000
+    rng = random.Random(10_000)
+    d = write(tmp_path, "d.dg", "".join(f"a u{k} u{(k + 1) % n}\n"
+                                        for k in range(n)))
+    table = {(k, i): rng.randint(-20, 20) for k in range(n) for i in range(1, 7)}
+    c = write(tmp_path, "c.txt", "".join(f"c u{k} {i} {x}\n"
+                                         for (k, i), x in table.items()))
+    sums = [sum(table[k, i] for k in range(n)) for i in range(1, 7)]
+    label = 1 + sums.index(min(sums))
+    start = time.perf_counter()
+    code, out = cli("solve", "--target", "rc_ttminus6", "--input", d,
+                    "--costs", c)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == f"cost {min(sums)}"
+    assert sorted(lines[1:]) == sorted(f"map u{k} {label}" for k in range(n))
+
+
 def test_cli_parser_is_built_once():
     from minhom.cli import build_parser
     assert build_parser() is build_parser()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from heapq import heappop, heappush
 
 import pytest
 
@@ -7,7 +8,7 @@ from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
                     NotMultipartiteTournament, components, cycle_walk, extend,
                     is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
                     make_tt, make_tt_minus, partite_structure)
-from minhom.digraph import first_injection
+from minhom.digraph import first_injection, quotient, strong_components
 
 
 def test_vertex_name_validation():
@@ -91,6 +92,42 @@ def test_is_acyclic():
     assert is_acyclic(make_cycle(3).reflexive_closure()) == (False, None)
     ok, order = is_acyclic(Digraph(("v",), [("v", "v")]))
     assert ok and order == ("v",)  # a loop is not a cycle
+
+
+def adjacency_is_acyclic(h):
+    """is_acyclic as it was when it read the adjacency index."""
+    indeg = {v: sum(1 for t in h.in_neighbors(v) if t != v) for v in h.vertices}
+    ready = [h.decl_index(v) for v in h.vertices if indeg[v] == 0]
+    order = []
+    while ready:
+        pick = h.vertices[heappop(ready)]
+        order.append(pick)
+        for head in h.out_neighbors(pick):
+            if head != pick:
+                indeg[head] -= 1
+                if indeg[head] == 0:
+                    heappush(ready, h.decl_index(head))
+    if len(order) < len(h.vertices):
+        return False, None
+    return True, tuple(order)
+
+
+def test_is_acyclic_matches_adjacency_index_version_seeded():
+    rng = random.Random(1962)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        vs = [f"v{k}" for k in range(n)]
+        rank = rng.sample(range(n), n)
+        forward = rng.random() < 0.7  # arcs only up a hidden order
+        arcs = [(a, b) for a in range(n) for b in range(n)
+                if (a == b or not forward or rank[a] < rank[b])
+                and rng.random() < 0.3]
+        h = Digraph(rng.sample(vs, n), [(vs[a], vs[b]) for a, b in arcs])
+        got = is_acyclic(h)
+        assert got == adjacency_is_acyclic(h)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_is_acyclic_matches_converse():
@@ -265,3 +302,37 @@ def test_first_injection_more_labels_than_hosts():
     assert first_injection(range(4), (), fits) is None
     assert calls == []
     assert first_injection(("a",), ("x", "y"), fits) == {"a": "x"}
+
+
+def test_strong_components_match_mutual_reachability_seeded():
+    rng = random.Random(1972)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        succs = [[x for x in range(n) if rng.random() < 0.2] for _ in range(n)]
+        nodes = sorted(rng.sample(range(n), rng.randint(0, n)))
+        reach = {k: {k} for k in nodes}  # reachability inside nodes
+        for _ in nodes:
+            for k in nodes:
+                for x in succs[k]:
+                    if x in reach:
+                        reach[k] |= reach[x]
+        want = sorted({tuple(x for x in nodes if k in reach[x] and x in reach[k])
+                       for k in nodes})
+        assert strong_components(succs, nodes) == [list(c) for c in want]
+
+
+def test_strong_components_of_a_long_ring_do_not_recurse():
+    n = 100_000
+    succs = [[(k + 1) % n] for k in range(n)]
+    assert strong_components(succs, list(range(n))) == [list(range(n))]
+    assert strong_components(succs, list(range(n - 1))) == [[k] for k in range(n - 1)]
+
+
+def test_quotient_keeps_one_arc_per_pair_of_groups():
+    # groups {0, 1} and {2} and {4}; 3 is in no group.  The two arcs from
+    # the first group to 2 give one arc, the arcs inside a group and those
+    # to 3 none
+    succs = [[1, 2], [0, 2, 3], [4], [0], [0, 2]]
+    assert quotient(succs, [[0, 1], [2], [4]]) == ([[1], [2], [0, 1]],
+                                                   [[2], [0, 2], [1]])
+    assert quotient(succs, []) == ([], [])

@@ -1,9 +1,11 @@
-"""The pendant-tree fold of solve_minmax against exhaustive search.
+"""The pendant-tree fold and the strong-component contraction of
+solve_minmax against exhaustive search.
 
 solve_minmax folds every vertex with at most one arc left into its
-neighbour's costs and cuts only the rest (the core).  Its cost must be the
-brute-force optimum, and its map the least optimum: the coordinatewise
-minimum, by ordering rank, of all optimal maps.
+neighbour's costs; into a target acyclic up to loops it then contracts each
+strong component of the rest (the core) and folds again; it cuts only what
+is left.  Its cost must be the brute-force optimum, and its map the least
+optimum: the coordinatewise minimum, by ordering rank, of all optimal maps.
 """
 
 import random
@@ -21,7 +23,12 @@ TARGETS = {"rc_tt3": make_tt(3).reflexive_closure(),
            "rc_tt5": make_tt(5).reflexive_closure(),
            "rc_ttminus6": make_tt_minus(6).reflexive_closure(),
            "rc_k12": make_rc_k12(),
-           "tt4": make_tt(4)}
+           "tt4": make_tt(4),
+           # a loopless digon: a directed cycle of d need not map to one
+           # vertex, so nothing may be contracted
+           "rc_k2": Digraph(("1", "2"), [("1", "1"), ("1", "2"), ("2", "1"),
+                                         ("2", "2")])}
+ACYCLIC = sorted(set(TARGETS) - {"rc_k2"})
 ORDERINGS = {name: find_minmax(h) for name, h in TARGETS.items()}
 
 
@@ -61,9 +68,10 @@ def least_optimum(d, h, ordering, costs, best):
 
 @st.composite
 def instances(draw):
-    """(target name, d, costs): a random forest on up to 7 vertices (some
-    isolated), then up to two extra arcs (cycles, digons, loops) and input
-    loops, with costs in [-3, 3] so that optima tie."""
+    """(target name, d, costs): a random forest on up to n = 7 vertices
+    (some isolated), then up to n extra arcs (cycles, digons, loops; strong
+    components of 3 or more vertices with pendant trees) and input loops,
+    with costs in [-3, 3] so that optima tie."""
     name = draw(st.sampled_from(sorted(TARGETS)))
     h = TARGETS[name]
     n = draw(st.integers(1, 7))
@@ -75,7 +83,7 @@ def instances(draw):
             pair = (vs[k], vs[parent])
             arcs.add(pair if draw(st.booleans()) else pair[::-1])
     pick = st.sampled_from(vs)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, n))):
         arcs.add((draw(pick), draw(pick)))
     for u in draw(st.lists(pick, max_size=2)):
         arcs.add((u, u))
@@ -136,6 +144,36 @@ def test_forest_input_builds_no_network(monkeypatch):
         h = TARGETS[name]
         for n in (1, 2, 5, 200):
             d = random_forest(rng, n)
+            costs = CostMatrix({(u, i): rng.randint(-9, 9)
+                                for u in d.vertices for i in h.vertices})
+            res = solve_minmax(d, h, ORDERINGS[name], costs)
+            if n <= 5:
+                assert res.cost == solve_bruteforce(d, h, costs).cost
+
+
+def random_strong(rng, n):
+    """A strongly connected digraph: a directed ring through all n vertices
+    in random order, n random chords and a few loops."""
+    vs = [f"v{k}" for k in range(n)]
+    ring = rng.sample(vs, n)
+    arcs = list(zip(ring, ring[1:] + ring[:1]))
+    arcs += [tuple(rng.sample(vs, 2)) for _ in range(n if n > 1 else 0)]
+    arcs += [(v, v) for v in vs if rng.random() < 0.1]
+    return Digraph(vs, arcs)
+
+
+def test_strongly_connected_input_builds_no_network(monkeypatch):
+    # into a target acyclic up to loops, the whole input contracts to one
+    # vertex, which the second fold removes
+    def refuse(net, s, t):
+        raise AssertionError("a strongly connected input reached max_flow")
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", refuse)
+    rng = random.Random(1972)
+    for name in ACYCLIC:
+        h = TARGETS[name]
+        for n in (1, 2, 5, 200):
+            d = random_strong(rng, n)
             costs = CostMatrix({(u, i): rng.randint(-9, 9)
                                 for u in d.vertices for i in h.vertices})
             res = solve_minmax(d, h, ORDERINGS[name], costs)

@@ -260,10 +260,11 @@ def path_dp_cost(vs, h, costs):
     return min(best.values())
 
 
-def ring_dp_cost(vs, h, costs):
+def ring_dp_cost(vs, h, costs, reversed_closing=False):
     """Optimal cost of mapping the directed ring vs[0] -> ... -> vs[-1] ->
-    vs[0] to h: the path dynamic programme once for each label a of vs[0],
-    closed by an arc from the label of vs[-1] back to a."""
+    vs[0] to h (with vs[0] -> vs[-1] as its closing arc if
+    reversed_closing): the path dynamic programme once for each label a of
+    vs[0], closed by an arc between the label of vs[-1] and a."""
     none = float("inf")
     best = none
     for a in h.vertices:
@@ -272,7 +273,9 @@ def ring_dp_cost(vs, h, costs):
             row = {j: costs.cost(u, j) + min(row[i] for i in h.vertices
                                              if h.has_arc(i, j))
                    for j in h.vertices}
-        best = min([best] + [row[i] for i in h.vertices if h.has_arc(i, a)])
+        best = min([best] + [row[i] for i in h.vertices
+                             if (h.has_arc(a, i) if reversed_closing
+                                 else h.has_arc(i, a))])
     return best
 
 
@@ -280,22 +283,30 @@ RC_TT5 = make_tt(5).reflexive_closure()
 RC_TTMINUS6 = make_tt_minus(6).reflexive_closure()
 
 
-@pytest.mark.parametrize("h, ring", [(RC_TT5, False), (RC_TTMINUS6, False),
-                                     (RC_TT5, True), (RC_TTMINUS6, True)],
-                         ids=["rc_tt5", "rc_ttminus6", "rc_tt5-ring",
-                              "rc_ttminus6-ring"])
-def test_minmax_long_path_matches_path_dp(h, ring):
-    # long augmenting paths through a 4000-vertex directed path.  The path
-    # folds away before any network is built; nothing folds in the ring
-    # (the path closed by one more arc), so its paths reach the max-flow
+@pytest.mark.parametrize("h, closing", [
+    (RC_TT5, None), (RC_TTMINUS6, None), (RC_TT5, "back"),
+    (RC_TTMINUS6, "back"), (RC_TT5, "forward"), (RC_TTMINUS6, "forward")],
+    ids=["rc_tt5", "rc_ttminus6", "rc_tt5-ring", "rc_ttminus6-ring",
+         "rc_tt5-reversed-ring", "rc_ttminus6-reversed-ring"])
+def test_minmax_long_path_matches_path_dp(h, closing):
+    # a 4000-vertex directed path, alone or closed by one more arc.  The
+    # path folds away before any network is built, and the directed ring
+    # (closing arc back to the start) is one strong component, which
+    # contracts to one vertex.  Nothing folds or contracts in the ring
+    # whose closing arc is reversed, so its long augmenting paths reach
+    # the max-flow
     rng = random.Random(4000 + len(h.vertices))
     vs = [f"u{k}" for k in range(4000)]
-    d = Digraph(vs, list(zip(vs, vs[1:])) + [(vs[-1], vs[0])] * ring)
+    arcs = list(zip(vs, vs[1:]))
+    if closing:
+        arcs.append((vs[-1], vs[0]) if closing == "back" else (vs[0], vs[-1]))
     costs = CostMatrix({(u, i): rng.randint(-20, 20)
                         for u in vs for i in h.vertices})
-    res = solve_auto(d, h, costs)
+    res = solve_auto(Digraph(vs, arcs), h, costs)
     assert res.method == "minmax"
-    assert res.cost == (ring_dp_cost if ring else path_dp_cost)(vs, h, costs)
+    want = (ring_dp_cost(vs, h, costs, closing == "forward") if closing
+            else path_dp_cost(vs, h, costs))
+    assert res.cost == want
 
 
 def test_minmax_with_input_loops():
@@ -512,14 +523,23 @@ max_flow = FlowNetwork.max_flow
 
 
 def probe(net, s, t):
-    seen.append((net.head[:], net.cap[:]))
+    seen.append((net.n, net.head[:], net.cap[:]))
     return max_flow(net, s, t)
 
 
 FlowNetwork.max_flow = probe
+# ten directed 4-cycles (strong components), group g joined to groups g + 1
+# and g + 3: the condensation keeps undirected cycles, so it is cut
 vs = [f"v{i}" for i in range(40)]
-d = Digraph(vs, [(vs[i], vs[(7 * i + 3) % 40]) for i in range(40)]
-            + [(vs[i], vs[(11 * i + 5) % 40]) for i in range(40)])
+arcs = []
+for i in range(40):
+    g, m = divmod(i, 4)
+    arcs.append((vs[i], vs[4 * g + (m + 1) % 4]))
+    if g < 9:
+        arcs.append((vs[i], vs[4 * (g + 1) + (m + 1) % 4]))
+    if g < 7:
+        arcs.append((vs[i], vs[4 * (g + 3) + (3 * m + 2) % 4]))
+d = Digraph(vs, arcs)
 costs = CostMatrix({(v, str(1 + i % 4)): i % 7 - 3 for i, v in enumerate(vs)})
 solve_auto(d, make_tt(4).reflexive_closure(), costs)
 print(json.dumps(seen))
@@ -527,8 +547,9 @@ print(json.dumps(seen))
 
 
 def test_minmax_network_independent_of_hash_seed():
-    # the min-cut network is built in declaration order, not in the order of
-    # the arc frozenset, which follows the string hash seed
+    # the min-cut network, over the strong components of the input, is
+    # built in declaration order, not in the order of the arc frozenset,
+    # which follows the string hash seed
     src = str(Path(minhom.__file__).parent.parent)
     runs = []
     for seed in ("1", "2"):
@@ -537,6 +558,7 @@ def test_minmax_network_independent_of_hash_seed():
                               capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]) == 1 and runs[0] == runs[1]
+    assert runs[0][0][0] == 2 + 10 * 3  # one chain of 3 nodes per component
 
 
 def test_minmax_one_label_and_arcless_targets():
