@@ -296,26 +296,6 @@ def strong_components(succs: list[list[int]],
     return found
 
 
-def quotient(succs: list[list[int]], groups: list[list[int]]
-             ) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-lists, ascending, of the digraph with one vertex per
-    group (disjoint lists of integers below len(succs)): one arc g -> g'
-    for each pair of distinct groups joined by some arc k -> x, x in
-    succs[k].  Arcs to integers in no group are dropped."""
-    of = [-1] * len(succs)
-    for g, members in enumerate(groups):
-        for k in members:
-            of[k] = g
-    outs = []
-    ins: list[list[int]] = [[] for _ in groups]
-    for g, members in enumerate(groups):
-        heads = sorted({of[x] for k in members for x in succs[k]} - {-1, g})
-        for x in heads:
-            ins[x].append(g)
-        outs.append(heads)
-    return outs, ins
-
-
 def cycle_walk(h: Digraph) -> tuple[str, ...] | None:
     """The loopless arcs of h as one directed cycle through all of its
     (at least 2) vertices, walked from h.vertices[0]; None if they are not.

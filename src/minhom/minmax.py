@@ -4,8 +4,9 @@ An ordering of V(H) is Min-Max when, for every non-trivial pair of arcs
 e = ik and f = js (as position pairs), both (min(i,j), min(k,s)) and
 (max(i,j), max(k,s)) are again arcs.  Targets with a Min-Max ordering admit
 a polynomial minimum cost homomorphism solver (see solver.solve_minmax).
-_is_staircase is the one test of the condition: verify_minmax and
-find_minmax decide by it, and solve_minmax builds on verify_minmax.
+_is_staircase is the one test of the condition: verify_minmax,
+find_minmax and solve_minmax decide by it, the first and last on the list
+_position_arcs builds.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ class ArcPair:
     max_pair: tuple[int, int]
 
 
-def _check_permutation(h: Digraph, ordering: Ordering) -> dict[str, int]:
+def _position_arcs(h: Digraph, ordering: Ordering) -> list[tuple[int, int]]:
+    """h's arcs as pairs of 1-based ranks in the ordering, sorted; GraphError
+    unless the ordering is a permutation of h's vertices."""
     pos = ordering.rank()
     if set(pos) != set(h.vertices):
         raise GraphError("ordering is not a permutation of the target's vertices")
-    return pos
+    return sorted((pos[t], pos[head]) for t, head in h.arcs)
 
 
 def _first_violation(arcs: list[tuple[int, int]]
@@ -111,15 +114,14 @@ def verify_minmax(h: Digraph,
     that starts or ends earlier, gives a violating pair.  Only a failed
     ordering pays the quadratic scan for the first violating pair.
     """
-    pos = _check_permutation(h, ordering)
-    seq = ordering.sequence
-    arcs = sorted((pos[t], pos[head]) for t, head in h.arcs)
+    arcs = _position_arcs(h, ordering)
     if _is_staircase(arcs):
         return True, None
     found = _first_violation(arcs)
     if found is None:
         raise InternalError("a non-staircase ordering has no violating pair")
     (i, k), (j, s), mn, mx = found
+    seq = ordering.sequence
     return False, ArcPair(e=(seq[i - 1], seq[k - 1]), f=(seq[j - 1], seq[s - 1]),
                           min_pair=mn, max_pair=mx)
 

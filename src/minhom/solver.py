@@ -5,37 +5,37 @@ Three routes are provided:
 * solve_bruteforce — backtracking with forward checking; the independent
   oracle everything else is validated against.
 * solve_minmax — the polynomial route for targets with a Min-Max ordering.
-  Each input vertex gets one cost vector.  Pendant trees are folded first
-  (the treewidth-1 case of CSP dynamic programming, Freuder 1990): a
-  vertex with one non-loop arc left adds, for each label of its
-  neighbour, its least cost over the labels that arc allows, and goes.
-  The rest, the core, is solved as a minimum s-t cut over threshold
-  variables x_{u,i} = [label(u) >= i], found with a Boykov–Kolmogorov
-  max-flow: node c * (p - 1) + i is x_{u,i} of the c-th core vertex in
-  declaration order (p labels, i = 2..p).  A forest input builds no
-  network.  Every call first runs verify_minmax, whose one staircase
-  verdict (minmax._is_staircase) guards the construction; the thresholds
-  lam and mu are then read off that staircase.
-  The core's map is read off the nodes reachable from s in the residual
+  Each input vertex gets one cost vector.  The reductions rewrite the
+  vectors and arcs in place, and each vertex they remove goes on one trail.
+  Pendant trees are folded first (the treewidth-1 case of CSP dynamic
+  programming, Freuder 1990): a vertex with one non-loop arc left, to or
+  from w, adds for each label of w its least cost over the labels that arc
+  allows, and goes on the trail with that cost's least-rank label (its
+  pick) for each label of w.  When the loopless part of the target is
+  acyclic, every closed walk of d maps to one looped vertex, so every
+  homomorphism is constant on each strong component of the vertices left
+  (Tarjan's search, iterative).  Each component contracts into its first
+  member, the others going on the trail with "same label", and the first
+  members are folded again.  What is left is solved as a minimum s-t cut
+  over threshold variables x_{u,i} = [label(u) >= i], found with a
+  Boykov–Kolmogorov max-flow: node c * (p - 1) + i is x_{u,i} of the c-th
+  vertex left in declaration order (p labels, i = 2..p).  A forest input
+  builds no network.  The target's sorted position arcs must pass the one
+  staircase verdict (minmax._is_staircase), which guards the construction;
+  the thresholds lam and mu are then read off them.
+  The cut's map is read off the nodes reachable from s in the residual
   network.  That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
   maximum flow the algorithm finds.  The optimal maps form a lattice
   under the coordinatewise order of ranks, and that cut is its least
-  element.  Restricted to the core, the least optimum of the whole input
-  is the least optimum of the folded one; the folded vertices, last
-  removed first, then take the least-rank label of least folded cost that
-  their neighbour's label allows, which is again the least optimum.  So
-  the map is the one the cut over the whole input would give.
-  When the loopless part of the target is acyclic, every closed walk of d
-  maps to one looped vertex, so every homomorphism is constant on each
-  strong component of the core (Tarjan's search, iterative).  Each
-  component becomes one vertex whose vector sums its members' (only
-  looped labels for two or more members), with one arc per pair of
-  components; the condensation is folded again and its core cut.  Maps
-  of d and of the condensation correspond one to one, with equal cost
-  and the same coordinatewise order, so the least optimum lifts to the
-  least optimum.  Otherwise, or when every component is one vertex, the
-  core is cut as it is.
+  element.  One backward pass over the trail labels every other vertex
+  from its neighbour's label.  A removed vertex's vector never changes
+  after it goes, so its pick is the least-rank label of least cost among
+  those its neighbour's label allows: were a smaller label optimal there,
+  a smaller optimum would exist.  Contracted members share their first
+  member's label, as maps of d and of the contracted digraph correspond
+  one to one with equal cost and the same order.  So the map is the
+  least optimum, the one the cut over the whole input would give.
 * solve_cycle — rotation propagation for directed-cycle targets, in the
   target's own vertex names, along the walk digraph.cycle_walk returns.
 
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .digraph import (Digraph, GraphError, InternalError, components,
-                      cycle_walk, is_acyclic, quotient,
-                      strong_components)
-from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
+                      cycle_walk, is_acyclic, strong_components)
+from .minmax import (FIND_GUARD, Ordering, _is_staircase, _position_arcs,
+                     find_minmax, verify_minmax)
 
 
 class BudgetExceeded(GraphError):
@@ -179,39 +179,47 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     best_map: dict[str, str] | None = None
     assignment: dict[str, str] = {}
     nodes = 0
-    min_cost_per_vertex = {u: min(costs.cost(u, i) for i in base[u]) for u in dv}
+    # rest[k]: the least cost of dv[k:], a lower bound on completing k
+    rest = [0] * (len(dv) + 1)
+    for k in range(len(dv) - 1, -1, -1):
+        rest[k] = rest[k + 1] + min(costs.cost(dv[k], i) for i in base[dv[k]])
     # forward checking reads only the neighbours assigned before u
     rank = d.decl_index
     outs = {u: [v for v in d.out_neighbors(u) if rank(v) < rank(u)] for u in dv}
     ins = {u: [v for v in d.in_neighbors(u) if rank(v) < rank(u)] for u in dv}
 
-    def lower_bound(k: int, partial: int) -> int:
-        return partial + sum(min_cost_per_vertex[u] for u in dv[k:])
-
-    def search(k: int, partial: int) -> None:
-        nonlocal best_cost, best_map, nodes
+    # depth-first, without recursion: frames[k] is the open node of depth
+    # k, as (its vertex, its partial cost, its untried candidates)
+    frames: list[tuple] = []
+    k, partial = 0, 0
+    while True:
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(
                 f"brute-force budget of {budget} nodes exceeded"
             )
-        if best_cost is not None and lower_bound(k, partial) > best_cost:
-            return
         if k == len(dv):
             if best_cost is None or partial < best_cost:
-                best_cost = partial
-                best_map = dict(assignment)
-            return
-        u = dv[k]
-        for i in base[u]:
-            if not (all(h.has_arc(i, assignment[v]) for v in outs[u])
-                    and all(h.has_arc(assignment[v], i) for v in ins[u])):
-                continue
-            assignment[u] = i
-            search(k + 1, partial + costs.cost(u, i))
-            del assignment[u]
+                best_cost, best_map = partial, dict(assignment)
+        elif best_cost is None or partial + rest[k] <= best_cost:
+            frames.append((dv[k], partial, iter(base[dv[k]])))
+        # the next node: the next fitting candidate of the deepest open node
+        i = None
+        while i is None and frames:
+            u, partial, cands = frames[-1]
+            for i in cands:
+                if (all(h.has_arc(i, assignment[v]) for v in outs[u])
+                        and all(h.has_arc(assignment[v], i) for v in ins[u])):
+                    break
+            else:
+                i = None
+                frames.pop()
+                assignment.pop(u, None)
+        if i is None:
+            break
+        assignment[u] = i
+        k, partial = len(frames), partial + costs.cost(u, i)
 
-    search(0, 0)
     if best_map is None:
         return SolveResult(None, "brute")
     return _revalidated(d, h, costs, best_map, best_cost, "brute")
@@ -430,45 +438,55 @@ def _thresholds(succs: list[list[int]], p: int
 
 def _fold_pendants(vecs: list[list[int | None]], outs: list[list[int]],
                    ins: list[list[int]], preds: list[list[int]],
-                   succs: list[list[int]]) -> tuple[list[tuple], list[int]]:
-    """Fold pendant trees into unary costs, in place (Freuder's tree DP).
+                   succs: list[list[int]], nodes, trail: list[tuple]
+                   ) -> tuple[list[int], int | None]:
+    """Fold pendant trees among `nodes` (ascending; their arcs lead only to
+    nodes) into unary costs, in place (Freuder's tree DP).
 
-    Repeatedly removes an input vertex k with at most one non-loop arc
-    left.  With one arc, to or from w, each label j of w gains k's least
-    cost over the labels that arc allows next to j (preds[j] for k -> w,
-    succs[j] for w -> k; None if there is none).  Returns the removed
-    vertices in removal order as (k, w, allowed), with w = -1 and allowed
-    None for a vertex removed with no arc left, and the core: the vertices
-    left, ascending.  Degrees count arcs, so the two arcs of a digon keep
-    both of its ends.
+    Repeatedly removes a vertex k with at most one non-loop arc left.  With
+    one arc, to or from w, each label j of w gains k's least cost over the
+    labels that arc allows next to j (preds[j] for k -> w, succs[j] for
+    w -> k; None if there is none), and (k, w, pick) goes on the trail,
+    pick[j] being the least-rank label of that least cost.  A vertex
+    removed with no arc left goes on the trail as (k, -1, its least-rank
+    argmin), and its cost is added to a constant.  Returns the nodes left
+    (ascending) and that constant (None if such a vertex has no label).
+    Degrees count arcs, so the two arcs of a digon keep both of its ends.
     """
-    n = len(vecs)
-    deg = [len(outs[k]) + len(ins[k]) for k in range(n)]
-    gone = [False] * n
-    folded = []
-    stack = [k for k in range(n) if deg[k] <= 1]
+    deg = [-1] * len(vecs)  # -1 outside nodes and once removed
+    for k in nodes:
+        deg[k] = len(outs[k]) + len(ins[k])
+    stack = [k for k in nodes if deg[k] <= 1]
+    fixed = 0
     while stack:
         k = stack.pop()
-        gone[k] = True
-        if not deg[k]:
-            folded.append((k, -1, None))
+        vk = vecs[k]
+        left, deg[k] = deg[k], -1
+        if not left:
+            best = -1
+            for i, x in enumerate(vk):
+                if x is not None and (best < 0 or x < vk[best]):
+                    best = i
+            trail.append((k, -1, best))
+            fixed = None if best < 0 or fixed is None else fixed + vk[best]
             continue
-        w, allowed = ([(x, preds) for x in outs[k] if not gone[x]]
-                      or [(x, succs) for x in ins[k] if not gone[x]])[0]
-        folded.append((k, w, allowed))
-        vk, vw = vecs[k], vecs[w]
+        w, allowed = ([(x, preds) for x in outs[k] if deg[x] >= 0]
+                      or [(x, succs) for x in ins[k] if deg[x] >= 0])[0]
+        vw = vecs[w]
+        pick = [-1] * len(vw)
         for j, c in enumerate(vw):
             if c is not None:
                 least = None
                 for i in allowed[j]:
                     x = vk[i]
                     if x is not None and (least is None or x < least):
-                        least = x
+                        least, pick[j] = x, i
                 vw[j] = None if least is None else c + least
+        trail.append((k, w, pick))
         deg[w] -= 1
         if deg[w] == 1:
             stack.append(w)
-    return folded, [k for k in range(n) if not gone[k]]
+    return [k for k in nodes if deg[k] >= 0], fixed
 
 
 def _cut(vecs: list[list[int | None]], outs: list[list[int]],
@@ -530,28 +548,6 @@ def _cut(vecs: list[list[int | None]], outs: list[list[int]],
     return value - sum(shifts)
 
 
-def _unfold(vecs: list[list[int | None]], folded: list[tuple],
-            label: list[int]) -> int | None:
-    """Label the folded vertices, last removed first: the least-rank
-    argmin of the vertex's vector, over the labels its arc allows next to
-    its neighbour's label (over all labels for a vertex removed with no
-    arc).  Returns the cost of those removed with no arc (None if a vector
-    allows no label)."""
-    total = 0
-    for k, w, allowed in reversed(folded):
-        vk = vecs[k]
-        best = -1
-        for i in range(len(vk)) if w < 0 else allowed[label[w]]:
-            if vk[i] is not None and (best < 0 or vk[i] < vk[best]):
-                best = i
-        if best < 0:
-            return None
-        label[k] = best
-        if w < 0:
-            total += vk[best]
-    return total
-
-
 def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
                  costs: CostMatrix) -> SolveResult:
     """Exact optimum: pendant trees folded into unary costs, strong
@@ -559,22 +555,22 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     s-t cut over the rest of d.  Valid whenever the ordering passes
     verify_minmax (checked; GraphError otherwise)."""
     costs.check_shape(d, h)
-    ok, violation = verify_minmax(h, ordering)
-    if not ok:
+    arcs = _position_arcs(h, ordering)
+    if not _is_staircase(arcs):
+        violation = verify_minmax(h, ordering)[1]
         raise GraphError(
             f"ordering is not Min-Max: pair {violation.e} / {violation.f} fails"
         )
     seq = ordering.sequence
-    pos = ordering.rank()
     p = len(seq)
     # cost vectors, preds and succs index labels by rank 0..p-1 (label
     # i = rank + 1 in the network); preds[j] and succs[i] list, ascending,
     # the i and the j with an arc from rank i to rank j
     preds: list[list[int]] = [[] for _ in range(p)]
     succs: list[list[int]] = [[] for _ in range(p)]
-    for i, j in sorted((pos[t] - 1, pos[head] - 1) for t, head in h.arcs):
-        succs[i].append(j)
-        preds[j].append(i)
+    for i, j in arcs:
+        succs[i - 1].append(j - 1)
+        preds[j - 1].append(i - 1)
     lam, mu = _thresholds(succs, p)
 
     # one pass per input vertex: its non-loop arcs by declaration index,
@@ -605,38 +601,50 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         vecs.append([get((u, i), 0) if k in labels else None
                      for k, i in enumerate(seq)])
 
-    # into a target acyclic up to loops, every closed walk of d stays at
-    # one looped vertex, so each strong component of the core takes one
-    # label.  Contracting them leaves new pendants, so the condensation is
-    # folded again (with one-vertex groups it is the core, and nothing folds)
-    folded, core = _fold_pendants(vecs, outs, ins, preds, succs)
+    # every reduction rewrites vecs, outs and ins in place and appends to
+    # one trail, which labels each removed vertex once its neighbour is
+    # labelled
+    trail: list[tuple] = []
+    core, fixed = _fold_pendants(vecs, outs, ins, preds, succs,
+                                 range(len(vs)), trail)
     if core and is_acyclic(h)[0]:
+        # into a target acyclic up to loops, every closed walk of d stays
+        # at one looped vertex, so each strong component of the core takes
+        # one label.  Its first member stands for it: its vector sums the
+        # members' (barred where one is; two or more members need a looped
+        # label), its arcs go to the other components' first members, and
+        # the other members go on the trail with the identity as pick.
+        # Contracting leaves new pendants, so the first members are folded
+        # again (with one-member components nothing folds)
         groups = strong_components(outs, core)
-    else:
-        groups = [[k] for k in core]
-    # a group's vector sums its members' (barred where one is); two or
-    # more members need a looped label
-    looped = [i in diag for i in range(p)]
-    cvecs = [list(vecs[ks[0]]) if len(ks) == 1 else
-             [None if not ok or None in xs else sum(xs)
-              for ok, *xs in zip(looped, *(vecs[k] for k in ks))]
-             for ks in groups]
-    couts, cins = quotient(outs, groups)
-    cfolded, ccore = _fold_pendants(cvecs, couts, cins, preds, succs)
-    clabel = [0] * len(groups)
-    total = _cut(cvecs, couts, ccore, lam, mu, clabel) if ccore else 0
-    extra = None if total is None else _unfold(cvecs, cfolded, clabel)
-    if extra is None:
-        return SolveResult(None, "minmax")
+        first = [-1] * len(vs)
+        for ks in groups:
+            for k in ks:
+                first[k] = ks[0]
+        same = range(p)
+        for ks in groups:
+            g = ks[0]
+            if len(ks) > 1:
+                vecs[g] = [None if i not in diag or None in xs else sum(xs)
+                           for i, xs in enumerate(zip(*(vecs[k] for k in ks)))]
+            outs[g] = sorted({first[x] for k in ks for x in outs[k]} - {-1, g})
+            ins[g] = []
+            trail += [(k, g, same) for k in ks[1:]]
+        core = [ks[0] for ks in groups]
+        for g in core:
+            for x in outs[g]:
+                ins[x].append(g)
+        core, more = _fold_pendants(vecs, outs, ins, preds, succs, core,
+                                    trail)
+        fixed = None if fixed is None or more is None else fixed + more
     label = [0] * len(vs)
-    for g, members in enumerate(groups):
-        for k in members:
-            label[k] = clabel[g]
-    rest = _unfold(vecs, folded, label)
-    if rest is None:
+    total = _cut(vecs, outs, core, lam, mu, label) if core else 0
+    if total is None or fixed is None:
         return SolveResult(None, "minmax")
+    for k, w, pick in reversed(trail):
+        label[k] = pick if w < 0 else pick[label[w]]
     mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
-    return _revalidated(d, h, costs, mapping, total + extra + rest, "minmax")
+    return _revalidated(d, h, costs, mapping, total + fixed, "minmax")
 
 
 # -- directed-cycle targets -----------------------------------------------

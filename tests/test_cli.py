@@ -15,6 +15,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     parse_costs, parse_digraph)
 from minhom.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, resolve_target,
                         run)
+from minhom.solver import FlowNetwork
 
 
 # -- file formats ---------------------------------------------------------
@@ -171,15 +172,41 @@ def test_cli_solve_methods_agree(tmp_path):
     assert {out.splitlines()[0] for _, out in outs.values()} == {"cost -1"}
 
 
-def test_cli_solve_long_augmenting_path(tmp_path):
+def test_cli_solve_long_augmenting_path(tmp_path, monkeypatch):
     # one augmenting path runs the whole 5000-vertex path: the max-flow
-    # search must not recurse once per node
+    # search must not recurse once per node.  The arc u0 -> u(n-1) closes
+    # the path into a cycle that is not strongly connected, so nothing
+    # folds or contracts and the whole input reaches the max-flow
+    calls = []
+    max_flow = FlowNetwork.max_flow
+
+    def record(net, s, t):
+        calls.append(net.n)
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
     n = 5000
-    d = write(tmp_path, "d.dg", "".join(f"a u{i} u{i + 1}\n" for i in range(n - 1)))
+    d = write(tmp_path, "d.dg", "".join(f"a u{i} u{i + 1}\n" for i in range(n - 1))
+              + f"a u0 u{n - 1}\n")
     c = write(tmp_path, "c.txt", "c u0 1 1\n" +
               "".join(f"c u{n - 1} {i} 1\n" for i in "2345"))
     code, out = cli("solve", "--target", "rc_tt5", "--input", d, "--costs", c)
     assert code == EXIT_OK and out.splitlines()[0] == "cost 1"
+    assert calls
+
+
+def test_cli_brute_force_on_a_long_path(tmp_path, capsys):
+    # t5_223344 has no Min-Max ordering, so the 1200-vertex path goes to
+    # brute force, whose depth-first search must not recurse once per
+    # input vertex
+    n = 1200
+    d = write(tmp_path, "d.dg", "".join(f"a u{i} u{i + 1}\n" for i in range(n - 1)))
+    c = write(tmp_path, "c.txt", "".join(f"c u{k} 2 -1\n" for k in range(n)))
+    code, out = cli("solve", "--target", "t5_223344", "--input", d, "--costs", c)
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[0] == "cost -1200"
+    assert lines[1:] == [f"map u{k} 2" for k in range(n)]
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_main_reader_closes_early(tmp_path):

@@ -8,7 +8,7 @@ from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
                     NotMultipartiteTournament, components, cycle_walk, extend,
                     is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
                     make_tt, make_tt_minus, partite_structure)
-from minhom.digraph import first_injection, quotient, strong_components
+from minhom.digraph import first_injection, strong_components
 
 
 def test_vertex_name_validation():
@@ -326,13 +326,3 @@ def test_strong_components_of_a_long_ring_do_not_recurse():
     succs = [[(k + 1) % n] for k in range(n)]
     assert strong_components(succs, list(range(n))) == [list(range(n))]
     assert strong_components(succs, list(range(n - 1))) == [[k] for k in range(n - 1)]
-
-
-def test_quotient_keeps_one_arc_per_pair_of_groups():
-    # groups {0, 1} and {2} and {4}; 3 is in no group.  The two arcs from
-    # the first group to 2 give one arc, the arcs inside a group and those
-    # to 3 none
-    succs = [[1, 2], [0, 2, 3], [4], [0], [0, 2]]
-    assert quotient(succs, [[0, 1], [2], [4]]) == ([[1], [2], [0, 1]],
-                                                   [[2], [0, 2], [1]])
-    assert quotient(succs, []) == ([], [])

@@ -181,6 +181,45 @@ def test_strongly_connected_input_builds_no_network(monkeypatch):
                 assert res.cost == solve_bruteforce(d, h, costs).cost
 
 
+def strong_tree(rng, sizes):
+    """Strongly connected parts of the given sizes (random_strong), each
+    after the first joined to an earlier part by one to three arcs that
+    all run the same way: the parts are the strong components, and they
+    form a tree."""
+    parts, arcs = [], []
+    for p, n in enumerate(sizes):
+        part = random_strong(rng, n)
+        names = {v: f"p{p}{v}" for v in part.vertices}
+        arcs += [(names[t], names[head]) for t, head in part.arcs]
+        parts.append(list(names.values()))
+        if p:
+            ends = [parts[rng.randrange(p)], parts[p]]
+            rng.shuffle(ends)
+            arcs += [(rng.choice(ends[0]), rng.choice(ends[1]))
+                     for _ in range(rng.randint(1, 3))]
+    return Digraph([v for part in parts for v in part], arcs)
+
+
+def test_tree_of_strong_components_builds_no_network(monkeypatch):
+    # each strong component contracts to its first member, with one arc
+    # per pair of joined components however many arcs join them, so the
+    # contracted input is a tree and the second fold removes all of it
+    def refuse(net, s, t):
+        raise AssertionError("a tree of strong components reached max_flow")
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", refuse)
+    rng = random.Random(1978)
+    for name in ACYCLIC:
+        h = TARGETS[name]
+        for sizes in ([2, 1, 2], [1, 3, 1], [3, 1, 4, 1, 5, 9, 2, 6], [40] * 5):
+            d = strong_tree(rng, sizes)
+            costs = CostMatrix({(u, i): rng.randint(-9, 9)
+                                for u in d.vertices for i in h.vertices})
+            res = solve_minmax(d, h, ORDERINGS[name], costs)
+            if len(d.vertices) <= 5:
+                assert res.cost == solve_bruteforce(d, h, costs).cost
+
+
 def test_tree_plus_one_cycle_cuts_only_the_cycle(monkeypatch):
     sizes = []
     max_flow = FlowNetwork.max_flow
