@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
-from .digraph import (Digraph, GraphError, InternalError, PartiteStructure,
-                      components, cycle_walk, is_acyclic, partite_structure)
+from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
+                      PartiteStructure, components, cycle_walk, is_acyclic,
+                      partite_structure)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
@@ -25,6 +26,11 @@ UNKNOWN = "unknown"
 #: Largest induced subset inspected by the witness search; every hardness
 #: case certified here lives in a <= 4-vertex induced subdigraph.
 WITNESS_SUBSET_CAP = 4
+
+#: Largest n enumerate_rmpt accepts.  It tries every orientation of the
+#: cross pairs of each partition against every move: n = 7 takes about
+#: half a minute, and n = 8 (up to 28 cross pairs) does not finish.
+ENUMERATE_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -298,13 +304,21 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
 # -- exhaustive enumeration -----------------------------------------------
 
 
-def _partitions(n: int, smallest: int = 1):
-    if n == 0:
-        yield ()
-        return
-    for first in range(smallest, n + 1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+def _partitions(n: int):
+    """The partitions of n as non-decreasing tuples, in lexicographic order.
+
+    Without recursion: the next partition keeps all but the last two parts,
+    raises the second-last by one and refills the tail with the least
+    non-decreasing parts of the same sum."""
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) < 2:
+            return
+        x = parts[-2] + 1
+        tail = parts.pop() + parts.pop()
+        m = tail // x - 1  # copies of x before the last part, itself >= x
+        parts += [x] * m + [tail - m * x]
 
 
 def enumerate_rmpt(n: int) -> list[Digraph]:
@@ -321,6 +335,9 @@ def enumerate_rmpt(n: int) -> list[Digraph]:
     """
     if n < 2:
         raise GraphError(f"enumerate_rmpt needs n >= 2, got {n}")
+    if n > ENUMERATE_LIMIT:
+        raise GuardExceeded(
+            f"enumerate_rmpt is limited to n <= {ENUMERATE_LIMIT}, got {n}")
     found: list[Digraph] = []
     for part_sizes in sorted(_partitions(n), reverse=True):
         if len(part_sizes) < 2:

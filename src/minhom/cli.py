@@ -112,8 +112,10 @@ def _emit_solve(res, out) -> int:
         raise GraphError("the optimum has more than "
                          f"{sys.get_int_max_str_digits()} digits") from exc
     print(line, file=out)
-    for u, i in res.homomorphism.mapping.items():
-        print(f"map {u} {i}", file=out)
+    # one write per line, not one for the whole map: with unbuffered
+    # stdout a write that a closing reader cuts short raises nothing
+    mapping = res.homomorphism.mapping
+    out.writelines(map("map {} {}\n".format, mapping.keys(), mapping.values()))
     return EXIT_OK
 
 

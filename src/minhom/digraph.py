@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 
 
 class GraphError(ValueError):
@@ -43,7 +43,8 @@ def check_token(name: str) -> str:
     (the file formats read it as the start of a comment)."""
     if not isinstance(name, str) or not name:
         raise GraphError(f"vertex name must be a nonempty string, got {name!r}")
-    if "," in name or "#" in name or any(ch.isspace() for ch in name):
+    # str.split() cuts at exactly the characters str.isspace() accepts
+    if "," in name or "#" in name or name.split() != [name]:
         raise GraphError(
             f"bad vertex name {name!r}: whitespace, commas and '#' are not allowed"
         )
@@ -61,13 +62,15 @@ class Digraph:
         vs = tuple(vertices)
         for v in vs:
             check_token(v)
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex declarations")
         declared = set(vs)
-        aset = frozenset((str(t), str(h)) for t, h in arcs)
-        for t, h in aset:
-            if t not in declared or h not in declared:
-                raise GraphError(f"arc ({t!r}, {h!r}) references an undeclared vertex")
+        if len(declared) != len(vs):
+            raise GraphError("duplicate vertex declarations")
+        aset = frozenset([(str(t), str(h)) for t, h in arcs])
+        if not declared.issuperset(chain.from_iterable(aset)):
+            for t, h in aset:  # only to name the first undeclared end
+                if t not in declared or h not in declared:
+                    raise GraphError(
+                        f"arc ({t!r}, {h!r}) references an undeclared vertex")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "arcs", aset)
 
@@ -126,16 +129,16 @@ class Digraph:
     def _adjacency(self) -> tuple[dict[str, tuple[str, ...]],
                                   dict[str, tuple[str, ...]]]:
         """Out- and in-neighbours of every vertex, in declaration order."""
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        inn: dict[str, list[str]] = {v: [] for v in self.vertices}
+        vs = self.vertices
         idx = self._index
-        # sorted by (tail, head): each out-list gets its heads in order, and
-        # each in-list its tails in order
-        for t, h in sorted(self.arcs, key=lambda a: (idx[a[0]], idx[a[1]])):
-            out[t].append(h)
-            inn[h].append(t)
-        return ({v: tuple(ws) for v, ws in out.items()},
-                {v: tuple(ws) for v, ws in inn.items()})
+        out: list[list[int]] = [[] for _ in vs]
+        inn: list[list[int]] = [[] for _ in vs]
+        for t, h in self.arcs:
+            out[idx[t]].append(idx[h])
+            inn[idx[h]].append(idx[t])
+        name = vs.__getitem__
+        return ({v: tuple(map(name, sorted(ks))) for v, ks in zip(vs, out)},
+                {v: tuple(map(name, sorted(ks))) for v, ks in zip(vs, inn)})
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
         """Out-neighbors in declaration order (including v itself on a loop)."""
@@ -183,27 +186,37 @@ class Digraph:
 
 def components(g) -> list[tuple[str, ...]]:
     """Connected components of a Digraph (orientation ignored) or a
-    BipartiteGraph: anything with `vertices` and an undirected `neighbors`.
+    BipartiteGraph.
 
     Each component is sorted by declaration order; the list is sorted by its
-    smallest member (also by declaration order).
+    smallest member (also by declaration order).  The search reads
+    neighbours by declaration index, from one pass over the arcs or edges.
     """
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    seen: set[str] = set()
+    vs = g.vertices
+    if isinstance(g, Digraph):
+        pos, pairs = g._index, g.arcs
+    else:
+        pos, pairs = {v: k for k, v in enumerate(vs)}, g.edges
+    near: list[list[int]] = [[] for _ in vs]
+    for u, v in pairs:
+        near[pos[u]].append(pos[v])
+        near[pos[v]].append(pos[u])
+    seen = [False] * len(vs)
     out = []
-    for start in g.vertices:
-        if start in seen:
+    for start in range(len(vs)):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         comp = [start]
         stack = [start]
         while stack:
-            for w in g.neighbors(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp, key=pos.__getitem__)))
+            for x in near[stack.pop()]:
+                if not seen[x]:
+                    seen[x] = True
+                    comp.append(x)
+                    stack.append(x)
+        comp.sort()
+        out.append(tuple(map(vs.__getitem__, comp)))
     return out
 
 
@@ -338,29 +351,39 @@ def partite_structure(h: Digraph) -> PartiteStructure:
     """Partite sets of h, ignoring loops.
 
     Raises NotMultipartiteTournament unless nonadjacency is an equivalence
-    relation and every cross pair carries exactly one arc.
+    relation and every cross pair carries exactly one arc.  One pass over
+    the arcs gives each vertex's neighbours by declaration index; the
+    vertices with the same neighbours have the same nonadjacency class.
     """
-    groups: dict[frozenset, list[str]] = {}
-    for v in h.vertices:
-        nonadj = frozenset(w for w in h.vertices if w == v or not h.adjacent(v, w))
-        groups.setdefault(nonadj, []).append(v)
+    vs = h.vertices
+    idx = h._index
+    near: list[set[int]] = [set() for _ in vs]
+    for t, head in h.arcs:
+        near[idx[t]].add(idx[head])
+        near[idx[head]].add(idx[t])
+    groups: dict[frozenset[int], list[int]] = {}
+    for k, ws in enumerate(near):
+        ws.discard(k)  # a loop
+        groups.setdefault(frozenset(ws), []).append(k)
     parts = []
-    for key, members in groups.items():
-        if set(members) != set(key):
+    for ws, members in groups.items():
+        # the members' nonadjacency class is everything but ws
+        if len(members) + len(ws) != len(vs) or not ws.isdisjoint(members):
             raise NotMultipartiteTournament(
                 "nonadjacency is not an equivalence relation"
             )
-        parts.append(tuple(sorted(members)))
-    for a, b in combinations(parts, 2):
-        for u in a:
-            for v in b:
-                fwd = (u, v) in h.arcs
-                bwd = (v, u) in h.arcs
-                if fwd == bwd:
-                    which = "two arcs" if fwd else "no arc"
-                    raise NotMultipartiteTournament(
-                        f"cross pair ({u}, {v}) has {which}"
-                    )
+        parts.append(tuple(sorted(map(vs.__getitem__, members))))
+    # now every cross pair is adjacent, so the non-loop arcs outnumber the
+    # cross pairs by the digons; the loop runs only to name the first one
+    n = len(vs)
+    cross = n * (n - 1) // 2 - sum(len(p) * (len(p) - 1) // 2 for p in parts)
+    if len(h.arcs) - len(h.loops()) > cross:
+        for a, b in combinations(parts, 2):
+            for u in a:
+                for v in b:
+                    if (u, v) in h.arcs and (v, u) in h.arcs:
+                        raise NotMultipartiteTournament(
+                            f"cross pair ({u}, {v}) has two arcs")
     parts.sort(key=lambda p: (len(p), p[0]))
     return PartiteStructure(tuple(parts))
 
@@ -370,8 +393,7 @@ def make_tt(p: int) -> Digraph:
     if p < 1:
         raise GraphError(f"TT_p needs p >= 1, got {p}")
     vs = [str(i) for i in range(1, p + 1)]
-    return Digraph(vs, ((str(i), str(j)) for i in range(1, p + 1)
-                        for j in range(i + 1, p + 1)))
+    return Digraph(vs, combinations(vs, 2))
 
 
 def make_tt_minus(p: int) -> Digraph:

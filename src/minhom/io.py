@@ -7,6 +7,9 @@ edge/arc lines sorted lexicographically.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
+
 from .birep import BipartiteGraph
 from .digraph import Digraph, GraphError
 from .solver import CostMatrix
@@ -17,37 +20,36 @@ class FormatError(GraphError):
 
 
 def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    """(line number, tokens) of every line, `#` comments cut, by lazy maps
+    over the lines; a line without tokens comes out with an empty list."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    return enumerate(map(str.split, lines), 1)
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse `v <name>` / `a <tail> <head>` lines; arc endpoints are
     auto-declared in first-use order."""
-    order: list[str] = []
-    seen: set[str] = set()
+    # the declared names in order, as the keys of a dict: assigning a key
+    # that is already there keeps its place
+    names: dict[str, None] = {}
     arcs: list[tuple[str, str]] = []
-
-    def declare(name: str):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
     for lineno, toks in _lines(text):
-        if toks[0] == "v" and len(toks) == 2:
-            if toks[1] in seen:
+        if not toks:
+            continue
+        if len(toks) == 3 and toks[0] == "a":
+            _, t, head = toks
+            names[t] = names[head] = None
+            arcs.append((t, head))
+        elif len(toks) == 2 and toks[0] == "v":
+            if toks[1] in names:
                 raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
-            declare(toks[1])
-        elif toks[0] == "a" and len(toks) == 3:
-            declare(toks[1])
-            declare(toks[2])
-            arcs.append((toks[1], toks[2]))
+            names[toks[1]] = None
         else:
             raise FormatError(f"line {lineno}: expected 'v <name>' or 'a <tail> <head>'")
     try:
-        return Digraph(order, arcs)
+        return Digraph(names, arcs)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -66,6 +68,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     edges: list[tuple[str, str]] = []
     declared: set[str] = set()
     for lineno, toks in _lines(text):
+        if not toks:
+            continue
         if toks[0] in ("p1", "p2") and len(toks) == 2:
             if toks[1] in declared:
                 raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
@@ -100,16 +104,19 @@ def parse_costs(text: str) -> CostMatrix:
     entries are an error, unspecified entries default to 0."""
     entries: dict[tuple[str, str], int] = {}
     for lineno, toks in _lines(text):
-        if toks[0] != "c" or len(toks) != 4:
+        if not toks:
+            continue
+        if len(toks) != 4 or toks[0] != "c":
             raise FormatError(f"line {lineno}: expected 'c <u> <i> <cost>'")
+        _, u, i, cost = toks
         try:
             # int() alone would also read "1_000" and non-ASCII digits
-            if "_" in toks[3] or not toks[3].isascii():
-                raise ValueError(toks[3])
-            value = int(toks[3])
+            if "_" in cost or not cost.isascii():
+                raise ValueError(cost)
+            value = int(cost)
         except ValueError:
-            raise FormatError(f"line {lineno}: cost {toks[3]!r} is not an integer")
-        key = (toks[1], toks[2])
+            raise FormatError(f"line {lineno}: cost {cost!r} is not an integer")
+        key = (u, i)
         if key in entries:
             raise FormatError(f"line {lineno}: duplicate cost entry for {key}")
         entries[key] = value

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable
 
 from .digraph import (Digraph, GraphError, InternalError, components,
@@ -92,8 +94,16 @@ class CostMatrix:
 
     def check_shape(self, inputs, targets) -> None:
         """GraphError unless every entry's input vertex is in `inputs` and
-        its target vertex in `targets`."""
-        for u, i in self.entries:
+        its target vertex in `targets` (each a Digraph or a set of names).
+        Two set inclusions decide; the loop runs only to name the first
+        entry that fails."""
+        inputs, targets = (x._index.keys() if isinstance(x, Digraph) else x
+                           for x in (inputs, targets))
+        keys = self.entries.keys()
+        if (set(map(itemgetter(0), keys)) <= inputs
+                and set(map(itemgetter(1), keys)) <= targets):
+            return
+        for u, i in keys:
             if u not in inputs or i not in targets:
                 raise GraphError(
                     f"cost entry ({u!r}, {i!r}) does not match the instance shape"
@@ -133,16 +143,22 @@ class SolveResult:
 
 def is_homomorphism(d: Digraph, h: Digraph, mapping: dict[str, str]) -> bool:
     """True iff every arc of d maps to an arc of h (loops included)."""
-    for u in d.vertices:
-        if u not in mapping:
-            raise GraphError(f"mapping is not total: missing {u!r}")
-        if mapping[u] not in h:
-            raise GraphError(f"image {mapping[u]!r} is not a target vertex")
-    return all(h.has_arc(mapping[t], mapping[head]) for t, head in d.arcs)
+    image = mapping.__getitem__
+    if not (d._index.keys() <= mapping.keys()
+            and set(map(image, d.vertices)) <= h._index.keys()):
+        for u in d.vertices:  # only to name the first vertex that fails
+            if u not in mapping:
+                raise GraphError(f"mapping is not total: missing {u!r}")
+            if mapping[u] not in h:
+                raise GraphError(f"image {mapping[u]!r} is not a target vertex")
+    return h.arcs.issuperset(zip(map(image, map(itemgetter(0), d.arcs)),
+                                 map(image, map(itemgetter(1), d.arcs))))
 
 
 def map_cost(d: Digraph, costs: CostMatrix, mapping: dict[str, str]) -> int:
-    return sum(costs.cost(u, mapping[u]) for u in d.vertices)
+    vs = d.vertices
+    return sum(map(costs.entries.get, zip(vs, map(mapping.__getitem__, vs)),
+                   repeat(0)))
 
 
 def _revalidated(d: Digraph, h: Digraph, costs: CostMatrix,
@@ -573,31 +589,39 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         preds[j - 1].append(i - 1)
     lam, mu = _thresholds(succs, p)
 
-    # one pass per input vertex: its non-loop arcs by declaration index,
-    # and one cost read giving its vector over the labels its arcs and loop
-    # allow (None where barred)
+    # one pass over the arcs gives each input vertex's non-loop arcs by
+    # declaration index, and one pass per vertex its vector over the labels
+    # its arcs and loop allow (None where barred)
     vs = d.vertices
-    index = {u: k for k, u in enumerate(vs)}
+    index = d._index
+    outs: list[list[int]] = [[] for _ in vs]
+    ins: list[list[int]] = [[] for _ in vs]
+    looped = [False] * len(vs)
+    for t, head in d.arcs:
+        a, b = index[t], index[head]
+        if a == b:
+            looped[a] = True
+        else:
+            outs[a].append(b)
+            ins[b].append(a)
     every = set(range(p))
     rows = {i for i in every if succs[i]}
     cols = {j for j in every if preds[j]}
     diag = {i for i in every if h.has_loop(seq[i])}
     get = costs.entries.get
-    outs, ins, vecs = [], [], []
-    for u in vs:
-        out = [index[w] for w in d.out_neighbors(u) if w != u]
-        inn = [index[w] for w in d.in_neighbors(u) if w != u]
+    vecs = []
+    for u, out, inn, loop in zip(vs, outs, ins, looped):
+        out.sort()
+        inn.sort()
         labels = every
         if out:
             labels = labels & rows
         if inn:
             labels = labels & cols
-        if d.has_loop(u):
+        if loop:
             labels = labels & diag
         if not labels:
             return SolveResult(None, "minmax")
-        outs.append(out)
-        ins.append(inn)
         vecs.append([get((u, i), 0) if k in labels else None
                      for k, i in enumerate(seq)])
 
@@ -666,35 +690,39 @@ def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
     if d.loops():
         return SolveResult(None, "cycle")  # cycles carry no loops
 
+    # residues by declaration index; an arc t -> head needs
+    # res[head] = res[t] + 1 (mod k)
+    vs = d.vertices
+    index = d._index
+    near: list[list[tuple[int, int]]] = [[] for _ in vs]
+    for t, head in d.arcs:
+        near[index[t]].append((index[head], 1))
+        near[index[head]].append((index[t], -1))
+    res = [-1] * len(vs)
+    get = costs.entries.get
+    ring = walk * 2  # ring[r + c] is walk[(r + c) % k] for r, c < k
     mapping: dict[str, str] = {}
     total = 0
     for comp in components(d):
-        root = comp[0]
-        res = {root: 0}
-        queue = deque([root])
-        conflict = False
-        while queue and not conflict:
-            v = queue.popleft()
-            forced = [(w, (res[v] + 1) % k) for w in d.out_neighbors(v)]
-            forced += [(w, (res[v] - 1) % k) for w in d.in_neighbors(v)]
-            for w, val in forced:
-                if w not in res:
+        root = index[comp[0]]
+        res[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, step in near[v]:
+                val = (res[v] + step) % k
+                if res[w] < 0:
                     res[w] = val
-                    queue.append(w)
+                    stack.append(w)
                 elif res[w] != val:
-                    conflict = True
-                    break
-        if conflict:
-            return SolveResult(None, "cycle")
-        best = None
-        for c in range(k):
-            cost = sum(costs.cost(v, walk[(res[v] + c) % k]) for v in comp)
-            if best is None or cost < best[0]:
-                best = (cost, c)
-        cost, c = best
-        total += cost
-        for v in comp:
-            mapping[v] = walk[(res[v] + c) % k]
+                    return SolveResult(None, "cycle")
+        rs = [res[index[v]] for v in comp]
+        # the first rotation of least cost
+        sums = [sum(map(get, zip(comp, [ring[r + c] for r in rs]), repeat(0)))
+                for c in range(k)]
+        c = sums.index(min(sums))
+        total += sums[c]
+        mapping.update(zip(comp, [ring[r + c] for r in rs]))
 
     return _revalidated(d, h, costs, mapping, total, "cycle")
 

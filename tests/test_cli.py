@@ -414,12 +414,15 @@ def test_cli_error_paths(tmp_path, capsys):
                             "--costs", c)
             assert code == EXIT_ERROR and out == ""
             assert capsys.readouterr().err.startswith("error: cost entry")
-    # sizes out of range: a built-in target beyond its limit, n below 2
+    # sizes out of range: a built-in target beyond its limit, n below 2 or
+    # above the enumeration limit (n = 1200 once recursed per unit of n)
     for argv in (("classify-general", "--target", "rc_tt99999999999"),
                  ("bg", "--target", "cycle" + "9" * 5000),
                  ("solve", "--target", "cycle1001", "--input", d),
                  ("enumerate-rmpt", "--n", "1"),
-                 ("enumerate-rmpt", "--n", "-1")):
+                 ("enumerate-rmpt", "--n", "-1"),
+                 ("enumerate-rmpt", "--n", "8"),
+                 ("enumerate-rmpt", "--n", "1200")):
         code, out = cli(*argv)
         assert code == EXIT_ERROR and out == ""
         assert capsys.readouterr().err.startswith("error: ")

@@ -150,6 +150,63 @@ def test_partite_structure_ignores_loops():
     assert partite_structure(h) == partite_structure(h.reflexive_closure())
 
 
+def partite_structure_pairwise(h):
+    """The partite sets by an adjacency test for every pair of vertices
+    (the earlier routine)."""
+    groups = {}
+    for v in h.vertices:
+        nonadj = frozenset(w for w in h.vertices if w == v or not h.adjacent(v, w))
+        groups.setdefault(nonadj, []).append(v)
+    parts = []
+    for key, members in groups.items():
+        if set(members) != set(key):
+            raise NotMultipartiteTournament(
+                "nonadjacency is not an equivalence relation")
+        parts.append(tuple(sorted(members)))
+    for a, b in itertools.combinations(parts, 2):
+        for u in a:
+            for v in b:
+                fwd = (u, v) in h.arcs
+                bwd = (v, u) in h.arcs
+                if fwd == bwd:
+                    which = "two arcs" if fwd else "no arc"
+                    raise NotMultipartiteTournament(
+                        f"cross pair ({u}, {v}) has {which}")
+    parts.sort(key=lambda p: (len(p), p[0]))
+    return parts
+
+
+def test_partite_structure_matches_pairwise_seeded():
+    # multipartite tournaments with shuffled names and loops, some with an
+    # arc removed, reversed into a digon or added inside a part
+    rng = random.Random(91)
+    errors = set()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        names = [f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        part = {v: rng.randrange(rng.randint(1, n)) for v in names}
+        arcs = {(v, v) for v in names if rng.random() < 0.5}
+        arcs |= {(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(names, 2)
+                 if part[u] != part[v]}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            u, v = rng.choice(names), rng.choice(names)
+            arcs ^= {(u, v)}
+        h = Digraph(names, arcs)
+        try:
+            want = partite_structure_pairwise(h)
+        except NotMultipartiteTournament as exc:
+            errors.add(str(exc).split(" (")[0])
+            with pytest.raises(NotMultipartiteTournament) as got:
+                partite_structure(h)
+            assert str(got.value) == str(exc)
+        else:
+            assert partite_structure(h).parts == tuple(want)
+    assert errors == {"nonadjacency is not an equivalence relation",
+                      "cross pair"}
+
+
 def test_multipartite_arc_count():
     # non-loop arcs = C(n,2) - sum C(|S_i|,2)
     from math import comb

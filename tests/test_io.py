@@ -1,0 +1,285 @@
+"""The file readers and the input checks against the per-line versions
+they replaced.
+
+parse_digraph, parse_costs and parse_bipartite read a file in C-level
+passes (str.split over the lines, dict and set operations); Digraph,
+CostMatrix.check_shape and is_homomorphism decide by set inclusions and
+loop only to name the first offender.  The copies below are the earlier
+per-line and per-entry versions: every text must give the same result, or
+an error with the same message.  The parser copies build with today's
+Digraph and BipartiteGraph, whose name check is pinned against the earlier
+one over every code point.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
+                    GraphError, format_bipartite, format_costs,
+                    format_digraph, is_homomorphism, make_tt, parse_bipartite,
+                    parse_costs, parse_digraph)
+from minhom.digraph import check_token
+
+
+# -- the earlier versions -------------------------------------------------
+
+
+def old_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def old_parse_digraph(text):
+    order, seen, arcs = [], set(), []
+
+    def declare(name):
+        if name not in seen:
+            seen.add(name)
+            order.append(name)
+
+    for lineno, toks in old_lines(text):
+        if toks[0] == "v" and len(toks) == 2:
+            if toks[1] in seen:
+                raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
+            declare(toks[1])
+        elif toks[0] == "a" and len(toks) == 3:
+            declare(toks[1])
+            declare(toks[2])
+            arcs.append((toks[1], toks[2]))
+        else:
+            raise FormatError(f"line {lineno}: expected 'v <name>' or 'a <tail> <head>'")
+    try:
+        return Digraph(order, arcs)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def old_parse_bipartite(text):
+    part1, part2, edges, declared = [], [], [], set()
+    for lineno, toks in old_lines(text):
+        if toks[0] in ("p1", "p2") and len(toks) == 2:
+            if toks[1] in declared:
+                raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
+            declared.add(toks[1])
+            (part1 if toks[0] == "p1" else part2).append(toks[1])
+        elif toks[0] == "e" and len(toks) == 3:
+            for v in toks[1:]:
+                if v not in declared:
+                    raise FormatError(
+                        f"line {lineno}: vertex {v!r} used before declaration")
+            edges.append((toks[1], toks[2]))
+        else:
+            raise FormatError(
+                f"line {lineno}: expected 'p1 <name>', 'p2 <name>' or 'e <u> <v>'")
+    try:
+        return BipartiteGraph(part1, part2, edges)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def old_parse_costs(text):
+    entries = {}
+    for lineno, toks in old_lines(text):
+        if toks[0] != "c" or len(toks) != 4:
+            raise FormatError(f"line {lineno}: expected 'c <u> <i> <cost>'")
+        try:
+            if "_" in toks[3] or not toks[3].isascii():
+                raise ValueError(toks[3])
+            value = int(toks[3])
+        except ValueError:
+            raise FormatError(f"line {lineno}: cost {toks[3]!r} is not an integer")
+        key = (toks[1], toks[2])
+        if key in entries:
+            raise FormatError(f"line {lineno}: duplicate cost entry for {key}")
+        entries[key] = value
+    return CostMatrix._wrap(entries)
+
+
+def old_check_token(name):
+    if not isinstance(name, str) or not name:
+        raise GraphError(f"vertex name must be a nonempty string, got {name!r}")
+    if "," in name or "#" in name or any(ch.isspace() for ch in name):
+        raise GraphError(
+            f"bad vertex name {name!r}: whitespace, commas and '#' are not allowed")
+    return name
+
+
+def old_undeclared_arc(vertices, arcs):
+    """The message of the earlier Digraph arc check, or None."""
+    declared = set(vertices)
+    for t, h in frozenset((str(t), str(h)) for t, h in arcs):
+        if t not in declared or h not in declared:
+            return f"arc ({t!r}, {h!r}) references an undeclared vertex"
+    return None
+
+
+def error_of(call, *args):
+    try:
+        call(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def outcome(parse, text):
+    """What parse makes of text: its fields in order, or its error."""
+    try:
+        got = parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    if isinstance(got, CostMatrix):
+        return "ok", list(got.entries.items())
+    if isinstance(got, Digraph):
+        return "ok", got.vertices, got.arcs
+    return "ok", got.part1, got.part2, got.edges
+
+
+# -- texts ----------------------------------------------------------------
+
+# tags, good and bad; names and costs with commas, '#', '_', signs and
+# non-ASCII digits; separators and line breaks that str.split and
+# str.splitlines both cut at
+TAGS = ["v", "a", "c", "p1", "p2", "e", "V", "cc", "#", "c#"]
+WORDS = ["u", "w", "x1", "\u0663", "u_1", "a,b", "u#c", "1", "2", "-2",
+         "+3", "1_000", "\u0663\u0664", "007", "\xe9", "9" * 30]
+SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2009",
+          "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+          "\n\n"]
+ALPHABET = "acvep12 #,_-\u0663\n\r\t\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+
+
+@st.composite
+def texts(draw):
+    """Line-structured texts, often with repeated lines, or raw text over
+    a small alphabet."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet=ALPHABET, max_size=40))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if lines and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+            continue
+        toks = [draw(st.sampled_from(TAGS))]
+        toks += draw(st.lists(st.sampled_from(WORDS), max_size=4))
+        lines.append("".join(draw(st.sampled_from(SPACES)) + tok
+                             for tok in toks))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+@settings(max_examples=400)
+@given(texts())
+def test_parsers_match_the_per_line_versions(text):
+    for new, old in ((parse_digraph, old_parse_digraph),
+                     (parse_costs, old_parse_costs),
+                     (parse_bipartite, old_parse_bipartite)):
+        assert outcome(new, text) == outcome(old, text), new.__name__
+
+
+def test_parsers_match_on_hand_cases():
+    cases = ["", "#\n", "v a # c\nv b\n", "a x y\nv x\n", "c u 1 3\nc u 1 3\n",
+             "c u 1 \u0663\n", "c u 1 1_0\n", "p1 s\np2 t\ne s t\ne t s\n",
+             "v a\x85a b c\n", "c u 1 3\x1cc u 2 4\n", "a a\u3000b\n"]
+    for text in cases:
+        for new, old in ((parse_digraph, old_parse_digraph),
+                         (parse_costs, old_parse_costs),
+                         (parse_bipartite, old_parse_bipartite)):
+            assert outcome(new, text) == outcome(old, text), (text, new)
+
+
+def test_check_token_over_every_code_point():
+    # str.split() cuts at exactly the characters str.isspace() accepts
+    for cp in range(0x110000):
+        name = f"a{chr(cp)}b"
+        assert error_of(check_token, name) == error_of(old_check_token, name)
+    for name in ("", None, 3, ",", "#", " ", "ab"):
+        assert error_of(check_token, name) == error_of(old_check_token, name)
+
+
+# -- round trips ----------------------------------------------------------
+
+NAMES = st.text(alphabet="uvw019_-+\u0663\xe9\u4e2d", min_size=1, max_size=4)
+
+
+@st.composite
+def digraphs(draw):
+    vs = draw(st.lists(NAMES, unique=True, max_size=6))
+    pairs = [(t, h) for t in vs for h in vs]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return Digraph(vs, arcs)
+
+
+@settings(max_examples=200)
+@given(digraphs())
+def test_digraph_round_trip(h):
+    assert parse_digraph(format_digraph(h)) == h
+
+
+@settings(max_examples=200)
+@given(st.lists(NAMES, unique=True, max_size=8), st.data())
+def test_bipartite_round_trip(names, data):
+    cut = data.draw(st.integers(0, len(names)))
+    part1, part2 = names[:cut], names[cut:]
+    pairs = [(u, v) for u in part1 for v in part2]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    g = BipartiteGraph(part1, part2, edges)
+    assert parse_bipartite(format_bipartite(g)) == g
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(NAMES, NAMES), st.integers(), max_size=10))
+def test_costs_round_trip(entries):
+    costs = CostMatrix(entries)
+    assert parse_costs(format_costs(costs)) == costs
+
+
+# -- checks that name their first offender --------------------------------
+
+
+def test_digraph_names_the_first_bad_name_and_arc():
+    with pytest.raises(GraphError, match="'a b'"):
+        Digraph(("x", "a b", "c,d"))
+    rng = random.Random(7)
+    for _ in range(200):
+        vs = [f"v{k}" for k in range(rng.randint(1, 6))]
+        ends = vs + ["x", "y", 3]
+        arcs = [(rng.choice(ends), rng.choice(ends))
+                for _ in range(rng.randint(0, 8))]
+        want = old_undeclared_arc(vs, arcs)
+        got = error_of(Digraph, vs, arcs)
+        assert got == (None if want is None else (GraphError, want))
+
+
+def test_check_shape_names_the_first_bad_entry():
+    d = Digraph(("u", "w"), [("u", "w")])
+    h = make_tt(3)
+    rng = random.Random(8)
+    for _ in range(200):
+        keys = [(rng.choice(["u", "w", "zz", "q"]), rng.choice("1234"))
+                for _ in range(rng.randint(0, 6))]
+        costs = CostMatrix({key: 1 for key in keys})
+        bad = [f"cost entry ({u!r}, {i!r}) does not match the instance shape"
+               for u, i in costs.entries
+               if u not in ("u", "w") or i not in ("1", "2", "3")]
+        want = (GraphError, bad[0]) if bad else None
+        assert error_of(costs.check_shape, d, h) == want
+        # sets of names, as the part-respecting transformation passes them
+        assert error_of(costs.check_shape, {"u", "w"}, {"1", "2", "3"}) == want
+
+
+def test_is_homomorphism_names_the_first_bad_vertex():
+    d = Digraph(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    h = make_tt(3).reflexive_closure()
+    assert is_homomorphism(d, h, {"a": "1", "b": "2", "c": "2"})
+    assert not is_homomorphism(d, h, {"a": "3", "b": "2", "c": "2"})
+    for mapping, message in (
+            ({"a": "1", "c": "zz"}, "mapping is not total: missing 'b'"),
+            ({"a": "1", "b": "zz"}, "image 'zz' is not a target vertex"),
+            ({"a": "yy", "b": "zz", "c": "1"},
+             "image 'yy' is not a target vertex")):
+        assert error_of(is_homomorphism, d, h, mapping) == (GraphError, message)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minhom
 
@@ -392,6 +394,35 @@ def test_cycle_oracle_equivalence_seeded():
         r1 = solve_cycle(d, make_cycle(k), costs)
         r2 = solve_bruteforce(d, make_cycle(k), costs)
         assert (r1.feasible, r1.cost) == (r2.feasible, r2.cost)
+
+
+@st.composite
+def cycle_instances(draw):
+    """(d, cycle_k, costs): up to 8 input vertices, random arcs (digons
+    included; each loop may be drawn with chance 1/4), k = 3..5 and costs
+    in [-3, 3] so that optima tie."""
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 8))
+    vs = [f"u{i}" for i in range(n)]
+    pairs = [(a, b) for a in vs for b in vs
+             if a != b or draw(st.integers(0, 3)) == 0]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    costs = {(u, str(i)): draw(st.integers(-3, 3))
+             for u in vs for i in range(1, k + 1)}
+    return Digraph(vs, arcs), make_cycle(k), CostMatrix(costs)
+
+
+@settings(max_examples=300)
+@given(cycle_instances())
+def test_cycle_matches_brute_force(instance):
+    d, h, costs = instance
+    got = solve_cycle(d, h, costs)
+    want = solve_bruteforce(d, h, costs)
+    assert got.cost == want.cost
+    if got.feasible:
+        mapping = got.homomorphism.mapping
+        assert is_homomorphism(d, h, mapping)
+        assert map_cost(d, costs, mapping) == got.cost
 
 
 # -- extension collapse ---------------------------------------------------
