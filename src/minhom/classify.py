@@ -11,7 +11,7 @@ forbidden structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
@@ -95,15 +95,14 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
 def _witnesses(h: Digraph):
     """Every hardness witness candidate over the weakly connected subsets,
     in find_witness's search order."""
-    near: dict[str, set[str]] = {v: set() for v in h.vertices}
-    for t, head in h.arcs:
-        if t != head:
-            near[t].add(head)
-            near[head].add(t)
+    vs = h.vertices
+    outs, ins, _ = h.adjacency
+    near = {v: set(map(vs.__getitem__, chain(out, inn)))
+            for v, out, inn in zip(vs, outs, ins)}
 
     def connected(size: int):
         """Weakly connected subsets of size vertices, in combinations order."""
-        for subset in combinations(h.vertices, size):
+        for subset in combinations(vs, size):
             inside = set(subset)
             reached = {subset[0]}
             stack = [subset[0]]

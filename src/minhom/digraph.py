@@ -2,16 +2,22 @@
 
 Digraphs may carry loops but never parallel arcs.  Vertex iteration order is
 the declaration order; every derived set is emitted in a deterministic order
-so that CLI output and test goldens are reproducible.  first_injection is the
-one backtracking search for isomorphisms and Min-Max orderings.
+so that CLI output and test goldens are reproducible.  Digraph.adjacency is
+the one adjacency index: each vertex's non-loop out- and in-neighbours and
+its loop, by declaration index, cached on first use.  The graph algorithms
+(components, is_acyclic, partite_structure, and the solver and classifier
+passes) read it rather than the arc set.  first_injection is the one
+backtracking search for isomorphisms and Min-Max orderings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, combinations
+from operator import add
 
 
 class GraphError(ValueError):
@@ -126,34 +132,28 @@ class Digraph:
         return sorted(self.arcs)
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]],
-                                  dict[str, tuple[str, ...]]]:
-        """Out- and in-neighbours of every vertex, in declaration order."""
-        vs = self.vertices
+    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...],
+                                 tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+        """The one adjacency index, by declaration index: (outs, ins,
+        looped), where outs[k] and ins[k] are the non-loop out- and
+        in-neighbours of vertex k as ascending tuples and looped[k] tells
+        whether it has a loop.  Built in one pass over the arcs on first
+        use; the graph algorithms read it instead of the arcs.  Tuples
+        throughout, so no reader can change it in place."""
         idx = self._index
-        out: list[list[int]] = [[] for _ in vs]
-        inn: list[list[int]] = [[] for _ in vs]
+        outs: list[list[int]] = [[] for _ in self.vertices]
+        ins: list[list[int]] = [[] for _ in self.vertices]
+        looped = [False] * len(self.vertices)
         for t, h in self.arcs:
-            out[idx[t]].append(idx[h])
-            inn[idx[h]].append(idx[t])
-        name = vs.__getitem__
-        return ({v: tuple(map(name, sorted(ks))) for v, ks in zip(vs, out)},
-                {v: tuple(map(name, sorted(ks))) for v, ks in zip(vs, inn)})
-
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        """Out-neighbors in declaration order (including v itself on a loop)."""
-        return self._adjacency[0][v]
-
-    def in_neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[1][v]
-
-    def neighbors(self, v: str) -> list[str]:
-        """Vertices joined to v by an arc in either direction (v itself
-        excluded), in declaration order."""
-        out, inn = self._adjacency
-        joined = set(out[v]).union(inn[v])
-        joined.discard(v)
-        return sorted(joined, key=self._index.__getitem__)
+            a, b = idx[t], idx[h]
+            if a == b:
+                looped[a] = True
+            else:
+                outs[a].append(b)
+                ins[b].append(a)
+        for ks in chain(outs, ins):
+            ks.sort()
+        return tuple(map(tuple, outs)), tuple(map(tuple, ins)), tuple(looped)
 
     def adjacent(self, u: str, v: str) -> bool:
         """True iff u and v are joined by an arc in either direction (u != v)."""
@@ -190,17 +190,19 @@ def components(g) -> list[tuple[str, ...]]:
 
     Each component is sorted by declaration order; the list is sorted by its
     smallest member (also by declaration order).  The search reads
-    neighbours by declaration index, from one pass over the arcs or edges.
+    neighbours by declaration index: a Digraph's adjacency index, or one
+    pass over a BipartiteGraph's edges.
     """
     vs = g.vertices
     if isinstance(g, Digraph):
-        pos, pairs = g._index, g.arcs
+        outs, ins, _ = g.adjacency
+        near = list(map(add, outs, ins))
     else:
-        pos, pairs = {v: k for k, v in enumerate(vs)}, g.edges
-    near: list[list[int]] = [[] for _ in vs]
-    for u, v in pairs:
-        near[pos[u]].append(pos[v])
-        near[pos[v]].append(pos[u])
+        pos = {v: k for k, v in enumerate(vs)}
+        near = [[] for _ in vs]
+        for u, v in g.edges:
+            near[pos[u]].append(pos[v])
+            near[pos[v]].append(pos[u])
     seen = [False] * len(vs)
     out = []
     for start in range(len(vs)):
@@ -225,16 +227,10 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
 
     Loops are ignored: a loop is not a cycle.  On success also returns an
     acyclic ordering of all vertices, ties broken by declaration order.
-    In-degrees and successor lists, by declaration index, come from one
-    pass over the arc set, not from the adjacency index.
+    Successors and in-degrees come from the adjacency index.
     """
-    idx = h._index
-    indeg = [0] * len(h.vertices)
-    succ: list[list[int]] = [[] for _ in h.vertices]
-    for t, head in h.arcs:
-        if t != head:
-            succ[idx[t]].append(idx[head])
-            indeg[idx[head]] += 1
+    succ, preds, _ = h.adjacency
+    indeg = list(map(len, preds))
     # declaration indices of the sources; ascending, so already a heap.
     # Every successor of a pick is pushed before the next pop, so the order
     # does not depend on the order of a successor list
@@ -252,7 +248,7 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
     return True, tuple(order)
 
 
-def strong_components(succs: list[list[int]],
+def strong_components(succs: list[Sequence[int]],
                       nodes: list[int]) -> list[list[int]]:
     """Strong components of the digraph on `nodes` (ascending integers
     below len(succs)) with an arc k -> x for every x in succs[k] that is
@@ -351,20 +347,15 @@ def partite_structure(h: Digraph) -> PartiteStructure:
     """Partite sets of h, ignoring loops.
 
     Raises NotMultipartiteTournament unless nonadjacency is an equivalence
-    relation and every cross pair carries exactly one arc.  One pass over
-    the arcs gives each vertex's neighbours by declaration index; the
+    relation and every cross pair carries exactly one arc.  The adjacency
+    index gives each vertex's neighbours by declaration index; the
     vertices with the same neighbours have the same nonadjacency class.
     """
     vs = h.vertices
-    idx = h._index
-    near: list[set[int]] = [set() for _ in vs]
-    for t, head in h.arcs:
-        near[idx[t]].add(idx[head])
-        near[idx[head]].add(idx[t])
+    outs, ins, _ = h.adjacency
     groups: dict[frozenset[int], list[int]] = {}
-    for k, ws in enumerate(near):
-        ws.discard(k)  # a loop
-        groups.setdefault(frozenset(ws), []).append(k)
+    for k, (out, inn) in enumerate(zip(outs, ins)):
+        groups.setdefault(frozenset(out).union(inn), []).append(k)
     parts = []
     for ws, members in groups.items():
         # the members' nonadjacency class is everything but ws
@@ -377,7 +368,7 @@ def partite_structure(h: Digraph) -> PartiteStructure:
     # cross pairs by the digons; the loop runs only to name the first one
     n = len(vs)
     cross = n * (n - 1) // 2 - sum(len(p) * (len(p) - 1) // 2 for p in parts)
-    if len(h.arcs) - len(h.loops()) > cross:
+    if sum(map(len, outs)) > cross:
         for a, b in combinations(parts, 2):
             for u in a:
                 for v in b:
@@ -453,29 +444,32 @@ def first_injection(labels, hosts, fits) -> dict | None:
     Labels are placed in order, each trying the hosts in order, and
     fits(label, host, assign) must hold right after each placement.  The
     one backtracking search behind is_isomorphic and minmax.find_minmax.
-    None at once when there are more labels than hosts."""
+    None at once when there are more labels than hosts.  Without
+    recursion: tries[k] holds the hosts labels[k] has yet to try, and
+    assign holds the labels placed, in order."""
     if len(labels) > len(hosts):
         return None
     assign: dict = {}
     used: set = set()
-
-    def search(k: int) -> bool:
-        if k == len(labels):
-            return True
-        lab = labels[k]
-        for v in hosts:
-            if v in used:
-                continue
-            assign[lab] = v
-            if fits(lab, v, assign):
-                used.add(v)
-                if search(k + 1):
-                    return True
-                used.remove(v)
-            del assign[lab]
-        return False
-
-    return assign if search(0) else None
+    tries: list = []
+    while len(assign) < len(labels):
+        if len(tries) == len(assign):
+            tries.append(iter(hosts))
+        lab = labels[len(assign)]
+        for v in tries[-1]:
+            if v not in used:
+                assign[lab] = v
+                if fits(lab, v, assign):
+                    used.add(v)
+                    break
+                del assign[lab]
+        else:
+            # every host tried for this label: undo the placement before it
+            tries.pop()
+            if not tries:
+                return None
+            used.remove(assign.popitem()[1])
+    return assign
 
 
 def is_isomorphic(h1: Digraph, h2: Digraph,

@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .digraph import (Digraph, GraphError, InternalError, components,
                       cycle_walk, is_acyclic, strong_components)
@@ -184,9 +184,10 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     costs.check_shape(d, h)
     dv = d.vertices
     hv = h.vertices
+    succ, pred, looped = d.adjacency
     base: dict[str, list[str]] = {}
-    for u in dv:
-        cands = [i for i in hv if not d.has_loop(u) or h.has_loop(i)]
+    for u, loop in zip(dv, looped):
+        cands = [i for i in hv if not loop or h.has_loop(i)]
         if not cands:
             return SolveResult(None, "brute")
         base[u] = cands
@@ -200,9 +201,10 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     for k in range(len(dv) - 1, -1, -1):
         rest[k] = rest[k + 1] + min(costs.cost(dv[k], i) for i in base[dv[k]])
     # forward checking reads only the neighbours assigned before u
-    rank = d.decl_index
-    outs = {u: [v for v in d.out_neighbors(u) if rank(v) < rank(u)] for u in dv}
-    ins = {u: [v for v in d.in_neighbors(u) if rank(v) < rank(u)] for u in dv}
+    outs = {u: [dv[x] for x in xs if x < k]
+            for k, (u, xs) in enumerate(zip(dv, succ))}
+    ins = {u: [dv[x] for x in xs if x < k]
+           for k, (u, xs) in enumerate(zip(dv, pred))}
 
     # depth-first, without recursion: frames[k] is the open node of depth
     # k, as (its vertex, its partial cost, its untried candidates)
@@ -452,8 +454,8 @@ def _thresholds(succs: list[list[int]], p: int
     return lam, mu
 
 
-def _fold_pendants(vecs: list[list[int | None]], outs: list[list[int]],
-                   ins: list[list[int]], preds: list[list[int]],
+def _fold_pendants(vecs: list[list[int | None]], outs: list[Sequence[int]],
+                   ins: list[Sequence[int]], preds: list[list[int]],
                    succs: list[list[int]], nodes, trail: list[tuple]
                    ) -> tuple[list[int], int | None]:
     """Fold pendant trees among `nodes` (ascending; their arcs lead only to
@@ -505,7 +507,7 @@ def _fold_pendants(vecs: list[list[int | None]], outs: list[list[int]],
     return [k for k in nodes if deg[k] >= 0], fixed
 
 
-def _cut(vecs: list[list[int | None]], outs: list[list[int]],
+def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
          core: list[int], lam: list[int], mu: list[int],
          label: list[int]) -> int | None:
     """Least optimum of the core by one minimum s-t cut: writes each core
@@ -589,21 +591,13 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         preds[j - 1].append(i - 1)
     lam, mu = _thresholds(succs, p)
 
-    # one pass over the arcs gives each input vertex's non-loop arcs by
+    # d's adjacency index gives each input vertex's non-loop arcs by
     # declaration index, and one pass per vertex its vector over the labels
-    # its arcs and loop allow (None where barred)
+    # its arcs and loop allow (None where barred).  The reductions replace
+    # whole entries of outs and ins, never the index's own tuples
     vs = d.vertices
-    index = d._index
-    outs: list[list[int]] = [[] for _ in vs]
-    ins: list[list[int]] = [[] for _ in vs]
-    looped = [False] * len(vs)
-    for t, head in d.arcs:
-        a, b = index[t], index[head]
-        if a == b:
-            looped[a] = True
-        else:
-            outs[a].append(b)
-            ins[b].append(a)
+    outs, ins, looped = d.adjacency
+    outs, ins = list(outs), list(ins)
     every = set(range(p))
     rows = {i for i in every if succs[i]}
     cols = {j for j in every if preds[j]}
@@ -611,8 +605,6 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     get = costs.entries.get
     vecs = []
     for u, out, inn, loop in zip(vs, outs, ins, looped):
-        out.sort()
-        inn.sort()
         labels = every
         if out:
             labels = labels & rows
@@ -694,10 +686,7 @@ def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
     # res[head] = res[t] + 1 (mod k)
     vs = d.vertices
     index = d._index
-    near: list[list[tuple[int, int]]] = [[] for _ in vs]
-    for t, head in d.arcs:
-        near[index[t]].append((index[head], 1))
-        near[index[head]].append((index[t], -1))
+    outs, ins, _ = d.adjacency
     res = [-1] * len(vs)
     get = costs.entries.get
     ring = walk * 2  # ring[r + c] is walk[(r + c) % k] for r, c < k
@@ -709,13 +698,14 @@ def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
         stack = [root]
         while stack:
             v = stack.pop()
-            for w, step in near[v]:
+            for ws, step in ((outs[v], 1), (ins[v], -1)):
                 val = (res[v] + step) % k
-                if res[w] < 0:
-                    res[w] = val
-                    stack.append(w)
-                elif res[w] != val:
-                    return SolveResult(None, "cycle")
+                for w in ws:
+                    if res[w] < 0:
+                        res[w] = val
+                        stack.append(w)
+                    elif res[w] != val:
+                        return SolveResult(None, "cycle")
         rs = [res[index[v]] for v in comp]
         # the first rotation of least cost
         sums = [sum(map(get, zip(comp, [ring[r + c] for r in rs]), repeat(0)))

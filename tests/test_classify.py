@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minhom import (Digraph, GraphError, InternalError,
+from minhom import (CostMatrix, Digraph, GraphError, InternalError,
                     build_theorem5_digraph, classify_general,
                     classify_reflexive_mpt, classify_theorem5,
                     classify_tournament_wpl, enumerate_rmpt, find_minmax,
-                    find_witness, make_cycle, make_oriented_kb, make_tt,
-                    make_tt_minus, validate_witness, verify_minmax)
+                    find_witness, is_homomorphism, make_cycle,
+                    make_oriented_kb, make_tt, make_tt_minus, map_cost,
+                    solve_auto, solve_bruteforce, validate_witness,
+                    verify_minmax)
 from minhom.birep import bg, find_forbidden
 from minhom.classify import (WITNESS_SUBSET_CAP, BGForbiddenWitness,
                              ReflexiveCycleWitness)
@@ -443,3 +445,33 @@ def digraphs(draw, most=7):
 @given(digraphs())
 def test_find_witness_matches_the_all_subsets_search(h):
     assert find_witness(h) == all_subsets_witness(h)
+
+
+@st.composite
+def directed_cycles(draw):
+    """A directed cycle through 2 to 6 vertices, declared in a random order."""
+    walk = draw(st.permutations([str(i) for i in range(draw(st.integers(2, 6)))]))
+    return Digraph(draw(st.permutations(walk)), zip(walk, walk[1:] + walk[:1]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(digraphs(most=6), directed_cycles()), digraphs(most=5),
+       st.randoms(use_true_random=False))
+def test_every_certificate_validates(h, d, rng):
+    c = classify_general(h)
+    if c.ordering is not None:
+        assert verify_minmax(h, c.ordering)[0]
+    if c.cycle is not None:
+        k = len(c.cycle)
+        assert sorted(c.cycle) == sorted(h.vertices)
+        assert h.arcs == {(c.cycle[i], c.cycle[(i + 1) % k]) for i in range(k)}
+    if c.witness is not None:
+        assert validate_witness(h, c.witness)
+    costs = CostMatrix({(u, i): rng.randint(-3, 3)
+                        for u in d.vertices for i in h.vertices})
+    res = solve_auto(d, h, costs)
+    if res.feasible:
+        mapping = res.homomorphism.mapping
+        assert is_homomorphism(d, h, mapping)
+        assert map_cost(d, costs, mapping) == res.cost
+    assert res.cost == solve_bruteforce(d, h, costs).cost

@@ -209,6 +209,23 @@ def test_cli_brute_force_on_a_long_path(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_minmax_find_on_a_large_arcless_target(tmp_path):
+    # the ordering search places one rank per vertex and must not recurse
+    # once per rank: 1200 vertices, no arcs, so every order is Min-Max
+    n = 1200
+    f = write(tmp_path, "f.dg", "".join(f"v x{k}\n" for k in range(n)))
+    env = dict(os.environ, PYTHONPATH=str(Path(minhom.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "minhom", "minmax-find", "--target", f,
+         "--guard", "5000"], capture_output=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.decode() == "ordering " + ",".join(
+        f"x{k}" for k in range(n)) + "\n"
+    assert b"Traceback" not in proc.stderr
+
+
 def test_cli_main_reader_closes_early(tmp_path):
     # `minhom solve ... | head -2`: the reader leaves after two lines of an
     # output (about 250 kB) far larger than the pipe and read buffers

@@ -3,10 +3,14 @@ import random
 from heapq import heappop, heappush
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import minhom.digraph
+import minhom.minmax
 from minhom import (BipartiteGraph, Digraph, GraphError, GuardExceeded,
                     NotMultipartiteTournament, components, cycle_walk, extend,
-                    is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
+                    find_minmax, is_acyclic, is_isomorphic, make_cycle, make_oriented_kb,
                     make_tt, make_tt_minus, partite_structure)
 from minhom.digraph import first_injection, strong_components
 
@@ -70,11 +74,44 @@ def test_induced():
 def test_neighbor_index():
     h = Digraph(("c", "a", "b"), [("b", "a"), ("c", "a"), ("a", "b"),
                                   ("a", "a"), ("b", "c")])
-    assert h.out_neighbors("a") == ("a", "b")  # declaration order, loop kept
-    assert h.in_neighbors("a") == ("c", "a", "b")
-    assert h.neighbors("a") == ["c", "b"]  # a digon is one neighbour, no loop
-    assert h.neighbors("c") == ["a", "b"]
-    assert make_cycle(2).neighbors("1") == ["2"]
+    outs, ins, looped = h.adjacency
+    # by declaration index: c = 0, a = 1, b = 2
+    assert outs == ((1,), (2,), (0, 1))
+    assert ins == ((2,), (0, 2), (1,))  # declaration order
+    assert looped == (False, True, False)  # a loop is flagged, not listed
+    # a digon (a <-> b) is one neighbour each way
+    assert set(outs[1]).union(ins[1]) == {0, 2}
+    assert set(outs[0]).union(ins[0]) == {1, 2}
+    assert make_cycle(2).adjacency == (((1,), (0,)), ((1,), (0,)),
+                                       (False, False))
+
+
+@st.composite
+def looped_digraphs(draw):
+    """Digraphs on up to 8 vertices, declared in a random order, with loops
+    and digons."""
+    n = draw(st.integers(0, 8))
+    vs = draw(st.permutations([f"v{k}" for k in range(n)]))
+    p = draw(st.sampled_from((0.1, 0.3, 0.6)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
+
+
+@settings(max_examples=300)
+@given(looped_digraphs())
+def test_adjacency_index_rebuilds_the_arcs(h):
+    outs, ins, looped = h.adjacency
+    vs = h.vertices
+    assert len(outs) == len(ins) == len(looped) == len(vs)
+    loops = {(v, v) for v, loop in zip(vs, looped) if loop}
+    assert {(vs[k], vs[x]) for k, xs in enumerate(outs) for x in xs} \
+        | loops == h.arcs
+    assert {(vs[x], vs[k]) for k, xs in enumerate(ins) for x in xs} \
+        | loops == h.arcs
+    assert sum(map(len, outs)) + len(loops) == len(h.arcs)
+    for xs in outs + ins:
+        assert type(xs) is tuple and list(xs) == sorted(set(xs))
+    assert h.adjacency[0] is outs  # built once, then cached
 
 
 def test_components():
@@ -95,18 +132,21 @@ def test_is_acyclic():
 
 
 def adjacency_is_acyclic(h):
-    """is_acyclic as it was when it read the adjacency index."""
-    indeg = {v: sum(1 for t in h.in_neighbors(v) if t != v) for v in h.vertices}
+    """is_acyclic as it was when it read the adjacency index of names, with
+    the neighbour lists built here from the arcs."""
+    outs = {v: [head for t, head in h.arcs if t == v != head]
+            for v in h.vertices}
+    indeg = {v: sum(1 for t, head in h.arcs if head == v != t)
+             for v in h.vertices}
     ready = [h.decl_index(v) for v in h.vertices if indeg[v] == 0]
     order = []
     while ready:
         pick = h.vertices[heappop(ready)]
         order.append(pick)
-        for head in h.out_neighbors(pick):
-            if head != pick:
-                indeg[head] -= 1
-                if indeg[head] == 0:
-                    heappush(ready, h.decl_index(head))
+        for head in outs[pick]:
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                heappush(ready, h.decl_index(head))
     if len(order) < len(h.vertices):
         return False, None
     return True, tuple(order)
@@ -383,3 +423,88 @@ def test_strong_components_of_a_long_ring_do_not_recurse():
     succs = [[(k + 1) % n] for k in range(n)]
     assert strong_components(succs, list(range(n))) == [list(range(n))]
     assert strong_components(succs, list(range(n - 1))) == [[k] for k in range(n - 1)]
+
+
+def recursive_first_injection(labels, hosts, fits):
+    """first_injection as it was: one recursive call per label."""
+    if len(labels) > len(hosts):
+        return None
+    assign = {}
+    used = set()
+
+    def search(k):
+        if k == len(labels):
+            return True
+        lab = labels[k]
+        for v in hosts:
+            if v in used:
+                continue
+            assign[lab] = v
+            if fits(lab, v, assign):
+                used.add(v)
+                if search(k + 1):
+                    return True
+                used.remove(v)
+            del assign[lab]
+        return False
+
+    return assign if search(0) else None
+
+
+def test_first_injection_matches_the_recursive_search_seeded():
+    # the same calls of fits, in the same order, and the same answer
+    rng = random.Random(1200)
+    found = 0
+    for _ in range(400):
+        labels = list(range(rng.randint(0, 6)))
+        hosts = rng.sample("abcdefgh", rng.randint(0, 7))
+        allowed = {(lab, v) for lab in labels for v in hosts
+                   if rng.random() < 0.6}
+        before = {(lab, v, w) for lab in labels for v in hosts for w in hosts
+                  if rng.random() < 0.8}  # v may follow w placed just before
+        answers, calls = [], []
+        for search in (first_injection, recursive_first_injection):
+            seen = []
+
+            def fits(lab, v, assign):
+                seen.append((lab, v, tuple(assign.items())))
+                return (lab, v) in allowed and (
+                    lab == 0 or (lab, v, assign[lab - 1]) in before)
+
+            answers.append(search(labels, hosts, fits))
+            calls.append(seen)
+        assert answers[0] == answers[1] and calls[0] == calls[1]
+        assert answers[0] is None or list(answers[0]) == labels
+        found += answers[0] is not None
+    assert 50 < found < 350
+
+
+def test_find_minmax_and_is_isomorphic_match_the_recursive_search_seeded(
+        monkeypatch):
+    rng = random.Random(1201)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(n)]
+        h = Digraph(rng.sample(vs, n),
+                    [(a, b) for a in vs for b in vs if rng.random() < 0.4])
+        other = Digraph(vs, [(a, b) for a in vs for b in vs
+                             if rng.random() < 0.4])
+        cases.append((h, other))
+    got = [(find_minmax(h), is_isomorphic(h, h.converse()),
+            is_isomorphic(h, other)) for h, other in cases]
+    monkeypatch.setattr(minhom.digraph, "first_injection",
+                        recursive_first_injection)
+    monkeypatch.setattr(minhom.minmax, "first_injection",
+                        recursive_first_injection)
+    want = [(find_minmax(h), is_isomorphic(h, h.converse()),
+             is_isomorphic(h, other)) for h, other in cases]
+    assert got == want
+    assert any(x[0] for x in got) and any(x[0] is None for x in got)
+    assert any(x[2] for x in got) and any(x[2] is None for x in got)
+
+
+def test_first_injection_does_not_recurse_per_label():
+    n = 1500  # beyond the default recursion limit of 1000
+    assign = first_injection(range(n), range(n), lambda lab, v, a: True)
+    assert assign == {k: k for k in range(n)}

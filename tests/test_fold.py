@@ -54,10 +54,10 @@ def least_optimum(d, h, ordering, costs, best):
         for i in h.vertices:
             if d.has_loop(u) and not h.has_loop(i):
                 continue
-            if all(h.has_arc(assign[t], i) for t in d.in_neighbors(u)
-                   if t in assign) and \
-               all(h.has_arc(i, assign[w]) for w in d.out_neighbors(u)
-                   if w in assign):
+            if all(h.has_arc(assign[t], i) for t, w in d.arcs
+                   if w == u and t in assign) and \
+               all(h.has_arc(i, assign[w]) for t, w in d.arcs
+                   if t == u and w in assign):
                 assign[u] = i
                 search(k + 1, partial + costs.cost(u, i))
                 del assign[u]
@@ -248,3 +248,25 @@ def test_tree_plus_one_cycle_cuts_only_the_cycle(monkeypatch):
     res = solve_minmax(d, h, ORDERINGS["rc_tt5"], costs)
     assert sizes == [2 + len(cycle) * (p - 1)]
     assert res.feasible
+
+
+def test_reductions_leave_the_adjacency_index_alone():
+    # the fold and the contraction rewrite solve_minmax's own lists of
+    # neighbours; the index cached on d must stay as built, so a second
+    # solve of the same d gives the same answer
+    rng = random.Random(15)
+    h = TARGETS["rc_tt5"]
+    core = strong_tree(rng, [3, 2, 4])
+    arcs = set(core.arcs)
+    tree = [f"t{k}" for k in range(12)]  # pendant trees on the components
+    for k, v in enumerate(tree):
+        w = rng.choice(core.vertices + tuple(tree[:k]))
+        arcs.add((v, w) if rng.random() < 0.5 else (w, v))
+    d = Digraph(core.vertices + tuple(tree), arcs)
+    costs = CostMatrix({(u, i): rng.randint(-9, 9)
+                        for u in d.vertices for i in h.vertices})
+    first = solve_minmax(d, h, ORDERINGS["rc_tt5"], costs)
+    assert d.adjacency == Digraph(d.vertices, d.arcs).adjacency
+    again = solve_minmax(d, h, ORDERINGS["rc_tt5"], costs)
+    assert first.feasible and again == first
+    assert first.cost == solve_bruteforce(d, h, costs).cost

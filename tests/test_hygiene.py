@@ -21,6 +21,40 @@ def test_no_assert_statements():
     assert not found, f"assert statements in minhom: {found}"
 
 
+def test_no_unbounded_recursion():
+    # a function that calls itself goes one stack frame deeper per call,
+    # and Python stops near 1000 frames: a search that recursed once per
+    # input vertex, part or label printed a RecursionError traceback on a
+    # large input.  The one exception is birep.find_pattern.place, which
+    # recurses once per x label of a pattern, and a pattern has 4
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and (
+                        isinstance(call.func, ast.Name)
+                        and call.func.id == child.name
+                        or isinstance(call.func, ast.Attribute)
+                        and call.func.attr == child.name
+                        and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id in ("self", "cls"))
+                    for call in ast.walk(child)):
+                found.append(name)
+            visit(child, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              path.stem)
+    assert found == ["birep.find_pattern.place"], \
+        f"functions that call themselves: {found}"
+
+
 def test_stdlib_only_imports():
     # runtime dependencies stay in the standard library
     found = []
