@@ -1,10 +1,11 @@
 """Bipartite representation of a digraph and proper-interval-bigraph tests.
 
 The forbidden structures (long induced cycles, bipartite claw, net, tent) are
-searched exhaustively: the cycles over vertex subsets, the fixed patterns by
-placing their four x labels in one part and narrowing the hosts left for
-each y label in the other.  Every use in this project targets the bipartite
-representation of a small fixed digraph, never a problem input.
+searched exhaustively by one integer kernel, forbidden_hosts, on neighbour
+bitmasks by position (part1, then part2, in vertex order), so the first
+structure found is the first in vertex order; find_forbidden names it.
+Every use in this project targets the bipartite representation of a small
+fixed digraph, never a problem input.
 
 Pattern edge lists for the net and the tent were transcribed from the source
 drawings (the running-text edge lists of net and tent are identical there,
@@ -20,6 +21,7 @@ certify (see the classify tests).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -99,29 +101,17 @@ class BipartiteGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Neighbours of every vertex, in vertex order (part1, then part2)."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ws, key=pos.__getitem__)) for v, ws in adj.items()}
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[v]
-
     def induced(self, subset) -> "BipartiteGraph":
+        """Subgraph induced by the given vertices (vertex order kept),
+        built unchecked: its names and edges are this graph's."""
         sub = set(subset)
         unknown = sub - set(self.vertices)
         if unknown:
             raise GraphError(f"unknown vertices in induced(): {sorted(unknown)}")
-        return BipartiteGraph(
-            (v for v in self.part1 if v in sub),
-            (v for v in self.part2 if v in sub),
-            ((u, v) for u, v in self.edges if u in sub and v in sub),
-        )
+        return BipartiteGraph._wrap(
+            tuple(v for v in self.part1 if v in sub),
+            tuple(v for v in self.part2 if v in sub),
+            frozenset(e for e in self.edges if e[0] in sub and e[1] in sub))
 
 
 @dataclass(frozen=True)
@@ -151,27 +141,28 @@ def bg(h: Digraph) -> BipartiteGraph:
         frozenset((f"{t}_1", f"{head}_2") for t, head in h.arcs))
 
 
-def _induced_cycle(g: BipartiteGraph,
-                   subset: tuple[str, ...]) -> ForbiddenStructure | None:
-    """The cycle subset induces in g, walked from subset[0] towards its
-    first neighbour in vertex order, or None if it induces no single cycle."""
-    inside = set(subset)
-    nbrs = {}
-    for v in subset:
-        ws = [w for w in g.neighbors(v) if w in inside]
-        if len(ws) != 2:
-            return None
-        nbrs[v] = ws
-    start = subset[0]
-    walk = [start, nbrs[start][0]]
-    while len(walk) < len(subset):
-        a, b = nbrs[walk[-1]]
-        nxt = b if a == walk[-2] else a
-        if nxt == start:
-            return None  # closed early: subset induces several cycles
-        walk.append(nxt)
-    emb = tuple((f"c{i + 1}", v) for i, v in enumerate(walk))
-    return ForbiddenStructure("long-induced-cycle", emb)
+def _masks(g: BipartiteGraph) -> list[int]:
+    """By position in g.vertices, the bitmask of each vertex's neighbours."""
+    pos = {v: k for k, v in enumerate(g.vertices)}
+    adj = [0] * len(pos)
+    for u, v in g.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    return adj
+
+
+def _cycle(adj: list[int], members, mask: int) -> list[int] | None:
+    """The cycle the positions members (those in mask) induce, walked from
+    members[0] towards its lowest neighbour; None unless it is one cycle."""
+    if any((adj[v] & mask).bit_count() != 2 for v in members):
+        return None
+    near = adj[members[0]] & mask
+    walk = [members[0]]
+    v = (near & -near).bit_length() - 1
+    while v != walk[0]:
+        walk.append(v)
+        v = ((adj[v] & mask) ^ 1 << walk[-2]).bit_length() - 1
+    return walk if len(walk) == len(members) else None
 
 
 def _pattern(edges) -> tuple[list[str], set[tuple[str, str]]]:
@@ -180,65 +171,126 @@ def _pattern(edges) -> tuple[list[str], set[tuple[str, str]]]:
             {(a, b) for a, b in edges} | {(b, a) for a, b in edges})
 
 
-def _columns(edges) -> tuple[list[str], list[str], list[set[int]]]:
-    """Sorted x labels, sorted y labels, and per y label the positions (in
-    the x list) of its neighbours."""
-    labels, adj = _pattern(edges)
-    xs = [lab for lab in labels if lab[0] == "x"]
-    ys = [lab for lab in labels if lab[0] == "y"]
-    return xs, ys, [{d for d, x in enumerate(xs) if (x, y) in adj} for y in ys]
+def _wants(labels, adj) -> list[list[bool]]:
+    """Per x label, whether each y label is its neighbour (sorted labels)."""
+    return [[(x, y) in adj for y in labels if y[0] == "y"]
+            for x in labels if x[0] == "x"]
 
 
-_COLUMNS = {kind: _columns(edges) for kind, edges in PATTERNS.items()}
+_WANTS = {kind: _wants(*_pattern(edges)) for kind, edges in PATTERNS.items()}
+
+
+def _place(adj: list[int], n1: int, kind: str) -> list[int] | None:
+    """First hosts by position of one fixed pattern, x labels in part1
+    (positions below n1) before part2.
+
+    The x labels are pairwise nonadjacent, and so are the y labels, so the
+    x hosts are any distinct positions of one part, placed in order.  Each
+    placement narrows each y label's host mask in the other part to the
+    hosts that see exactly its pattern neighbours (opts & adj[a] or
+    opts & ~adj[a]); a branch is cut as soon as one is empty.  The y
+    columns are distinct, so each y takes the lowest position of its own
+    mask.  The y masks are the n-bit fields of one integer, so one step
+    narrows them all: adj[a] * spread copies adj[a] into every field, and
+    sees[d] is all ones in the fields of x label d's pattern neighbours.
+    tries[d] holds the hosts x label d has yet to try, options[d] the y
+    masks before it."""
+    wants, n = _WANTS[kind], len(adj)
+    spread = sum(1 << j * n for j in range(len(wants[0])))
+    sees = [sum(((1 << n) - 1) << j * n for j, w in enumerate(want) if w)
+            for want in wants]
+    part1, part2 = range(n1), range(n1, n)
+    for xs, ys in ((part1, part2), (part2, part1)):
+        if len(xs) < len(wants) or len(ys) < len(wants[0]):
+            continue
+        fields = [(1 << ys.stop) - (1 << ys.start) << j * n
+                  for j in range(len(wants[0]))]
+        placed: list[int] = []
+        options = [sum(fields)]
+        tries = [iter(xs)]
+        while tries:
+            for a in tries[-1]:
+                if a in placed:
+                    continue
+                narrowed = options[-1] & ~(adj[a] * spread ^ sees[len(placed)])
+                if all(map(narrowed.__and__, fields)):
+                    placed.append(a)
+                    if len(placed) == len(wants):
+                        return placed + [(f & -f).bit_length() - 1 - j * n
+                                         for j, f in enumerate(
+                                             map(narrowed.__and__, fields))]
+                    options.append(narrowed)
+                    tries.append(iter(xs))
+                    break
+            else:
+                # every host tried for this label: undo the one before it
+                tries.pop()
+                if placed:
+                    placed.pop()
+                    options.pop()
+    return None
+
+
+def forbidden_hosts(n1: int, adj: list[int]) -> tuple[str, list[int]] | None:
+    """find_forbidden's search on the bigraph whose vertex at position k
+    has neighbour bitmask adj[k], positions below n1 forming part1: the
+    first structure's kind and its hosts by position in label order
+    (c1..ck, or x1..x4 then y1..y3), or None."""
+    n = len(adj)
+    for half in range(3, min(n1, n - n1) + 1):
+        seconds = [(b, sum(1 << v for v in b))
+                   for b in combinations(range(n1, n), half)]
+        for a in combinations(range(n1), half):
+            mask_a = sum(1 << v for v in a)
+            for b, mask_b in seconds:
+                walk = _cycle(adj, a + b, mask_a | mask_b)
+                if walk is not None:
+                    return "long-induced-cycle", walk
+    for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
+        hosts = _place(adj, n1, kind)
+        if hosts is not None:
+            return kind, hosts
+    return None
+
+
+def label_hosts(kind: str, hosts: list[int],
+                names: Sequence[str]) -> ForbiddenStructure:
+    """The structure forbidden_hosts found, its hosts named by position."""
+    labels = (_pattern(PATTERNS[kind])[0] if kind in PATTERNS
+              else [f"c{i}" for i in range(1, len(hosts) + 1)])
+    return ForbiddenStructure(kind, tuple(zip(labels, map(names.__getitem__,
+                                                          hosts))))
+
+
+def _induced_cycle(g: BipartiteGraph,
+                   subset: tuple[str, ...]) -> ForbiddenStructure | None:
+    """The cycle subset induces in g, walked from subset[0] towards its
+    first neighbour in vertex order, or None if it induces no single cycle."""
+    members = list(map(g.vertices.index, subset))
+    walk = _cycle(_masks(g), members, sum(1 << k for k in members))
+    return walk and label_hosts("long-induced-cycle", walk, g.vertices)
 
 
 def find_pattern(g: BipartiteGraph, kind: str) -> ForbiddenStructure | None:
     """First induced embedding of one fixed pattern, x labels in part1
     before part2: hosts are tried in g.vertices order, labels placed in
     sorted order (x1..x4, then y1..y3), and the first embedding in that
-    lexicographic order is returned.
-
-    The x labels are pairwise nonadjacent, and so are the y labels, so the
-    x hosts are any four distinct vertices of one part.  Each y then needs a
-    host in the other part whose neighbours among the x hosts are exactly
-    its pattern neighbours; the y columns are distinct, so no two y labels
-    can share a host.  The x hosts are placed in order, keeping per y the
-    hosts still possible, and a branch is cut as soon as some y has none.
-    """
-    xs, ys, cols = _COLUMNS[kind]
-
-    def place(x_part, x_hosts: list[str], options: list[list[str]]):
-        d = len(x_hosts)
-        if d == len(xs):
-            return x_hosts + [hosts[0] for hosts in options]
-        for a in x_part:
-            if a in x_hosts:
-                continue
-            near = g.neighbors(a)
-            narrowed = [[b for b in hosts if (b in near) == (d in col)]
-                        for hosts, col in zip(options, cols)]
-            if all(narrowed):
-                found = place(x_part, x_hosts + [a], narrowed)
-                if found is not None:
-                    return found
-        return None
-
-    for x_part, y_part in ((g.part1, g.part2), (g.part2, g.part1)):
-        if len(x_part) < len(xs) or len(y_part) < len(ys):
-            continue
-        found = place(x_part, [], [list(y_part)] * len(ys))
-        if found is not None:
-            return ForbiddenStructure(kind, tuple(zip(xs + ys, found)))
-    return None
+    lexicographic order is returned."""
+    hosts = _place(_masks(g), len(g.part1), kind)
+    return hosts and label_hosts(kind, hosts, g.vertices)
 
 
 def find_forbidden(g: BipartiteGraph,
                    guard: int = FORBIDDEN_GUARD) -> ForbiddenStructure | None:
     """First forbidden structure in g, or None.
 
-    Search order: induced cycles of even length 6, 8, ... (subsets in
-    lexicographic order over the part1+part2 vertex sequence), then the claw,
-    the net, and the tent.
+    Search order, on g's positions (part1, then part2) and neighbour
+    bitmasks (forbidden_hosts): induced cycles of even length 6, 8, ...
+    over the subsets with half their positions in each part (a cycle
+    alternates between the parts), in lexicographic order, each needing
+    (adj[v] & mask).bit_count() == 2 and walked from its lowest position
+    towards that one's lowest neighbour; then the claw, the net and the
+    tent (_place).  Names are attached to the result only.
     """
     n = len(g.vertices)
     if n > guard:
@@ -246,19 +298,8 @@ def find_forbidden(g: BipartiteGraph,
             f"forbidden-structure search is limited to {guard} vertices; "
             "raise the guard explicitly to search this graph"
         )
-    # a cycle alternates between the parts, so it takes half of its
-    # vertices from each: those subsets, in the same order
-    for half in range(3, min(len(g.part1), len(g.part2)) + 1):
-        for a in combinations(g.part1, half):
-            for b in combinations(g.part2, half):
-                found = _induced_cycle(g, a + b)
-                if found is not None:
-                    return found
-    for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
-        found = find_pattern(g, kind)
-        if found is not None:
-            return found
-    return None
+    found = forbidden_hosts(len(g.part1), _masks(g))
+    return found and label_hosts(*found, g.vertices)
 
 
 def validate_forbidden(g: BipartiteGraph, fs: ForbiddenStructure) -> bool:

@@ -11,9 +11,10 @@ forbidden structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
-from .birep import ForbiddenStructure, bg, find_forbidden, validate_forbidden
+from .birep import (ForbiddenStructure, bg, forbidden_hosts, label_hosts,
+                    validate_forbidden)
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       PartiteStructure, components, cycle_walk, is_acyclic,
                       partite_structure)
@@ -93,39 +94,65 @@ def validate_witness(h: Digraph, w: Witness) -> bool:
 
 
 def _witnesses(h: Digraph):
-    """Every hardness witness candidate over the weakly connected subsets,
-    in find_witness's search order."""
+    """Every hardness witness candidate, in find_witness's search order, on
+    bitmasks by declaration index."""
     vs = h.vertices
-    outs, ins, _ = h.adjacency
-    near = {v: set(map(vs.__getitem__, chain(out, inn)))
-            for v, out, inn in zip(vs, outs, ins)}
-
-    def connected(size: int):
-        """Weakly connected subsets of size vertices, in combinations order."""
-        for subset in combinations(vs, size):
-            inside = set(subset)
-            reached = {subset[0]}
-            stack = [subset[0]]
-            while stack:
-                for w in near[stack.pop()] & inside - reached:
-                    reached.add(w)
-                    stack.append(w)
-            if len(reached) == size:
-                yield subset
-
+    outs, ins, looped = h.adjacency
+    # per vertex: weak-neighbour mask, and out-mask with its loop
+    out = [sum(1 << x for x in o) for o in outs]
+    near = [m | sum(1 << x for x in i) for m, i in zip(out, ins)]
+    out = [m | looped[k] << k for k, m in enumerate(out)]
     for size in range(3, WITNESS_SUBSET_CAP + 1):
-        for subset in connected(size):
-            walk = cycle_walk(h.induced(subset)) or ()
-            looped = next((v for v in walk if h.has_loop(v)), None)
-            if looped is not None:
-                yield ReflexiveCycleWitness(walk, looped)
+        for subset in combinations(range(len(vs)), size):
+            mask = sum(1 << k for k in subset)
+            # the loopless arcs inside as one directed cycle: size steps
+            # of out-degree 1 from subset[0] back to it through all of subset
+            walk = [subset[0]]
+            for _ in range(size):
+                step = out[walk[-1]] & mask & ~(1 << walk[-1])
+                if not step or step & step - 1:
+                    break
+                walk.append(step.bit_length() - 1)
+            if walk[size:] != [subset[0]] or len(set(walk)) < size:
+                continue
+            walk.pop()
+            looped_at = next((v for v in walk if out[v] >> v & 1), None)
+            if looped_at is not None:
+                yield ReflexiveCycleWitness(tuple(map(vs.__getitem__, walk)),
+                                            vs[looped_at])
     # BG(H[S]) has 2|S| vertices and the smallest forbidden structure (the
     # 6-cycle) has 6, so subsets of fewer than 3 vertices hold none
+    memo: dict[int, tuple[str, list[int]] | None] = {}
     for size in range(3, WITNESS_SUBSET_CAP + 1):
-        for subset in connected(size):
-            fs = find_forbidden(bg(h.induced(subset)))
-            if fs is not None:
-                yield BGForbiddenWitness(subset, fs)
+        for subset in combinations(range(len(vs)), size):
+            mask = sum(1 << k for k in subset)
+            reached = todo = 1 << subset[0]
+            while todo:
+                low = todo & -todo
+                new = near[low.bit_length() - 1] & mask & ~reached
+                reached |= new
+                todo ^= low | new
+            if reached != mask:
+                continue  # not weakly connected
+            # the arcs among subset's positions, row by row, loops included,
+            # after a leading 1 bit that makes the size part of the key
+            key = 1
+            for v in subset:
+                for w in subset:
+                    key = key << 1 | out[v] >> w & 1
+            if key not in memo:
+                # BG(H[S]) by position: v_1 at i and w_2 at size + j
+                adj = [0] * 2 * size
+                for i, v in enumerate(subset):
+                    for j, w in enumerate(subset):
+                        if out[v] >> w & 1:
+                            adj[i] |= 1 << size + j
+                            adj[size + j] |= 1 << i
+                memo[key] = forbidden_hosts(size, adj)
+            if memo[key] is not None:
+                names = [vs[v] for v in subset]
+                yield BGForbiddenWitness(tuple(names), label_hosts(
+                    *memo[key], [f"{v}_{p}" for p in (1, 2) for v in names]))
 
 
 def find_witness(h: Digraph) -> Witness | None:
@@ -137,16 +164,22 @@ def find_witness(h: Digraph) -> Witness | None:
     order (declaration order).  The forbidden patterns are connected, so
     every hit automatically lies in one component of the bipartite graph.
 
-    Only weakly connected subsets S are visited, in both phases, and the
-    first witness is the same as over all subsets.  A directed cycle through
-    S is connected.  BG(H[S]) is the disjoint union of BG over the weak
-    components of H[S], and a forbidden structure is connected, so one in
-    BG(H[S]) for a disconnected S lies in BG(H[S1]) for a component
-    S1 of S: S1 is searched first (it is smaller), or it has at most 2
-    vertices and holds no structure.
+    The second phase visits only weakly connected subsets S, and the first
+    witness is the same as over all subsets.  BG(H[S]) is the disjoint
+    union of BG over the weak components of H[S], and a forbidden structure
+    is connected, so one in BG(H[S]) for a disconnected S lies in BG(H[S1])
+    for a component S1 of S: S1 is searched first (it is smaller), or it
+    has at most 2 vertices and holds no structure.
 
-    The witness returned has passed validate_witness; InternalError
-    otherwise.
+    Both phases run on bitmasks, with no graph built per subset.  The
+    second builds BG(H[S]) by position (forbidden_hosts) from the arcs
+    among S's positions, loops included.  The kernel's answer by position
+    depends on nothing else, so it is memoized on that arc pattern, per
+    call: two subsets with one pattern get the same structure, renamed to
+    each one's vertices.
+
+    The witness returned has passed validate_witness, which rebuilds
+    bg(h.induced(subset)) by name; InternalError otherwise.
     """
     w = next(_witnesses(h), None)
     if w is not None and not validate_witness(h, w):

@@ -5,9 +5,9 @@ the declaration order; every derived set is emitted in a deterministic order
 so that CLI output and test goldens are reproducible.  Digraph.adjacency is
 the one adjacency index: each vertex's non-loop out- and in-neighbours and
 its loop, by declaration index, cached on first use.  The graph algorithms
-(components, is_acyclic, partite_structure, and the solver and classifier
-passes) read it rather than the arc set.  first_injection is the one
-backtracking search for isomorphisms and Min-Max orderings.
+(components, is_acyclic, cycle_walk, partite_structure, and the solver and
+classifier passes) read it rather than the arc set.  first_injection is the
+one backtracking search for isomorphisms and Min-Max orderings.
 """
 
 from __future__ import annotations
@@ -309,31 +309,27 @@ def cycle_walk(h: Digraph) -> tuple[str, ...] | None:
     """The loopless arcs of h as one directed cycle through all of its
     (at least 2) vertices, walked from h.vertices[0]; None if they are not.
 
-    Loops are ignored.  One pass over the arc set, not the adjacency index:
-    the witness search calls this on many small induced subdigraphs.
+    Loops are ignored.  Successors come from the adjacency index; a target
+    with more than two arcs per vertex is refused before building it.
     """
     k = len(h.vertices)
-    if k < 2:
+    if k < 2 or len(h.arcs) > 2 * k:
         return None
-    succ: dict[str, str] = {}
-    for t, head in h.arcs:
-        if t != head:
-            if t in succ:
-                return None  # out-degree above 1
-            succ[t] = head
-    if len(succ) != k:
+    outs = h.adjacency[0]
+    if any(len(out) != 1 for out in outs):
         return None
-    # every out-degree is 1.  A walk that repeats a vertex other than start
-    # is trapped in a cycle avoiding start, so returning to start after
-    # exactly k steps means one cycle through all k vertices (and every
-    # in-degree is 1)
-    start = h.vertices[0]
-    walk = [start]
-    v = succ[start]
-    while v != start and len(walk) < k:
+    # every out-degree is 1.  A walk that repeats a vertex other than 0 is
+    # trapped in a cycle avoiding 0, so returning to 0 after exactly k
+    # steps means one cycle through all k vertices (and every in-degree
+    # is 1)
+    walk = [0]
+    v = outs[0][0]
+    while v and len(walk) < k:
         walk.append(v)
-        v = succ[v]
-    return tuple(walk) if v == start and len(walk) == k else None
+        v = outs[v][0]
+    if v or len(walk) < k:
+        return None
+    return tuple(map(h.vertices.__getitem__, walk))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from minhom import (CostMatrix, Digraph, GraphError, InternalError,
                     build_theorem5_digraph, classify_general,
                     classify_reflexive_mpt, classify_theorem5,
-                    classify_tournament_wpl, enumerate_rmpt, find_minmax,
-                    find_witness, is_homomorphism, make_cycle,
+                    classify_tournament_wpl, components, enumerate_rmpt,
+                    find_minmax, find_witness, is_homomorphism, make_cycle,
                     make_oriented_kb, make_tt, make_tt_minus, map_cost,
                     solve_auto, solve_bruteforce, validate_witness,
                     verify_minmax)
 from minhom.birep import bg, find_forbidden
 from minhom.classify import (WITNESS_SUBSET_CAP, BGForbiddenWitness,
-                             ReflexiveCycleWitness)
+                             ReflexiveCycleWitness, _witnesses)
 from minhom.digraph import cycle_walk
 
 
@@ -68,9 +68,10 @@ def test_find_witness_skips_subsets_too_small_for_a_structure(monkeypatch):
     # BG(H[S]) has 2|S| vertices; the smallest forbidden structure has 6
     import minhom.classify
     sizes = []
-    search = minhom.classify.find_forbidden
-    monkeypatch.setattr(minhom.classify, "find_forbidden",
-                        lambda g: sizes.append(len(g.vertices)) or search(g))
+    search = minhom.classify.forbidden_hosts
+    monkeypatch.setattr(
+        minhom.classify, "forbidden_hosts",
+        lambda n1, adj: sizes.append(len(adj)) or search(n1, adj))
     rng = random.Random(11)
     targets = [make_tt(4).reflexive_closure(),
                make_oriented_kb(1, 3).reflexive_closure(),
@@ -445,6 +446,73 @@ def digraphs(draw, most=7):
 @given(digraphs())
 def test_find_witness_matches_the_all_subsets_search(h):
     assert find_witness(h) == all_subsets_witness(h)
+
+
+def named_witnesses(h):
+    """The witness generator by name, one graph per subset: weakly
+    connected subsets in combinations order, cycle_walk of each induced
+    subdigraph, then find_forbidden of its bipartite representation."""
+    connected = [[subset for subset in itertools.combinations(h.vertices, size)
+                  if len(components(h.induced(subset))) == 1]
+                 for size in range(3, WITNESS_SUBSET_CAP + 1)]
+    for subsets in connected:
+        for subset in subsets:
+            walk = cycle_walk(h.induced(subset)) or ()
+            looped = next((v for v in walk if h.has_loop(v)), None)
+            if looped is not None:
+                yield ReflexiveCycleWitness(walk, looped)
+    for subsets in connected:
+        for subset in subsets:
+            fs = find_forbidden(bg(h.induced(subset)))
+            if fs is not None:
+                yield BGForbiddenWitness(subset, fs)
+
+
+def test_witness_sequence_matches_the_named_search_seeded():
+    # loops and digons: each ordered pair and each loop is drawn on its own
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(2000):
+        vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+        rng.shuffle(vs)
+        p, loop_p = rng.choice((0.15, 0.3, 0.5)), rng.choice((0, 0.3, 0.7, 1))
+        h = Digraph(vs, [(a, b) for a in vs for b in vs
+                         if rng.random() < (loop_p if a == b else p)])
+        got = list(_witnesses(h))
+        assert got == list(named_witnesses(h)), h
+        seen.update(type(w) for w in got)
+        seen.update(w.structure.kind for w in got
+                    if isinstance(w, BGForbiddenWitness))
+    assert seen == {ReflexiveCycleWitness, BGForbiddenWitness,
+                    "long-induced-cycle", "bipartite-claw", "bipartite-net",
+                    "bipartite-tent"}
+
+
+def test_witness_memo_renames_and_keeps_loops_apart():
+    # the reflexive 3-cycle has a 6-cycle in BG; drop one loop and BG is a
+    # path.  Two looped copies share one arc pattern, the third copy's
+    # pattern differs from theirs by one loop only
+    def triangle(tag, loops):
+        vs = [f"{tag}{i}" for i in range(3)]
+        return vs, [(vs[i], vs[(i + 1) % 3]) for i in range(3)] + \
+            [(v, v) for v in vs[:loops]]
+
+    parts = [triangle("a", 3), triangle("b", 2), triangle("c", 3)]
+    for order in (parts, parts[::-1]):
+        h = Digraph([v for vs, _ in order for v in vs],
+                    [arc for _, arcs in order for arc in arcs])
+        found = {w.subset: w.structure for w in _witnesses(h)
+                 if isinstance(w, BGForbiddenWitness)}
+        assert sorted(found) == [("a0", "a1", "a2"), ("c0", "c1", "c2")]
+        for subset, fs in found.items():
+            assert fs.kind == "long-induced-cycle"
+            assert {v[:-2] for v in fs.host_vertices()} == set(subset)
+            assert fs == find_forbidden(bg(h.induced(subset)))
+        rename = str.maketrans("a", "c")
+        assert [(lab, v.translate(rename))
+                for lab, v in found["a0", "a1", "a2"].embedding] == \
+            list(found["c0", "c1", "c2"].embedding)
+        assert list(_witnesses(h)) == list(named_witnesses(h))
 
 
 @st.composite

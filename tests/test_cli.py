@@ -403,6 +403,15 @@ def test_cli_witness():
     assert lines[0].startswith("witness ")
 
 
+def test_cli_witness_on_rc_tt30_is_fast():
+    # 31 465 subsets of 3 or 4 vertices, all with the same arc pattern per
+    # size: the forbidden-structure search runs once per pattern
+    start = time.perf_counter()
+    code, out = cli("witness", "--target", "rc_tt30")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (EXIT_OK, "none\n")
+
+
 def test_cli_enumerate_rmpt():
     code, out = cli("enumerate-rmpt", "--n", "3")
     assert code == EXIT_OK

@@ -25,8 +25,7 @@ def test_no_unbounded_recursion():
     # a function that calls itself goes one stack frame deeper per call,
     # and Python stops near 1000 frames: a search that recursed once per
     # input vertex, part or label printed a RecursionError traceback on a
-    # large input.  The one exception is birep.find_pattern.place, which
-    # recurses once per x label of a pattern, and a pattern has 4
+    # large input
     found = []
 
     def visit(node, prefix):
@@ -51,8 +50,7 @@ def test_no_unbounded_recursion():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
               path.stem)
-    assert found == ["birep.find_pattern.place"], \
-        f"functions that call themselves: {found}"
+    assert found == [], f"functions that call themselves: {found}"
 
 
 def test_stdlib_only_imports():
