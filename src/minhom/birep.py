@@ -28,6 +28,7 @@ from itertools import combinations
 
 from .digraph import (Digraph, GraphError, GuardExceeded, check_token,
                       components)
+from .solver import CostMatrix
 
 #: Default cap on the number of vertices searched for forbidden structures.
 FORBIDDEN_GUARD = 16
@@ -341,15 +342,14 @@ def is_proper_interval_bigraph(
 # -- part-respecting instance transformation ------------------------------
 
 
-def digraph_instance_from_bipartite(g: BipartiteGraph, h: Digraph, costs):
+def digraph_instance_from_bipartite(g: BipartiteGraph, h: Digraph,
+                                    costs: CostMatrix):
     """Convert a part-respecting bipartite instance over BG(h) into a digraph
     instance over h with the same optimal cost.
 
     Edges of g are oriented from part1 to part2; the new cost of assigning
     h-vertex x to u is the old cost of x_1 (u in part1) or x_2 (u in part2).
     """
-    from .solver import CostMatrix
-
     costs.check_shape(set(g.vertices), set(bg(h).vertices))
     d = Digraph(g.vertices, g.edges)
     entries = {}

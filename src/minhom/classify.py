@@ -16,8 +16,7 @@ from itertools import combinations, permutations, product
 from .birep import (ForbiddenStructure, bg, forbidden_hosts, label_hosts,
                     validate_forbidden)
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      PartiteStructure, components, cycle_walk, is_acyclic,
-                      partite_structure)
+                      components, cycle_walk, is_acyclic, partite_structure)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
@@ -187,23 +186,32 @@ def find_witness(h: Digraph) -> Witness | None:
     return w
 
 
+def _hard(h: Digraph, rule: str) -> Classification:
+    """NP-hard by a theorem's rule, with find_witness's witness or the
+    note that it found none."""
+    w = find_witness(h)
+    return Classification(NP_HARD, rule, witness=w,
+                          notes=() if w is not None else ("no-witness-found",))
+
+
 # -- reflexive multipartite tournaments -----------------------------------
 
 
-def _thm41_ordering(h: Digraph, ps: PartiteStructure) -> Ordering | None:
+def _thm41_ordering(h: Digraph, parts: tuple[tuple[str, ...], ...]
+                    ) -> Ordering | None:
     """Min-Max ordering of a polynomial non-tournament case of Theorem 4.1.
 
     h ~ RC(TT_n^-) iff, with n - 1 parts, its loopless part is acyclic and
     the acyclic ordering (unique: TT_n^- has the path 1..n) ends in the
     nonadjacent pair.  The 3-vertex stars get (leaf, centre, leaf)."""
     n = len(h.vertices)
-    if len(ps.parts) == n - 1:
+    if len(parts) == n - 1:
         acyclic, order = is_acyclic(h)
         if acyclic and not h.adjacent(order[0], order[-1]):
             return Ordering(order)
     if n == 3:
         # the two paths are RC(TT_3^-), so h is an oriented star
-        (centre,) = ps.parts[0]
+        (centre,) = parts[0]
         first, second = (v for v in h.vertices if v != centre)
         return Ordering((first, centre, second))
     return None
@@ -218,8 +226,8 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
     """
     if set(h.loops()) != set(h.vertices):
         raise GraphError("classify_reflexive_mpt requires a reflexive digraph")
-    ps = partite_structure(h)
-    k = len(ps.parts)
+    parts = partite_structure(h)
+    k = len(parts)
     n = len(h.vertices)
     if k < 2:
         raise GraphError("classify_reflexive_mpt requires at least 2 partite sets")
@@ -227,7 +235,7 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
     if k == n:
         return classify_tournament_wpl(h)
 
-    ordering = _thm41_ordering(h, ps)
+    ordering = _thm41_ordering(h, parts)
     if ordering is not None:
         if not verify_minmax(h, ordering)[0]:
             raise InternalError("Theorem 4.1 ordering is not Min-Max")
@@ -244,7 +252,8 @@ def classify_tournament_wpl(h: Digraph) -> Classification:
     """Dichotomy for tournaments with possible loops.
 
     Polynomial iff the loopless part is acyclic (the acyclic ordering is then
-    a Min-Max ordering) or h is the loopless directed 3-cycle.
+    a Min-Max ordering) or h is the loopless directed 3-cycle; NP-hard
+    otherwise, with a witness or the note that none was found.
     """
     for u, v in combinations(h.vertices, 2):
         fwd = (u, v) in h.arcs
@@ -262,7 +271,7 @@ def classify_tournament_wpl(h: Digraph) -> Classification:
         return Classification(POLY, "thm4.3", ordering=ordering)
     if len(h.vertices) == 3 and not h.loops():
         return Classification(POLY, "thm4.3")
-    return Classification(NP_HARD, "thm4.3", witness=find_witness(h))
+    return _hard(h, "thm4.3")
 
 
 # -- the 16-case family on four vertices ----------------------------------
@@ -292,12 +301,10 @@ def classify_theorem5(b) -> Classification:
     h = build_theorem5_digraph(b)
     if "33" in b and "44" not in b:
         ordering = find_minmax(h)
-        notes = () if ordering is not None else ("no-minmax-ordering-found",)
-        return Classification(POLY, "thm5.1", ordering=ordering, notes=notes)
-    w = find_witness(h)
-    if w is not None:
-        return Classification(NP_HARD, "thm5.1", witness=w)
-    return Classification(NP_HARD, "thm5.1", notes=("no-witness-found",))
+        if ordering is None:
+            raise InternalError("Theorem 5.1 target has no Min-Max ordering")
+        return Classification(POLY, "thm5.1", ordering=ordering)
+    return _hard(h, "thm5.1")
 
 
 # -- generic sufficient conditions ----------------------------------------

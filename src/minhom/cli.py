@@ -114,8 +114,8 @@ def _emit_solve(res, out) -> int:
     print(line, file=out)
     # one write per line, not one for the whole map: with unbuffered
     # stdout a write that a closing reader cuts short raises nothing
-    mapping = res.homomorphism.mapping
-    out.writelines(map("map {} {}\n".format, mapping.keys(), mapping.values()))
+    out.writelines(map("map {} {}\n".format, res.mapping.keys(),
+                       res.mapping.values()))
     return EXIT_OK
 
 

@@ -332,15 +332,9 @@ def cycle_walk(h: Digraph) -> tuple[str, ...] | None:
     return tuple(map(h.vertices.__getitem__, walk))
 
 
-@dataclass(frozen=True)
-class PartiteStructure:
-    """Partite sets of a multipartite tournament, in canonical order."""
-
-    parts: tuple[tuple[str, ...], ...]
-
-
-def partite_structure(h: Digraph) -> PartiteStructure:
-    """Partite sets of h, ignoring loops.
+def partite_structure(h: Digraph) -> tuple[tuple[str, ...], ...]:
+    """Partite sets of h, ignoring loops: each part's names sorted, the
+    parts ordered by size and then by first name.
 
     Raises NotMultipartiteTournament unless nonadjacency is an equivalence
     relation and every cross pair carries exactly one arc.  The adjacency
@@ -372,7 +366,7 @@ def partite_structure(h: Digraph) -> PartiteStructure:
                         raise NotMultipartiteTournament(
                             f"cross pair ({u}, {v}) has two arcs")
     parts.sort(key=lambda p: (len(p), p[0]))
-    return PartiteStructure(tuple(parts))
+    return tuple(parts)
 
 
 def make_tt(p: int) -> Digraph:

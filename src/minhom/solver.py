@@ -46,14 +46,14 @@ solve_auto) raises GraphError for a cost entry outside V(D) x V(H).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .digraph import (Digraph, GraphError, InternalError, components,
-                      cycle_walk, is_acyclic, strong_components)
+from .digraph import (Digraph, GraphError, InternalError, cycle_walk,
+                      is_acyclic, strong_components)
 from .minmax import (FIND_GUARD, Ordering, _is_staircase, _position_arcs,
                      find_minmax, verify_minmax)
 
@@ -111,34 +111,17 @@ class CostMatrix:
 
 
 @dataclass(frozen=True)
-class Homomorphism:
-    """A vertex mapping together with its total assignment cost."""
-
-    mapping: dict[str, str]
-    cost: int
-
-    def __init__(self, mapping, cost):
-        object.__setattr__(self, "mapping", dict(mapping))
-        object.__setattr__(self, "cost", int(cost))
-
-    def __hash__(self):
-        return hash((frozenset(self.mapping.items()), self.cost))
-
-
-@dataclass(frozen=True)
 class SolveResult:
-    """Either an optimal homomorphism or an infeasibility verdict."""
+    """An optimal homomorphism and its cost, or (both None) an
+    infeasibility verdict; method names the route that produced it."""
 
-    homomorphism: Homomorphism | None
+    mapping: dict[str, str] | None
+    cost: int | None
     method: str
 
     @property
     def feasible(self) -> bool:
-        return self.homomorphism is not None
-
-    @property
-    def cost(self) -> int | None:
-        return None if self.homomorphism is None else self.homomorphism.cost
+        return self.mapping is not None
 
 
 def is_homomorphism(d: Digraph, h: Digraph, mapping: dict[str, str]) -> bool:
@@ -167,7 +150,7 @@ def _revalidated(d: Digraph, h: Digraph, costs: CostMatrix,
         raise InternalError("invalid optimum")
     if map_cost(d, costs, mapping) != cost:
         raise InternalError("cost mismatch")
-    return SolveResult(Homomorphism(mapping, cost), method)
+    return SolveResult(mapping, cost, method)
 
 
 # -- brute force ----------------------------------------------------------
@@ -189,7 +172,7 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
     for u, loop in zip(dv, looped):
         cands = [i for i in hv if not loop or h.has_loop(i)]
         if not cands:
-            return SolveResult(None, "brute")
+            return SolveResult(None, None, "brute")
         base[u] = cands
 
     best_cost: int | None = None
@@ -239,7 +222,7 @@ def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
         k, partial = len(frames), partial + costs.cost(u, i)
 
     if best_map is None:
-        return SolveResult(None, "brute")
+        return SolveResult(None, None, "brute")
     return _revalidated(d, h, costs, best_map, best_cost, "brute")
 
 
@@ -613,7 +596,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         if loop:
             labels = labels & diag
         if not labels:
-            return SolveResult(None, "minmax")
+            return SolveResult(None, None, "minmax")
         vecs.append([get((u, i), 0) if k in labels else None
                      for k, i in enumerate(seq)])
 
@@ -656,7 +639,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     label = [0] * len(vs)
     total = _cut(vecs, outs, core, lam, mu, label) if core else 0
     if total is None or fixed is None:
-        return SolveResult(None, "minmax")
+        return SolveResult(None, None, "minmax")
     for k, w, pick in reversed(trail):
         label[k] = pick if w < 0 else pick[label[w]]
     mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
@@ -680,21 +663,23 @@ def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
     costs.check_shape(d, h)
     k = len(walk)
     if d.loops():
-        return SolveResult(None, "cycle")  # cycles carry no loops
+        return SolveResult(None, None, "cycle")  # cycles carry no loops
 
     # residues by declaration index; an arc t -> head needs
-    # res[head] = res[t] + 1 (mod k)
+    # res[head] = res[t] + 1 (mod k).  Each unseen vertex, in declaration
+    # order, roots one component, whose members its search collects
     vs = d.vertices
-    index = d._index
     outs, ins, _ = d.adjacency
     res = [-1] * len(vs)
     get = costs.entries.get
     ring = walk * 2  # ring[r + c] is walk[(r + c) % k] for r, c < k
     mapping: dict[str, str] = {}
     total = 0
-    for comp in components(d):
-        root = index[comp[0]]
+    for root in range(len(vs)):
+        if res[root] >= 0:
+            continue
         res[root] = 0
+        comp = [root]
         stack = [root]
         while stack:
             v = stack.pop()
@@ -703,16 +688,19 @@ def solve_cycle(d: Digraph, h: Digraph, costs: CostMatrix) -> SolveResult:
                 for w in ws:
                     if res[w] < 0:
                         res[w] = val
+                        comp.append(w)
                         stack.append(w)
                     elif res[w] != val:
-                        return SolveResult(None, "cycle")
-        rs = [res[index[v]] for v in comp]
+                        return SolveResult(None, None, "cycle")
+        comp.sort()
+        names = [vs[v] for v in comp]
+        rs = [res[v] for v in comp]
         # the first rotation of least cost
-        sums = [sum(map(get, zip(comp, [ring[r + c] for r in rs]), repeat(0)))
+        sums = [sum(map(get, zip(names, [ring[r + c] for r in rs]), repeat(0)))
                 for c in range(k)]
         c = sums.index(min(sums))
         total += sums[c]
-        mapping.update(zip(comp, [ring[r + c] for r in rs]))
+        mapping.update(zip(names, [ring[r + c] for r in rs]))
 
     return _revalidated(d, h, costs, mapping, total, "cycle")
 
@@ -744,17 +732,17 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
             base_order.append(v)
         copies[v].append(w)
 
+    # arcs between each ordered pair of classes, counted in one pass (hp
+    # has no loops, so an arc inside a class joins two copies)
+    joined = Counter((decomposition[t], decomposition[x]) for t, x in hp.arcs)
     base_arcs = set()
     for a in base_order:
         for b in base_order:
-            present = sum(1 for w in copies[a] for x in copies[b]
-                          if (w, x) in hp.arcs and w != x)
+            present = joined[a, b]
+            if not present:
+                continue
             if a == b:
-                if present:
-                    raise GraphError(f"class {a!r} is not independent")
-                continue
-            if present == 0:
-                continue
+                raise GraphError(f"class {a!r} is not independent")
             if present != len(copies[a]) * len(copies[b]):
                 raise GraphError(
                     f"classes {a!r} -> {b!r} are only partially joined"
@@ -776,8 +764,8 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
         for u, v in mapping.items():
             if v not in copies:
                 raise GraphError(f"image {v!r} is not a base vertex")
-            out[u] = min(copies[v], key=lambda w: (costs.cost(u, w),
-                                                   hp.decl_index(w)))
+            # copies[v] is in declaration order, and min keeps the first
+            out[u] = min(copies[v], key=lambda w: costs.cost(u, w))
         return out
 
     return base, collapsed, lift
@@ -787,8 +775,7 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
 
 
 def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
-               guard: int = FIND_GUARD,
-               budget: int = BRUTE_BUDGET) -> SolveResult:
+               guard: int = FIND_GUARD) -> SolveResult:
     """Dispatch: cycle target, then Min-Max route, then brute force.
 
     The route taken checks the cost keys (GraphError for one outside
@@ -801,4 +788,4 @@ def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
         ordering = None
     if ordering is not None:
         return solve_minmax(d, h, ordering, costs)
-    return solve_bruteforce(d, h, costs, budget=budget)
+    return solve_bruteforce(d, h, costs)

@@ -200,7 +200,7 @@ def test_criterion_07_bipartite_transformation():
         expect = brute_part_respecting(g, bgh, costs)
         assert (res.cost if res.feasible else None) == expect
         if res.feasible:
-            f = res.homomorphism.mapping
+            f = res.mapping
             lifted = lift_solution(g, h, f)
             assert sum(costs.cost(u, lifted[u]) for u in g.vertices) == res.cost
             assert project_solution(g, h, lifted) == f
@@ -229,7 +229,7 @@ def test_criterion_08_extension_collapse():
         r2 = solve_bruteforce(d, base, collapsed)
         assert (r1.feasible, r1.cost) == (r2.feasible, r2.cost)
         if r2.feasible:
-            lifted = lift(r2.homomorphism.mapping)
+            lifted = lift(r2.mapping)
             assert is_homomorphism(d, hp, lifted)
             assert map_cost(d, costs, lifted) == r2.cost
     report(8, "extension collapse exact on 200 instances", 30,

@@ -212,7 +212,7 @@ def test_lift_project_round_trip():
         res = solve_bruteforce(d, h, dcosts)
         if not res.feasible:
             continue
-        f = res.homomorphism.mapping
+        f = res.mapping
         lifted = lift_solution(g, h, f)
         assert sum(costs.cost(u, lifted[u]) for u in g.vertices) == res.cost
         assert project_solution(g, h, lifted) == f

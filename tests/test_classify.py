@@ -219,6 +219,31 @@ def test_classify_tournament_rejects_non_tournament():
         classify_tournament_wpl(make_oriented_kb(1, 2))
 
 
+def test_classify_tournament_hard_has_witness_or_note():
+    # every labelled 4-vertex tournament w.p.l.: an np-hard verdict carries
+    # a witness that re-checks, or says that the search found none (the
+    # loopless 1->2, 1->3, 2->3, 2->4, 3->4, 4->1 has no small witness)
+    vs = ("1", "2", "3", "4")
+    pairs = list(itertools.combinations(vs, 2))
+    hard = bare = 0
+    for flips in itertools.product((0, 1), repeat=len(pairs)):
+        for loops in itertools.product((0, 1), repeat=len(vs)):
+            arcs = [(v, u) if flip else (u, v)
+                    for (u, v), flip in zip(pairs, flips)]
+            arcs += [(v, v) for v, loop in zip(vs, loops) if loop]
+            h = Digraph(vs, arcs)
+            c = classify_tournament_wpl(h)
+            if c.verdict != "np-hard":
+                continue
+            hard += 1
+            if c.witness is None:
+                bare += 1
+                assert c.notes == ("no-witness-found",), h.sorted_arcs()
+            else:
+                assert validate_witness(h, c.witness) and not c.notes
+    assert hard == 640 and bare == 24
+
+
 # -- the four-vertex sixteen-case family ----------------------------------
 
 
@@ -256,6 +281,13 @@ def test_theorem5_poly_cases_have_minmax_orderings():
         c = classify_theorem5(b)
         assert c.ordering is not None
         assert c.ordering.sequence == ("1", "2", "4", "3")
+
+
+def test_theorem5_poly_case_without_ordering_is_internal(monkeypatch):
+    import minhom.classify
+    monkeypatch.setattr(minhom.classify, "find_minmax", lambda h: None)
+    with pytest.raises(InternalError):
+        classify_theorem5({"33"})
 
 
 # -- generic classifier ---------------------------------------------------
@@ -405,7 +437,7 @@ def test_enumerate_rmpt_all_reflexive_multipartite():
     from minhom import partite_structure
     for h in enumerate_rmpt(4):
         assert set(h.loops()) == set(h.vertices)
-        assert len(partite_structure(h).parts) >= 2
+        assert len(partite_structure(h)) >= 2
 
 
 def test_consistency_general_vs_rmpt():
@@ -539,7 +571,7 @@ def test_every_certificate_validates(h, d, rng):
                         for u in d.vertices for i in h.vertices})
     res = solve_auto(d, h, costs)
     if res.feasible:
-        mapping = res.homomorphism.mapping
+        mapping = res.mapping
         assert is_homomorphism(d, h, mapping)
         assert map_cost(d, costs, mapping) == res.cost
     assert res.cost == solve_bruteforce(d, h, costs).cost

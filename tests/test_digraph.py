@@ -176,9 +176,9 @@ def test_is_acyclic_matches_converse():
 
 
 def test_partite_structure():
-    ps = partite_structure(make_oriented_kb(1, 2).reflexive_closure())
-    assert ps.parts == (("1",), ("2", "3"))
-    assert partite_structure(make_tt(3)).parts == (("1",), ("2",), ("3",))
+    parts = partite_structure(make_oriented_kb(1, 2).reflexive_closure())
+    assert parts == (("1",), ("2", "3"))
+    assert partite_structure(make_tt(3)) == (("1",), ("2",), ("3",))
     with pytest.raises(NotMultipartiteTournament):
         partite_structure(Digraph(("a", "b", "c"), [("a", "b")]))
     with pytest.raises(NotMultipartiteTournament):
@@ -242,7 +242,7 @@ def test_partite_structure_matches_pairwise_seeded():
                 partite_structure(h)
             assert str(got.value) == str(exc)
         else:
-            assert partite_structure(h).parts == tuple(want)
+            assert partite_structure(h) == tuple(want)
     assert errors == {"nonadjacency is not an equivalence relation",
                       "cross pair"}
 
@@ -251,9 +251,9 @@ def test_multipartite_arc_count():
     # non-loop arcs = C(n,2) - sum C(|S_i|,2)
     from math import comb
     for h in (make_oriented_kb(2, 3), make_tt(4), make_oriented_kb(1, 2)):
-        ps = partite_structure(h)
+        parts = partite_structure(h)
         n = len(h.vertices)
-        expect = comb(n, 2) - sum(comb(len(p), 2) for p in ps.parts)
+        expect = comb(n, 2) - sum(comb(len(p), 2) for p in parts)
         assert len(h.nonloop_arcs()) == expect
 
 

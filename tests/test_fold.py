@@ -103,7 +103,7 @@ def test_fold_matches_brute_force_and_least_optimum(instance):
     want = solve_bruteforce(d, h, costs)
     assert (got.feasible, got.cost) == (want.feasible, want.cost)
     if got.feasible:
-        assert got.homomorphism.mapping == \
+        assert got.mapping == \
             least_optimum(d, h, ordering, costs, want.cost)
 
 

@@ -71,6 +71,18 @@ def test_stdlib_only_imports():
     assert not found, f"imports outside the standard library: {found}"
 
 
+def test_no_function_level_imports():
+    # the package has no import cycle, so every import sits at the top of
+    # its module, where a reader sees what the module depends on
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in tree.body]
+    assert not found, f"imports below module level: {found}"
+
+
 def test_bench_spans_resolve():
     # bench/worker.py silently skips a spanned name it cannot find, so a
     # rename would zero that layer's metric without notice

@@ -72,7 +72,7 @@ def test_brute_unary_minimum():
     h = make_tt(2).reflexive_closure()
     res = solve_bruteforce(d, h, CostMatrix({("u", "1"): 5, ("u", "2"): 3}))
     assert res.feasible and res.cost == 3
-    assert res.homomorphism.mapping == {"u": "2"}
+    assert res.mapping == {"u": "2"}
 
 
 def test_brute_parity_infeasible():
@@ -94,7 +94,7 @@ def test_brute_lexicographic_tie_break():
     d = Digraph(("u",))
     h = Digraph(("a", "b"), [("a", "a"), ("b", "b")])
     res = solve_bruteforce(d, h, CostMatrix({}))
-    assert res.homomorphism.mapping == {"u": "a"}
+    assert res.mapping == {"u": "a"}
 
 
 def test_brute_budget():
@@ -216,7 +216,7 @@ def test_minmax_simple():
     costs = CostMatrix({("u", "1"): 0, ("u", "2"): 10,
                         ("v", "1"): 10, ("v", "2"): 0})
     res = solve_minmax(d, h, Ordering(("1", "2")), costs)
-    assert res.cost == 0 and res.homomorphism.mapping == {"u": "1", "v": "2"}
+    assert res.cost == 0 and res.mapping == {"u": "1", "v": "2"}
 
 
 def test_minmax_infeasible_path():
@@ -356,7 +356,7 @@ def test_cost_shift_invariance():
             shifted[(u0, i)] = shifted.get((u0, i), 0) + 7
         res = solve_bruteforce(d, h, CostMatrix(shifted))
         assert res.cost == base.cost + 7
-        assert res.homomorphism.mapping == base.homomorphism.mapping
+        assert res.mapping == base.mapping
 
 
 # -- cycle route ----------------------------------------------------------
@@ -372,7 +372,19 @@ def test_cycle_two_rotations():
     costs = CostMatrix({("u", "1"): 1, ("u", "2"): 5,
                         ("v", "1"): 2, ("v", "2"): 1})
     res = solve_cycle(d, make_cycle(2), costs)
-    assert res.cost == 2 and res.homomorphism.mapping == {"u": "1", "v": "2"}
+    assert res.cost == 2 and res.mapping == {"u": "1", "v": "2"}
+
+
+def test_cycle_maps_component_by_component():
+    # the map lists each component's members in declaration order, the
+    # components by their first member; an infeasible answer has no map
+    d = Digraph(("a", "b", "c", "d", "e"),
+                [("d", "b"), ("a", "e"), ("c", "a")])
+    res = solve_cycle(d, make_cycle(3), CostMatrix({("b", "1"): 1}))
+    assert list(res.mapping) == ["a", "c", "e", "b", "d"]
+    assert res.cost == 0 and res.method == "cycle"
+    res = solve_cycle(make_cycle(3), make_cycle(2), CostMatrix({}))
+    assert (res.mapping, res.cost, res.method) == (None, None, "cycle")
 
 
 def test_cycle_odd_input_infeasible():
@@ -420,7 +432,7 @@ def test_cycle_matches_brute_force(instance):
     want = solve_bruteforce(d, h, costs)
     assert got.cost == want.cost
     if got.feasible:
-        mapping = got.homomorphism.mapping
+        mapping = got.mapping
         assert is_homomorphism(d, h, mapping)
         assert map_cost(d, costs, mapping) == got.cost
 
@@ -452,6 +464,26 @@ def test_collapse_rejects_bad_decomposition():
         collapse_extension(hp, bad, CostMatrix({}))
 
 
+def test_collapse_names_the_first_bad_class_pair():
+    # classes are taken in declaration order, pairs row by row: a -> b is
+    # partly joined and c holds an arc, and whichever comes first is named
+    arcs = [("a1", "b1"), ("c1", "c2")]
+    decomp = {"a1": "a", "a2": "a", "b1": "b", "c1": "c", "c2": "c"}
+    for order, message in (("a1 a2 b1 c1 c2", "'a' -> 'b' are only partially"),
+                           ("c1 c2 a1 a2 b1", "'c' is not independent")):
+        with pytest.raises(GraphError, match=message):
+            collapse_extension(Digraph(order.split(), arcs), decomp,
+                               CostMatrix({}))
+
+
+def test_collapse_lift_ties_take_the_first_declared_copy():
+    hp = Digraph(("x2", "x1", "y"), [("x2", "y"), ("x1", "y")])
+    decomp = {"x1": "x", "x2": "x", "y": "y"}
+    costs = CostMatrix({("u", "x1"): 1, ("u", "x2"): 1})
+    _, _, lift = collapse_extension(hp, decomp, costs)
+    assert lift({"u": "x", "v": "x"}) == {"u": "x2", "v": "x2"}
+
+
 def test_collapse_equals_extension_optimum_seeded():
     rng = random.Random(808)
     for _ in range(200):
@@ -468,7 +500,7 @@ def test_collapse_equals_extension_optimum_seeded():
         r2 = solve_bruteforce(d, base, collapsed)
         assert (r1.feasible, r1.cost) == (r2.feasible, r2.cost)
         if r2.feasible:
-            lifted = lift(r2.homomorphism.mapping)
+            lifted = lift(r2.mapping)
             assert is_homomorphism(d, hp, lifted)
             assert map_cost(d, costs, lifted) == r2.cost
 
