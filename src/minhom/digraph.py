@@ -110,9 +110,6 @@ class Digraph:
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def decl_index(self, v: str) -> int:
-        return self._index[v]
-
     def __contains__(self, v: str) -> bool:
         return v in self._index
 

@@ -4,15 +4,15 @@ An ordering of V(H) is Min-Max when, for every non-trivial pair of arcs
 e = ik and f = js (as position pairs), both (min(i,j), min(k,s)) and
 (max(i,j), max(k,s)) are again arcs.  Targets with a Min-Max ordering admit
 a polynomial minimum cost homomorphism solver (see solver.solve_minmax).
-_is_staircase is the one test of the condition: verify_minmax,
-find_minmax and solve_minmax decide by it, the first and last on the list
-_position_arcs builds.
+_is_staircase is the one test of the condition, and it reads the rank
+rows that _rank_rows builds from Digraph.adjacency: verify_minmax,
+find_minmax and solve_minmax all decide by it on those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       first_injection, make_oriented_kb)
@@ -32,9 +32,6 @@ class Ordering:
         if len(set(seq)) != len(seq):
             raise GraphError("ordering contains a repeated vertex")
         object.__setattr__(self, "sequence", seq)
-
-    def rank(self) -> dict[str, int]:
-        return {v: i + 1 for i, v in enumerate(self.sequence)}
 
     def serialize(self) -> str:
         return ",".join(self.sequence)
@@ -59,13 +56,25 @@ class ArcPair:
     max_pair: tuple[int, int]
 
 
-def _position_arcs(h: Digraph, ordering: Ordering) -> list[tuple[int, int]]:
-    """h's arcs as pairs of 1-based ranks in the ordering, sorted; GraphError
-    unless the ordering is a permutation of h's vertices."""
-    pos = ordering.rank()
-    if set(pos) != set(h.vertices):
-        raise GraphError("ordering is not a permutation of the target's vertices")
-    return sorted((pos[t], pos[head]) for t, head in h.arcs)
+def _rank_rows(h: Digraph, seq) -> list[list[int]]:
+    """Rank rows of seq, distinct vertices of h (an ordering or a placed
+    prefix): rows[r] lists, ascending, each 0-based rank c with an arc
+    seq[r] -> seq[c], loops included.  Column c goes into the row of each
+    placed in-neighbour of seq[c] (h.adjacency) and into its own row if
+    looped: walking seq by rank leaves every row ascending with no sort."""
+    _, ins, looped = h.adjacency
+    ks = [h._index[v] for v in seq]
+    rank = [-1] * len(h.vertices)
+    for c, k in enumerate(ks):
+        rank[k] = c
+    rows: list[list[int]] = [[] for _ in ks]
+    for c, k in enumerate(ks):
+        for x in ins[k]:
+            if rank[x] >= 0:
+                rows[rank[x]].append(c)
+        if looped[k]:
+            rows[c].append(c)
+    return rows
 
 
 def _first_violation(arcs: list[tuple[int, int]]
@@ -86,16 +95,16 @@ def _first_violation(arcs: list[tuple[int, int]]
     return None
 
 
-def _is_staircase(arcs: list[tuple[int, int]]) -> bool:
-    """Whether sorted position arcs form a staircase: among the nonempty
-    columns, every row's columns are contiguous, and the rows' first and
-    last columns are nondecreasing down the nonempty rows."""
-    rank = {k: r for r, k in enumerate(sorted({k for _, k in arcs}))}
+def _is_staircase(rows: list[list[int]]) -> bool:
+    """Whether rank rows form a staircase: among the nonempty columns (count
+    numbers them), every row's columns are contiguous, and the rows' first
+    and last columns are nondecreasing down the nonempty rows."""
+    filled = set().union(*rows)
+    count = list(accumulate(k in filled for k in range(len(rows))))
     last_lo = last_hi = -1
-    for _, row in groupby(arcs, key=lambda arc: arc[0]):
-        cols = [rank[k] for _, k in row]
-        lo, hi = cols[0], cols[-1]
-        if hi - lo != len(cols) - 1 or lo < last_lo or hi < last_hi:
+    for row in filter(None, rows):
+        lo, hi = count[row[0]], count[row[-1]]
+        if hi - lo != len(row) - 1 or lo < last_lo or hi < last_hi:
             return False
         last_lo, last_hi = lo, hi
     return True
@@ -106,18 +115,21 @@ def verify_minmax(h: Digraph,
     """Check the Min-Max condition; on failure return the lexicographically
     first violating pair (arcs compared as position pairs).
 
-    The verdict takes O(m log m) for m arcs: an ordering is Min-Max exactly
-    when its position arcs form a staircase (_is_staircase).  If rows i < j
-    hold arcs (i, k) and (j, s) with k > s, then row i starts at or before
-    s and row j ends at or after k, so contiguity puts (i, s) and (j, k) in
-    the arcs; conversely a row that skips a nonempty column, or a later row
-    that starts or ends earlier, gives a violating pair.  Only a failed
-    ordering pays the quadratic scan for the first violating pair.
+    The verdict takes O(n + m) for n vertices and m arcs: an ordering is
+    Min-Max exactly when its rank rows form a staircase (_is_staircase).
+    If rows i < j hold arcs (i, k) and (j, s) with k > s, then row i starts
+    at or before s and row j ends at or after k, so contiguity puts (i, s)
+    and (j, k) in the arcs; conversely a row that skips a nonempty column,
+    or a later row that starts or ends earlier, gives a violating pair.
+    Only a failed ordering pays the quadratic scan for the first one.
     """
-    arcs = _position_arcs(h, ordering)
-    if _is_staircase(arcs):
+    if set(ordering.sequence) != set(h.vertices):
+        raise GraphError("ordering is not a permutation of the target's vertices")
+    rows = _rank_rows(h, ordering.sequence)
+    if _is_staircase(rows):
         return True, None
-    found = _first_violation(arcs)
+    found = _first_violation([(i, k + 1) for i, row in enumerate(rows, 1)
+                              for k in row])
     if found is None:
         raise InternalError("a non-staircase ordering has no violating pair")
     (i, k), (j, s), mn, mx = found
@@ -131,8 +143,8 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
 
     Ranks 1..n are filled in turn, each trying the vertices in declaration
     order (digraph.first_injection); a partial placement is abandoned as soon
-    as the position arcs among the placed vertices fail _is_staircase, the
-    one Min-Max verdict.  Every min and max position of two placed arcs is
+    as the rank rows of the placed prefix fail _is_staircase, the one
+    Min-Max verdict.  Every min and max position of two placed arcs is
     a placed rank, so that verdict is the pair condition on the placed
     arcs, and a failure stays a failure whatever is placed later.
     """
@@ -142,14 +154,9 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
             f"Min-Max ordering search is limited to {guard} vertices; "
             "raise the guard explicitly to search this target"
         )
-    if n == 0:
-        return Ordering(())
 
     def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
-        placed = {w: r for r, w in by_rank.items()}
-        return _is_staircase(sorted((placed[t], placed[head])
-                                    for t, head in h.arcs
-                                    if t in placed and head in placed))
+        return _is_staircase(_rank_rows(h, by_rank.values()))
 
     seq = first_injection(range(1, n + 1), h.vertices, fits)
     return None if seq is None else Ordering(seq.values())

@@ -20,9 +20,9 @@ Three routes are provided:
   over threshold variables x_{u,i} = [label(u) >= i], found with a
   Boykov–Kolmogorov max-flow: node c * (p - 1) + i is x_{u,i} of the c-th
   vertex left in declaration order (p labels, i = 2..p).  A forest input
-  builds no network.  The target's sorted position arcs must pass the one
-  staircase verdict (minmax._is_staircase), which guards the construction;
-  the thresholds lam and mu are then read off them.
+  builds no network.  The target's rank rows (minmax._rank_rows) must pass
+  the one staircase verdict (minmax._is_staircase), which guards the
+  construction; the thresholds lam and mu are then read off the rows.
   The cut's map is read off the nodes reachable from s in the residual
   network.  That set is the same for every maximum flow (it is the unique
   inclusion-minimal minimum cut), so the answer does not depend on which
@@ -54,8 +54,8 @@ from typing import Callable, Sequence
 
 from .digraph import (Digraph, GraphError, InternalError, cycle_walk,
                       is_acyclic, strong_components)
-from .minmax import (FIND_GUARD, Ordering, _is_staircase, _position_arcs,
-                     find_minmax, verify_minmax)
+from .minmax import (FIND_GUARD, Ordering, _rank_rows, find_minmax,
+                     verify_minmax)
 
 
 class BudgetExceeded(GraphError):
@@ -88,9 +88,6 @@ class CostMatrix:
 
     def cost(self, u: str, i: str) -> int:
         return self.entries.get((u, i), 0)
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
 
     def check_shape(self, inputs, targets) -> None:
         """GraphError unless every entry's input vertex is in `inputs` and
@@ -556,22 +553,21 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     s-t cut over the rest of d.  Valid whenever the ordering passes
     verify_minmax (checked; GraphError otherwise)."""
     costs.check_shape(d, h)
-    arcs = _position_arcs(h, ordering)
-    if not _is_staircase(arcs):
-        violation = verify_minmax(h, ordering)[1]
+    ok, violation = verify_minmax(h, ordering)
+    if not ok:
         raise GraphError(
             f"ordering is not Min-Max: pair {violation.e} / {violation.f} fails"
         )
     seq = ordering.sequence
     p = len(seq)
     # cost vectors, preds and succs index labels by rank 0..p-1 (label
-    # i = rank + 1 in the network); preds[j] and succs[i] list, ascending,
-    # the i and the j with an arc from rank i to rank j
+    # i = rank + 1 in the network); succs, the rank rows, and preds, their
+    # transpose, list the j and the i with an arc from rank i to rank j
+    succs = _rank_rows(h, seq)
     preds: list[list[int]] = [[] for _ in range(p)]
-    succs: list[list[int]] = [[] for _ in range(p)]
-    for i, j in arcs:
-        succs[i - 1].append(j - 1)
-        preds[j - 1].append(i - 1)
+    for i, row in enumerate(succs):
+        for j in row:
+            preds[j].append(i)
     lam, mu = _thresholds(succs, p)
 
     # d's adjacency index gives each input vertex's non-loop arcs by
@@ -584,7 +580,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
     every = set(range(p))
     rows = {i for i in every if succs[i]}
     cols = {j for j in every if preds[j]}
-    diag = {i for i in every if h.has_loop(seq[i])}
+    diag = {i for i in every if i in succs[i]}
     get = costs.entries.get
     vecs = []
     for u, out, inn, loop in zip(vs, outs, ins, looped):

@@ -138,7 +138,8 @@ def adjacency_is_acyclic(h):
             for v in h.vertices}
     indeg = {v: sum(1 for t, head in h.arcs if head == v != t)
              for v in h.vertices}
-    ready = [h.decl_index(v) for v in h.vertices if indeg[v] == 0]
+    index = {v: k for k, v in enumerate(h.vertices)}
+    ready = [index[v] for v in h.vertices if indeg[v] == 0]
     order = []
     while ready:
         pick = h.vertices[heappop(ready)]
@@ -146,7 +147,7 @@ def adjacency_is_acyclic(h):
         for head in outs[pick]:
             indeg[head] -= 1
             if indeg[head] == 0:
-                heappush(ready, h.decl_index(head))
+                heappush(ready, index[head])
     if len(order) < len(h.vertices):
         return False, None
     return True, tuple(order)

@@ -35,7 +35,7 @@ ORDERINGS = {name: find_minmax(h) for name, h in TARGETS.items()}
 def least_optimum(d, h, ordering, costs, best):
     """Coordinatewise least map, by rank in ordering, over every
     homomorphism d -> h of cost best (found by exhaustive search)."""
-    rank = ordering.rank()
+    rank = {v: i for i, v in enumerate(ordering.sequence, 1)}
     vs = d.vertices
     low = [min(costs.cost(u, i) for i in h.vertices) for u in vs]
     rest = [sum(low[k:]) for k in range(len(vs) + 1)]

@@ -83,6 +83,15 @@ def test_no_function_level_imports():
     assert not found, f"imports below module level: {found}"
 
 
+def test_minmax_reads_no_arc_set():
+    # the Min-Max layer reads the adjacency index through its rank rows,
+    # never the string arc set
+    tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "arcs"]
+    assert not found, f"minmax.py reads .arcs at lines {found}"
+
+
 def test_bench_spans_resolve():
     # bench/worker.py silently skips a spanned name it cannot find, so a
     # rename would zero that layer's metric without notice

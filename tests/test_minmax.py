@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from minhom import (Digraph, GraphError, GuardExceeded, Ordering, find_minmax,
-                    make_cycle, make_oriented_kb, make_tt, make_tt_minus,
-                    verify_minmax)
+from minhom import (ArcPair, Digraph, GraphError, GuardExceeded, Ordering,
+                    find_minmax, make_cycle, make_oriented_kb, make_tt,
+                    make_tt_minus, verify_minmax)
 from minhom.minmax import _first_violation, make_rc_k12, make_rc_k21
 
 
@@ -137,7 +138,7 @@ def test_find_minmax_is_first_permutation_seeded():
 
 def pair_scan_verdict(h, ordering):
     """verify_minmax's verdict by the scan of every pair of arcs."""
-    pos = ordering.rank()
+    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
     return _first_violation(sorted((pos[t], pos[u]) for t, u in h.arcs)) is None
 
 
@@ -182,3 +183,53 @@ def test_verify_verdict_matches_the_pair_scan_seeded():
         assert ok == pair_scan_verdict(h, o)
         verdicts.append(ok)
     assert 300 < sum(verdicts) < 1200
+
+
+def first_violating_pair(h, ordering):
+    """The first pair of arcs, in sorted position order, whose coordinatewise
+    min or max is no arc, as an ArcPair; None if there is none."""
+    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
+    arcs = sorted((pos[t], pos[u]) for t, u in h.arcs)
+    seq = ordering.sequence
+    for a, (i, k) in enumerate(arcs):
+        for j, s in arcs[a + 1:]:
+            mn = (min(i, j), min(k, s))
+            mx = (max(i, j), max(k, s))
+            if {mn, mx} != {(i, k), (j, s)} and not {mn, mx} <= set(arcs):
+                return ArcPair(e=(seq[i - 1], seq[k - 1]),
+                               f=(seq[j - 1], seq[s - 1]),
+                               min_pair=mn, max_pair=mx)
+    return None
+
+
+def test_verify_pair_matches_the_first_violating_pair():
+    # the whole ArcPair, on every digraph of at most 3 vertices under every
+    # ordering, then on seeded 4-6-vertex digraphs under shuffled orderings
+    cases = []
+    for n in range(1, 4):
+        vs = tuple(str(i) for i in range(1, n + 1))
+        orderings = [Ordering(p) for p in itertools.permutations(vs)]
+        cases += [(h, o) for h in all_digraphs_on(vs) for o in orderings]
+    rng = random.Random(18)
+    for _ in range(1500):
+        vs = [f"v{i}" for i in range(rng.randint(4, 6))]
+        p = rng.choice((0.3, 0.5, 0.7))
+        h = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
+        cases.append((h, Ordering(rng.sample(vs, len(vs)))))
+    failed = 0
+    for h, o in cases:
+        ok, pair = verify_minmax(h, o)
+        assert pair == first_violating_pair(h, o)
+        assert ok == (pair is None)
+        failed += not ok
+    assert 0 < failed < len(cases)
+
+
+def test_find_minmax_on_rc_tt200_is_fast():
+    # the search reads rank rows built from the adjacency index; with a
+    # rescan of the arc set per placement this took about 2.4 s
+    h = make_tt(200).reflexive_closure()
+    start = time.perf_counter()
+    found = find_minmax(h, guard=5000)
+    assert time.perf_counter() - start < 1.0
+    assert found == Ordering(h.vertices)

@@ -194,11 +194,11 @@ def test_thresholds_match_the_row_and_column_scan_exhaustive():
         cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
         for bits in itertools.product((0, 1), repeat=len(cells)):
             arcs = [cell for cell, bit in zip(cells, bits) if bit]
-            if not _is_staircase(arcs):
-                continue
             succs = [[] for _ in range(p)]
             for i, j in arcs:
                 succs[i - 1].append(j - 1)
+            if not _is_staircase(succs):
+                continue
             assert _thresholds(succs, p) == row_column_thresholds(set(arcs), p)
             staircases += 1
     assert 2000 < staircases < 2 ** 16
