@@ -2,8 +2,13 @@
 
 Three routes are provided:
 
-* solve_bruteforce — backtracking with forward checking; the independent
-  oracle everything else is validated against.
+* solve_bruteforce — depth-first search (_search) with forward checking on
+  label bitmasks and a least-cost bound; the independent oracle everything
+  else is validated against.  solve_auto's last route, for targets with
+  neither a cycle walk nor a found ordering, runs the reductions of
+  solve_minmax (their costs need no ordering) with labels in the target's
+  declaration order, then _search on what is left; where optima tie, its
+  map need not be brute force's.
 * solve_minmax — the polynomial route for targets with a Min-Max ordering.
   Each input vertex gets one cost vector.  The reductions rewrite the
   vectors and arcs in place, and each vertex they remove goes on one trail.
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -153,74 +159,101 @@ def _revalidated(d: Digraph, h: Digraph, costs: CostMatrix,
 # -- brute force ----------------------------------------------------------
 
 
-def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
-                     budget: int = BRUTE_BUDGET) -> SolveResult:
-    """Exact optimum by backtracking over declaration order.
+def _bits(rows: list[list[int]]) -> list[int]:
+    """Each row of labels as one bitmask, bit i for label i."""
+    return [sum(1 << i for i in row) for row in rows]
 
-    Candidates are filtered by forward checking against already assigned
-    neighbors; ties are broken so that the lexicographically smallest optimal
-    map (over declaration orders) is returned.
-    """
-    costs.check_shape(d, h)
-    dv = d.vertices
-    hv = h.vertices
-    succ, pred, looped = d.adjacency
-    base: dict[str, list[str]] = {}
-    for u, loop in zip(dv, looped):
-        cands = [i for i in hv if not loop or h.has_loop(i)]
-        if not cands:
-            return SolveResult(None, None, "brute")
-        base[u] = cands
 
-    best_cost: int | None = None
-    best_map: dict[str, str] | None = None
-    assignment: dict[str, str] = {}
-    nodes = 0
-    # rest[k]: the least cost of dv[k:], a lower bound on completing k
-    rest = [0] * (len(dv) + 1)
-    for k in range(len(dv) - 1, -1, -1):
-        rest[k] = rest[k + 1] + min(costs.cost(dv[k], i) for i in base[dv[k]])
-    # forward checking reads only the neighbours assigned before u
-    outs = {u: [dv[x] for x in xs if x < k]
-            for k, (u, xs) in enumerate(zip(dv, succ))}
-    ins = {u: [dv[x] for x in xs if x < k]
-           for k, (u, xs) in enumerate(zip(dv, pred))}
+def _search(vecs: list[list[int | None]], outs: list[Sequence[int]],
+            ins: list[Sequence[int]], nodes: Sequence[int], into: list[int],
+            from_: list[int], budget: int) -> tuple[int, list[int]] | None:
+    """Least-cost labelling of `nodes` (ascending), vecs[k][i] being the
+    cost of label i at k (None where barred), by depth-first search over
+    nodes in order and labels in index order.  An open node's candidates
+    are its unbarred labels ANDed with into[label(w)] (bit i set when
+    i -> label(w) is allowed) for each out-neighbour w labelled before it,
+    and from_[label(w)] for each such in-neighbour.  The best is replaced
+    only on strict improvement, so the lexicographically first optimum
+    wins.  Every node counts against budget.  Returns (cost, label),
+    label[k] set for k in nodes and 0 elsewhere; None if none exists."""
+    row = [vecs[k] for k in nodes]
+    n = len(row)
+    depth = {k: c for c, k in enumerate(nodes)}
+    # rest[c]: the least cost of depths c.., a lower bound on completing c
+    rest = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        finite = [x for x in row[c] if x is not None]
+        if not finite:
+            return None
+        rest[c] = rest[c + 1] + min(finite)
+    allowed = [sum(1 << i for i, x in enumerate(r) if x is not None)
+               for r in row]
+    # forward checking reads only the neighbours in nodes labelled before,
+    # each as (its mask table, its depth)
+    before = [[(into, depth[x]) for x in outs[k] if depth.get(x, c) < c]
+              + [(from_, depth[x]) for x in ins[k] if depth.get(x, c) < c]
+              for c, k in enumerate(nodes)]
 
-    # depth-first, without recursion: frames[k] is the open node of depth
-    # k, as (its vertex, its partial cost, its untried candidates)
-    frames: list[tuple] = []
-    k, partial = 0, 0
+    # depth-first, without recursion: top is the deepest open node, cands[c]
+    # the untried candidates of depth c and sums[c] its partial cost
+    lab, cands, sums = [0] * n, [0] * n, [0] * n
+    best_cost, best = None, []
+    count = c = partial = 0
+    top = -1
     while True:
-        nodes += 1
-        if nodes > budget:
+        count += 1
+        if count > budget:
             raise BudgetExceeded(
                 f"brute-force budget of {budget} nodes exceeded"
             )
-        if k == len(dv):
+        if c == n:
             if best_cost is None or partial < best_cost:
-                best_cost, best_map = partial, dict(assignment)
-        elif best_cost is None or partial + rest[k] <= best_cost:
-            frames.append((dv[k], partial, iter(base[dv[k]])))
-        # the next node: the next fitting candidate of the deepest open node
-        i = None
-        while i is None and frames:
-            u, partial, cands = frames[-1]
-            for i in cands:
-                if (all(h.has_arc(i, assignment[v]) for v in outs[u])
-                        and all(h.has_arc(assignment[v], i) for v in ins[u])):
-                    break
-            else:
-                i = None
-                frames.pop()
-                assignment.pop(u, None)
-        if i is None:
+                best_cost, best = partial, lab[:]
+        elif best_cost is None or partial + rest[c] <= best_cost:
+            mask = allowed[c]
+            for table, x in before[c]:
+                mask &= table[lab[x]]
+            cands[c], sums[c], top = mask, partial, c
+        # the next node: the next candidate of the deepest open node
+        while top >= 0 and not cands[top]:
+            top -= 1
+        if top < 0:
             break
-        assignment[u] = i
-        k, partial = len(frames), partial + costs.cost(u, i)
+        mask = cands[top]
+        low = mask & -mask
+        cands[top] = mask ^ low
+        lab[top] = i = low.bit_length() - 1
+        c, partial = top + 1, sums[top] + row[top][i]
 
-    if best_map is None:
+    if best_cost is None:
+        return None
+    label = [0] * len(vecs)
+    for k, i in zip(nodes, best):
+        label[k] = i
+    return best_cost, label
+
+
+def solve_bruteforce(d: Digraph, h: Digraph, costs: CostMatrix,
+                     budget: int = BRUTE_BUDGET) -> SolveResult:
+    """Exact optimum by _search over every vertex of d in declaration
+    order, labels in h's declaration order, barred only by loops; no
+    reduction, so it stays the independent oracle.  Ties are broken so
+    that the lexicographically smallest optimal map (over declaration
+    orders) is returned."""
+    costs.check_shape(d, h)
+    hv = h.vertices
+    succs, preds = _rows(h, hv)
+    outs, ins, looped = d.adjacency
+    get, hl = costs.entries.get, h.adjacency[2]
+    vecs = [[get((u, i), 0) if ok or not loop else None
+             for i, ok in zip(hv, hl)] for u, loop in zip(d.vertices, looped)]
+    found = _search(vecs, outs, ins, range(len(vecs)), _bits(preds),
+                    _bits(succs), budget)
+    if found is None:
         return SolveResult(None, None, "brute")
-    return _revalidated(d, h, costs, best_map, best_cost, "brute")
+    cost, label = found
+    mapping = dict(zip(d.vertices, map(hv.__getitem__, label)))
+    return _revalidated(d, h, costs, mapping, cost, "brute")
 
 
 # -- max flow kernel ------------------------------------------------------
@@ -488,10 +521,14 @@ def _fold_pendants(vecs: list[list[int | None]], outs: list[Sequence[int]],
 
 
 def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
-         core: list[int], lam: list[int], mu: list[int],
-         label: list[int]) -> int | None:
-    """Least optimum of the core by one minimum s-t cut: writes each core
-    vertex's rank into label and returns the cost (None if infeasible)."""
+         core: list[int], lam: list[int], mu: list[int]
+         ) -> tuple[int, list[int]] | None:
+    """Least optimum of the core by one minimum s-t cut: returns its cost
+    and label, each core vertex's rank (0 elsewhere); None if infeasible.
+    An empty core builds no network."""
+    label = [0] * len(vecs)
+    if not core:
+        return 0, label
     p = len(lam) - 1
     chain = [-1] * len(vecs)  # position of each core vertex in core
     # shifts make the core's costs nonnegative; a barred label's edge
@@ -543,38 +580,34 @@ def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
         for i in range(2, p + 1):
             if c * (p - 1) + i in side:
                 label[k] = i - 1
-    return value - sum(shifts)
+    return value - sum(shifts), label
 
 
-def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
-                 costs: CostMatrix) -> SolveResult:
-    """Exact optimum: pendant trees folded into unary costs, strong
-    components contracted when h is acyclic up to loops, then one minimum
-    s-t cut over the rest of d.  Valid whenever the ordering passes
-    verify_minmax (checked; GraphError otherwise)."""
-    costs.check_shape(d, h)
-    ok, violation = verify_minmax(h, ordering)
-    if not ok:
-        raise GraphError(
-            f"ordering is not Min-Max: pair {violation.e} / {violation.f} fails"
-        )
-    seq = ordering.sequence
-    p = len(seq)
-    # cost vectors, preds and succs index labels by rank 0..p-1 (label
-    # i = rank + 1 in the network); succs, the rank rows, and preds, their
-    # transpose, list the j and the i with an arc from rank i to rank j
+def _rows(h: Digraph, seq) -> tuple[list[list[int]], list[list[int]]]:
+    """succs, the rank rows of seq (minmax._rank_rows: succs[i] lists,
+    ascending, each j with an arc seq[i] -> seq[j], loops included), and
+    preds, their transpose."""
     succs = _rank_rows(h, seq)
-    preds: list[list[int]] = [[] for _ in range(p)]
+    preds: list[list[int]] = [[] for _ in seq]
     for i, row in enumerate(succs):
         for j in row:
             preds[j].append(i)
-    lam, mu = _thresholds(succs, p)
+    return succs, preds
 
+
+def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
+             succs: list[list[int]], preds: list[list[int]], method: str,
+             solve_core: Callable) -> SolveResult:
+    """solve_minmax and solve_auto's last route, labels indexed as in seq
+    (succs and preds from _rows): the reductions below, then
+    solve_core(vecs, outs, ins, core) for the core's (cost, label) or None,
+    then one backward pass over the trail."""
     # d's adjacency index gives each input vertex's non-loop arcs by
     # declaration index, and one pass per vertex its vector over the labels
     # its arcs and loop allow (None where barred).  The reductions replace
     # whole entries of outs and ins, never the index's own tuples
     vs = d.vertices
+    p = len(seq)
     outs, ins, looped = d.adjacency
     outs, ins = list(outs), list(ins)
     every = set(range(p))
@@ -592,7 +625,7 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         if loop:
             labels = labels & diag
         if not labels:
-            return SolveResult(None, None, "minmax")
+            return SolveResult(None, None, method)
         vecs.append([get((u, i), 0) if k in labels else None
                      for k, i in enumerate(seq)])
 
@@ -632,14 +665,36 @@ def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
         core, more = _fold_pendants(vecs, outs, ins, preds, succs, core,
                                     trail)
         fixed = None if fixed is None or more is None else fixed + more
-    label = [0] * len(vs)
-    total = _cut(vecs, outs, core, lam, mu, label) if core else 0
-    if total is None or fixed is None:
-        return SolveResult(None, None, "minmax")
+    found = None if fixed is None else solve_core(vecs, outs, ins, core)
+    if found is None:
+        return SolveResult(None, None, method)
+    total, label = found
     for k, w, pick in reversed(trail):
         label[k] = pick if w < 0 else pick[label[w]]
     mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
-    return _revalidated(d, h, costs, mapping, total + fixed, "minmax")
+    return _revalidated(d, h, costs, mapping, total + fixed, method)
+
+
+def solve_minmax(d: Digraph, h: Digraph, ordering: Ordering,
+                 costs: CostMatrix) -> SolveResult:
+    """Exact optimum: pendant trees folded into unary costs, strong
+    components contracted when h is acyclic up to loops, then one minimum
+    s-t cut over the rest of d.  Valid whenever the ordering passes
+    verify_minmax (checked; GraphError otherwise)."""
+    costs.check_shape(d, h)
+    ok, violation = verify_minmax(h, ordering)
+    if not ok:
+        raise GraphError(
+            f"ordering is not Min-Max: pair {violation.e} / {violation.f} fails"
+        )
+    # cost vectors, preds and succs index labels by rank 0..p-1 (label
+    # i = rank + 1 in the network)
+    seq = ordering.sequence
+    succs, preds = _rows(h, seq)
+    lam, mu = _thresholds(succs, len(seq))
+    return _reduced(d, h, costs, seq, succs, preds, "minmax",
+                    lambda vecs, outs, ins, core:
+                    _cut(vecs, outs, core, lam, mu))
 
 
 # -- directed-cycle targets -----------------------------------------------
@@ -772,7 +827,8 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
 
 def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
                guard: int = FIND_GUARD) -> SolveResult:
-    """Dispatch: cycle target, then Min-Max route, then brute force.
+    """Dispatch: cycle target, then Min-Max route, then the reductions and
+    a brute-force search of what they leave (method "brute").
 
     The route taken checks the cost keys (GraphError for one outside
     V(d) x V(h))."""
@@ -784,4 +840,9 @@ def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
         ordering = None
     if ordering is not None:
         return solve_minmax(d, h, ordering, costs)
-    return solve_bruteforce(d, h, costs)
+    # the reductions' costs need no ordering; labels go in declaration order
+    costs.check_shape(d, h)
+    succs, preds = _rows(h, h.vertices)
+    return _reduced(d, h, costs, h.vertices, succs, preds, "brute",
+                    partial(_search, into=_bits(preds), from_=_bits(succs),
+                            budget=BRUTE_BUDGET))

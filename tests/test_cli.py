@@ -15,7 +15,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     parse_costs, parse_digraph)
 from minhom.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, resolve_target,
                         run)
-from minhom.solver import FlowNetwork
+from minhom.solver import FlowNetwork, is_homomorphism, map_cost
 
 
 # -- file formats ---------------------------------------------------------
@@ -196,17 +196,41 @@ def test_cli_solve_long_augmenting_path(tmp_path, monkeypatch):
 
 
 def test_cli_brute_force_on_a_long_path(tmp_path, capsys):
-    # t5_223344 has no Min-Max ordering, so the 1200-vertex path goes to
-    # brute force, whose depth-first search must not recurse once per
-    # input vertex
+    # t5_223344 has no Min-Max ordering.  `brute` searches the whole
+    # 1200-vertex path, and its depth-first search must not recurse once
+    # per input vertex; `auto` folds the path away first
     n = 1200
     d = write(tmp_path, "d.dg", "".join(f"a u{i} u{i + 1}\n" for i in range(n - 1)))
     c = write(tmp_path, "c.txt", "".join(f"c u{k} 2 -1\n" for k in range(n)))
-    code, out = cli("solve", "--target", "t5_223344", "--input", d, "--costs", c)
-    lines = out.splitlines()
-    assert code == EXIT_OK and lines[0] == "cost -1200"
-    assert lines[1:] == [f"map u{k} 2" for k in range(n)]
+    for method in ("auto", "brute"):
+        code, out = cli("solve", "--target", "t5_223344", "--input", d,
+                        "--costs", c, "--method", method)
+        lines = out.splitlines()
+        assert code == EXIT_OK and lines[0] == "cost -1200"
+        assert lines[1:] == [f"map u{k} 2" for k in range(n)]
     assert capsys.readouterr().err == ""
+
+
+def test_cli_brute_and_auto_on_a_tie_into_t5(tmp_path):
+    # two optima of cost 0.  `--method brute` prints the lexicographically
+    # first; `auto` folds the path away and may print the other, with the
+    # same cost line
+    d = write(tmp_path, "d.dg", "v u0\nv u1\nv u2\nv u3\nv u4\n"
+              "a u2 u0\na u2 u1\na u4 u1\na u4 u3\n")
+    c = write(tmp_path, "c.txt", "c u0 3 1\nc u0 4 2\nc u3 2 1\nc u3 4 0\n"
+              "c u4 3 1\n")
+    argv = ("solve", "--target", "t5_223344", "--input", d, "--costs", c)
+    assert cli(*argv, "--method", "brute") == (EXIT_OK, (
+        "cost 0\nmap u0 2\nmap u1 2\nmap u2 1\nmap u3 3\nmap u4 2\n"))
+    code, out = cli(*argv, "--method", "auto")
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[0] == "cost 0"
+    mapping = dict(line.split()[1:] for line in lines[1:])
+    h = resolve_target("t5_223344")
+    graph = parse_digraph(Path(d).read_text())
+    costs = parse_costs(Path(c).read_text())
+    assert is_homomorphism(graph, h, mapping)
+    assert map_cost(graph, costs, mapping) == 0
 
 
 def test_cli_minmax_find_on_a_large_arcless_target(tmp_path):

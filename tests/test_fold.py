@@ -1,5 +1,6 @@
 """The pendant-tree fold and the strong-component contraction of
-solve_minmax against exhaustive search.
+solve_minmax, and of solve_auto's route for targets without an ordering,
+against exhaustive search.
 
 solve_minmax folds every vertex with at most one arc left into its
 neighbour's costs; into a target acyclic up to loops it then contracts each
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minhom import (CostMatrix, Digraph, find_minmax, make_tt, make_tt_minus,
+from minhom import (CostMatrix, Digraph, find_minmax, is_homomorphism,
+                    make_cycle, make_tt, make_tt_minus, map_cost, solve_auto,
                     solve_bruteforce, solve_minmax)
+from minhom.cli import resolve_target
 from minhom.minmax import make_rc_k12
 from minhom.solver import FlowNetwork
 
@@ -30,6 +33,13 @@ TARGETS = {"rc_tt3": make_tt(3).reflexive_closure(),
                                          ("2", "2")])}
 ACYCLIC = sorted(set(TARGETS) - {"rc_k2"})
 ORDERINGS = {name: find_minmax(h) for name, h in TARGETS.items()}
+# targets with neither a cycle walk nor a Min-Max ordering: solve_auto
+# folds and contracts as solve_minmax does, then searches the core
+UNORDERED = {"t5_223344": resolve_target("t5_223344"),
+             "rc_c3": make_cycle(3).reflexive_closure(),
+             # a digon with a loop at one end only
+             "half_looped_digon": Digraph(("1", "2"), [("1", "1"), ("1", "2"),
+                                                       ("2", "1")])}
 
 
 def least_optimum(d, h, ordering, costs, best):
@@ -67,13 +77,13 @@ def least_optimum(d, h, ordering, costs, best):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, targets=TARGETS):
     """(target name, d, costs): a random forest on up to n = 7 vertices
     (some isolated), then up to n extra arcs (cycles, digons, loops; strong
     components of 3 or more vertices with pendant trees) and input loops,
     with costs in [-3, 3] so that optima tie."""
-    name = draw(st.sampled_from(sorted(TARGETS)))
-    h = TARGETS[name]
+    name = draw(st.sampled_from(sorted(targets)))
+    h = targets[name]
     n = draw(st.integers(1, 7))
     vs = [f"u{k}" for k in range(n)]
     arcs = set()
@@ -105,6 +115,23 @@ def test_fold_matches_brute_force_and_least_optimum(instance):
     if got.feasible:
         assert got.mapping == \
             least_optimum(d, h, ordering, costs, want.cost)
+
+
+@settings(max_examples=300)
+@given(instances(UNORDERED))
+def test_auto_without_an_ordering_matches_brute_force(instance):
+    # the cost must be the optimum and the map a homomorphism of that
+    # cost; which optimum is not pinned, as without a Min-Max ordering the
+    # optima need not form a lattice with a least element
+    name, d, costs = instance
+    h = UNORDERED[name]
+    got = solve_auto(d, h, costs)
+    want = solve_bruteforce(d, h, costs)
+    assert got.method == "brute"
+    assert (got.feasible, got.cost) == (want.feasible, want.cost)
+    if got.feasible:
+        assert is_homomorphism(d, h, got.mapping)
+        assert map_cost(d, costs, got.mapping) == got.cost
 
 
 @pytest.mark.parametrize("name", ["tt4", "rc_tt3"])

@@ -92,6 +92,29 @@ def test_minmax_reads_no_arc_set():
     assert not found, f"minmax.py reads .arcs at lines {found}"
 
 
+def test_one_brute_force_search():
+    # solve_bruteforce and solve_auto's route for targets without an
+    # ordering share one search kernel; a second search loop would need a
+    # second budget check
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name)
+                    and child.exc.func.id == "BudgetExceeded"):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == ["solver._search"]
+
+
 def test_bench_spans_resolve():
     # bench/worker.py silently skips a spanned name it cannot find, so a
     # rename would zero that layer's metric without notice

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     make_cycle, make_oriented_kb, make_tt, make_tt_minus,
                     map_cost, solve_auto, solve_bruteforce, solve_cycle,
                     solve_minmax)
+from minhom.cli import resolve_target
 from minhom.minmax import _is_staircase
 from minhom.solver import FlowNetwork, _thresholds
 
@@ -102,6 +104,60 @@ def test_brute_budget():
     h = make_tt(4).reflexive_closure()
     with pytest.raises(BudgetExceeded):
         solve_bruteforce(d, h, CostMatrix({}), budget=3)
+
+
+def first_least_homomorphism(d, h, costs):
+    """The first least-cost homomorphism d -> h in
+    itertools.product(h.vertices, repeat=n) order over d's declaration
+    order, by enumeration; None if there is none."""
+    best = None
+    for images in itertools.product(h.vertices, repeat=len(d.vertices)):
+        mapping = dict(zip(d.vertices, images))
+        if not all(h.has_arc(mapping[t], mapping[u]) for t, u in d.arcs):
+            continue
+        cost = sum(costs.cost(u, i) for u, i in mapping.items())
+        if best is None or cost < best[1]:
+            best = mapping, cost
+    return best
+
+
+def test_brute_is_the_first_least_homomorphism_seeded():
+    rng = random.Random(2008)
+    feasible = 0
+    for _ in range(400):
+        h = random_target(rng, max_n=4)
+        h = Digraph(h.vertices, list(h.arcs) + [
+            (v, v) for v in h.vertices if rng.random() < 0.3])
+        d = random_input(rng, max_n=6, p=rng.choice([0.1, 0.25, 0.4]))
+        costs = random_costs(rng, d, h, -2, 2)
+        res = solve_bruteforce(d, h, costs)
+        want = first_least_homomorphism(d, h, costs)
+        assert res.feasible == (want is not None)
+        if want is not None:
+            feasible += 1
+            assert (res.mapping, res.cost) == want
+    assert 100 < feasible < 400
+
+
+def budget_instance():
+    rng = random.Random(2007)
+    vs = [f"u{k}" for k in range(8)]
+    d = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < 0.2])
+    h = resolve_target("t5_223344")
+    costs = CostMatrix({(u, i): rng.randint(-3, 3)
+                        for u in vs for i in h.vertices})
+    return d, h, costs
+
+
+def test_brute_budget_boundary():
+    # this instance takes 83 search nodes, a count pinned from the
+    # backtracking search the bitmask kernel replaced
+    d, h, costs = budget_instance()
+    with pytest.raises(BudgetExceeded):
+        solve_bruteforce(d, h, costs, budget=82)
+    res = solve_bruteforce(d, h, costs, budget=83)
+    assert res.cost == -9
+    assert res.mapping == dict(zip(d.vertices, "33332323"))
 
 
 # -- max-flow kernel ------------------------------------------------------
@@ -549,6 +605,79 @@ def test_auto_dispatch_brute():
     d = Digraph(("u",))
     res = solve_auto(d, make_cycle(3).reflexive_closure(), CostMatrix({}))
     assert res.method == "brute" and res.feasible
+
+
+def oriented_tree(rng, n):
+    vs = [f"v{k}" for k in range(n)]
+    arcs = []
+    for k in range(1, n):
+        pair = (vs[k], vs[rng.randrange(k)])
+        arcs.append(pair if rng.random() < 0.5 else pair[::-1])
+    return Digraph(vs, arcs)
+
+
+def forest_dp_cost(d, h, costs):
+    """Optimal cost of a loopless forest d into h, by dynamic programming
+    from the leaves of each tree (rooted at its first vertex reached) up:
+    best[u][i] is the least cost of u's subtree with u labelled i."""
+    nbrs = {u: [] for u in d.vertices}  # (neighbour, arc runs u -> it)
+    for t, w in d.arcs:
+        nbrs[t].append((w, True))
+        nbrs[w].append((t, False))
+    order, parent, seen = [], {}, set()
+    for root in d.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w, down in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = (u, down)
+                    stack.append(w)
+    best = {u: {i: costs.cost(u, i) for i in h.vertices} for u in order}
+    total = 0
+    for u in reversed(order):
+        if u not in parent:
+            total += min(best[u].values())
+            continue
+        w, down = parent[u]  # down: the arc runs w -> u
+        for j in h.vertices:
+            best[w][j] += min(
+                (best[u][i] for i in h.vertices
+                 if h.has_arc(*((j, i) if down else (i, j)))),
+                default=float("inf"))
+    return total
+
+
+@pytest.mark.parametrize("name", ["t5_223344", "t5_1122", "t5_11", "rc_tt10"])
+def test_auto_solves_trees_into_targets_without_an_ordering(name):
+    # none of these targets has a cycle walk or an ordering find_minmax
+    # finds (rc_tt10 is beyond its guard), yet a tree input folds away
+    h = resolve_target(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        d = oriented_tree(rng, 40)
+        costs = random_costs(rng, d, h, -20, 20)
+        start = time.perf_counter()
+        res = solve_auto(d, h, costs)
+        assert time.perf_counter() - start < 0.1
+        assert res.method == "brute"
+        assert res.cost == forest_dp_cost(d, h, costs)
+
+
+def test_auto_solves_a_large_tree_into_t5():
+    h = resolve_target("t5_223344")
+    rng = random.Random(10 ** 4)
+    d = oriented_tree(rng, 10 ** 4)
+    costs = random_costs(rng, d, h, -20, 20)
+    start = time.perf_counter()
+    res = solve_auto(d, h, costs)
+    assert time.perf_counter() - start < 2
+    assert res.cost == forest_dp_cost(d, h, costs)
 
 
 def test_auto_rejects_cost_keys_outside_the_instance():
