@@ -21,6 +21,7 @@ certify (see the classify tests).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,17 +103,32 @@ class BipartiteGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
+    @cached_property
+    def digraph(self) -> Digraph:
+        """The orientation from part1 to part2, built unchecked: its
+        adjacency index and _index, by position in vertices, are this
+        graph's one index."""
+        return Digraph._wrap(self.vertices, self.edges)
+
     def induced(self, subset) -> "BipartiteGraph":
         """Subgraph induced by the given vertices (vertex order kept),
-        built unchecked: its names and edges are this graph's."""
+        built unchecked from the index: its names and edges are this
+        graph's."""
+        d = self.digraph
+        idx = d._index
         sub = set(subset)
-        unknown = sub - set(self.vertices)
+        unknown = [v for v in sub if v not in idx]
         if unknown:
             raise GraphError(f"unknown vertices in induced(): {sorted(unknown)}")
+        ks = sorted(map(idx.__getitem__, sub))
+        cut = bisect_left(ks, len(self.part1))
+        vs, outs = self.vertices, d.adjacency[0]
+        inside = set(ks[cut:])
         return BipartiteGraph._wrap(
-            tuple(v for v in self.part1 if v in sub),
-            tuple(v for v in self.part2 if v in sub),
-            frozenset(e for e in self.edges if e[0] in sub and e[1] in sub))
+            tuple(map(vs.__getitem__, ks[:cut])),
+            tuple(map(vs.__getitem__, ks[cut:])),
+            frozenset((vs[a], vs[b]) for a in ks[:cut] for b in outs[a]
+                      if b in inside))
 
 
 @dataclass(frozen=True)
@@ -144,12 +160,8 @@ def bg(h: Digraph) -> BipartiteGraph:
 
 def _masks(g: BipartiteGraph) -> list[int]:
     """By position in g.vertices, the bitmask of each vertex's neighbours."""
-    pos = {v: k for k, v in enumerate(g.vertices)}
-    adj = [0] * len(pos)
-    for u, v in g.edges:
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
-    return adj
+    outs, ins, _ = g.digraph.adjacency
+    return [sum(1 << x for x in out + inn) for out, inn in zip(outs, ins)]
 
 
 def _cycle(adj: list[int], members, mask: int) -> list[int] | None:
@@ -267,7 +279,7 @@ def _induced_cycle(g: BipartiteGraph,
                    subset: tuple[str, ...]) -> ForbiddenStructure | None:
     """The cycle subset induces in g, walked from subset[0] towards its
     first neighbour in vertex order, or None if it induces no single cycle."""
-    members = list(map(g.vertices.index, subset))
+    members = list(map(g.digraph._index.__getitem__, subset))
     walk = _cycle(_masks(g), members, sum(1 << k for k in members))
     return walk and label_hosts("long-induced-cycle", walk, g.vertices)
 
@@ -351,15 +363,14 @@ def digraph_instance_from_bipartite(g: BipartiteGraph, h: Digraph,
     h-vertex x to u is the old cost of x_1 (u in part1) or x_2 (u in part2).
     """
     costs.check_shape(set(g.vertices), set(bg(h).vertices))
-    d = Digraph(g.vertices, g.edges)
     entries = {}
-    for u in g.vertices:
-        suffix = "_1" if u in g.part1 else "_2"
-        for x in h.vertices:
-            c = costs.cost(u, f"{x}{suffix}")
-            if c:
-                entries[(u, x)] = c
-    return d, CostMatrix(entries)
+    for part, suffix in ((g.part1, "_1"), (g.part2, "_2")):
+        for u in part:
+            for x in h.vertices:
+                c = costs.cost(u, f"{x}{suffix}")
+                if c:
+                    entries[(u, x)] = c
+    return g.digraph, CostMatrix(entries)
 
 
 def lift_solution(g: BipartiteGraph, h: Digraph,
@@ -369,14 +380,15 @@ def lift_solution(g: BipartiteGraph, h: Digraph,
     for u in g.vertices:
         if u not in mapping:
             raise GraphError(f"mapping is not total: missing {u!r}")
-        if mapping[u] not in h.vertices:
+        if mapping[u] not in h:
             raise GraphError(f"image {mapping[u]!r} is not a vertex of the target")
     for s, t in g.edges:
         if not h.has_arc(mapping[s], mapping[t]):
             raise GraphError(
                 f"not a homomorphism: edge ({s}, {t}) maps to a non-arc"
             )
-    return {u: mapping[u] + ("_1" if u in g.part1 else "_2") for u in g.vertices}
+    return ({u: mapping[u] + "_1" for u in g.part1}
+            | {u: mapping[u] + "_2" for u in g.part2})
 
 
 def project_solution(g: BipartiteGraph, h: Digraph,
@@ -385,14 +397,14 @@ def project_solution(g: BipartiteGraph, h: Digraph,
     input is a part-respecting homomorphism of g into BG(h)."""
     bgh = bg(h)
     out = {}
-    for u in g.vertices:
-        if u not in mapping:
-            raise GraphError(f"mapping is not total: missing {u!r}")
-        img = mapping[u]
-        want = "_1" if u in g.part1 else "_2"
-        if not img.endswith(want) or img not in bgh.vertices:
-            raise GraphError(f"image {img!r} does not respect the parts")
-        out[u] = img[: -len(want)]
+    for part, want in ((g.part1, "_1"), (g.part2, "_2")):
+        for u in part:
+            if u not in mapping:
+                raise GraphError(f"mapping is not total: missing {u!r}")
+            img = mapping[u]
+            if not img.endswith(want) or img not in bgh.digraph:
+                raise GraphError(f"image {img!r} does not respect the parts")
+            out[u] = img[: -len(want)]
     for s, t in g.edges:
         if not bgh.has_edge(mapping[s], mapping[t]):
             raise GraphError(

@@ -332,12 +332,13 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     if w is not None:
         rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
         return Classification(NP_HARD, rule, witness=w)
-    if len(h.vertices) <= guard:
+    try:
         ordering = find_minmax(h, guard=guard)
-        if ordering is not None:
-            return Classification(POLY, "minmax", ordering=ordering)
-        return Classification(UNKNOWN, "none")
-    return Classification(UNKNOWN, "none", notes=("minmax-skipped-guard",))
+    except GuardExceeded:
+        return Classification(UNKNOWN, "none", notes=("minmax-skipped-guard",))
+    if ordering is not None:
+        return Classification(POLY, "minmax", ordering=ordering)
+    return Classification(UNKNOWN, "none")
 
 
 # -- exhaustive enumeration -----------------------------------------------

@@ -187,19 +187,12 @@ def components(g) -> list[tuple[str, ...]]:
 
     Each component is sorted by declaration order; the list is sorted by its
     smallest member (also by declaration order).  The search reads
-    neighbours by declaration index: a Digraph's adjacency index, or one
-    pass over a BipartiteGraph's edges.
+    neighbours by declaration index from the adjacency index: a Digraph's
+    own, or that of a BipartiteGraph's part1 -> part2 digraph.
     """
     vs = g.vertices
-    if isinstance(g, Digraph):
-        outs, ins, _ = g.adjacency
-        near = list(map(add, outs, ins))
-    else:
-        pos = {v: k for k, v in enumerate(vs)}
-        near = [[] for _ in vs]
-        for u, v in g.edges:
-            near[pos[u]].append(pos[v])
-            near[pos[v]].append(pos[u])
+    outs, ins, _ = (g if isinstance(g, Digraph) else g.digraph).adjacency
+    near = list(map(add, outs, ins))
     seen = [False] * len(vs)
     out = []
     for start in range(len(vs)):

@@ -58,8 +58,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .digraph import (Digraph, GraphError, InternalError, cycle_walk,
-                      is_acyclic, strong_components)
+from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
+                      cycle_walk, is_acyclic, strong_components)
 from .minmax import (FIND_GUARD, Ordering, _rank_rows, find_minmax,
                      verify_minmax)
 
@@ -836,7 +836,7 @@ def solve_auto(d: Digraph, h: Digraph, costs: CostMatrix,
         return solve_cycle(d, h, costs)
     try:
         ordering = find_minmax(h, guard=guard)
-    except GraphError:
+    except GuardExceeded:
         ordering = None
     if ordering is not None:
         return solve_minmax(d, h, ordering, costs)

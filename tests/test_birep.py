@@ -1,12 +1,14 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
-                    GuardExceeded, bg, digraph_instance_from_bipartite,
+                    GuardExceeded, bg, components,
+                    digraph_instance_from_bipartite,
                     find_forbidden, is_proper_interval_bigraph, lift_solution,
                     make_cycle, make_tt, project_solution, solve_bruteforce)
 from minhom.birep import (CLAW_EDGES, NET_EDGES, PATTERNS, TENT_EDGES,
@@ -140,6 +142,89 @@ def test_pib_is_hereditary_spot_check():
             continue
         keep = [v for v in g.vertices if rng.random() < 0.7]
         assert is_proper_interval_bigraph(g.induced(keep))[0]
+
+
+def filtered_induced(g, subset):
+    """induced() as a filter of g's parts and edges by name."""
+    sub = set(subset)
+    unknown = sub - set(g.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertices in induced(): {sorted(unknown)}")
+    return (tuple(v for v in g.part1 if v in sub),
+            tuple(v for v in g.part2 if v in sub),
+            frozenset(e for e in g.edges if e[0] in sub and e[1] in sub))
+
+
+def test_induced_matches_the_edge_filter():
+    rng = random.Random(21)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(0, 14))]
+        rng.shuffle(names)
+        cut = rng.randint(0, len(names))
+        g = BipartiteGraph(names[:cut], names[cut:],
+                           [(u, v) for u in names[:cut] for v in names[cut:]
+                            if rng.random() < 0.4])
+        subset = [v for v in names if rng.random() < 0.6]
+        if rng.random() < 0.2:
+            subset += rng.sample(["w1", "w2", "v99"], rng.randint(1, 3))
+        rng.shuffle(subset)
+        try:
+            want = filtered_induced(g, subset)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                g.induced(subset)
+            assert str(got.value) == str(exc)
+            continue
+        sub = g.induced(subset)
+        assert (sub.part1, sub.part2, sub.edges) == want
+        # a derived graph reads its own index
+        half = subset[: len(subset) // 2]
+        inner = sub.induced(half)
+        assert (inner.part1, inner.part2, inner.edges) == \
+            filtered_induced(sub, half)
+
+
+def matching(n):
+    return BipartiteGraph([f"s{i}" for i in range(n)],
+                          [f"t{i}" for i in range(n)],
+                          [(f"s{i}", f"t{i}") for i in range(n)])
+
+
+def test_pib_check_is_linear_in_the_components():
+    g = matching(5000)
+    start = time.perf_counter()
+    assert is_proper_interval_bigraph(g) == (True, None)
+    assert time.perf_counter() - start < 1
+    # a claw on vertices declared last is the last of the 4997 components
+    claw = pattern_graph("bipartite-claw")
+    m = matching(4995)
+    g = BipartiteGraph(m.part1 + claw.part1, m.part2 + claw.part2,
+                       m.edges | claw.edges)
+    start = time.perf_counter()
+    got = is_proper_interval_bigraph(g)
+    assert time.perf_counter() - start < 1
+    last = components(g)[-1]
+    assert set(last) == set(claw.vertices)
+    fs = find_forbidden(g.induced(last))
+    assert fs.kind == "bipartite-claw" and got == (False, fs)
+
+
+def test_instance_transforms_are_linear():
+    g = matching(10000)
+    h = make_tt(2)
+    costs = CostMatrix({("s0", "1_1"): 3, ("t9999", "2_2"): -2})
+    mapping = dict.fromkeys(g.part1, "1") | dict.fromkeys(g.part2, "2")
+    start = time.perf_counter()
+    d, dcosts = digraph_instance_from_bipartite(g, h, costs)
+    assert time.perf_counter() - start < 1
+    assert d.arcs == g.edges and dcosts.entries == {("s0", "1"): 3,
+                                                    ("t9999", "2"): -2}
+    start = time.perf_counter()
+    lifted = lift_solution(g, h, mapping)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert project_solution(g, h, lifted) == mapping
+    assert time.perf_counter() - start < 1
 
 
 def brute_minhomps(g, target, costs):

@@ -123,6 +123,47 @@ def test_components():
     assert components(g) == [("s", "z"), ("t", "x"), ("y",)]
 
 
+def seeded_bigraph(rng):
+    """Parts of 0-8 shuffled names each, sparse or dense random edges."""
+    names = [f"v{i}" for i in range(rng.randint(0, 16))]
+    rng.shuffle(names)
+    cut = rng.randint(0, len(names))
+    part1, part2 = names[:cut], names[cut:]
+    p = rng.choice((0.1, 0.3, 0.6))
+    return BipartiteGraph(part1, part2, [(u, v) for u in part1 for v in part2
+                                         if rng.random() < p])
+
+
+def bfs_components(g):
+    """Breadth-first search over g.edges by name: components in order of
+    their first vertex, members in vertex order."""
+    near = {v: [] for v in g.vertices}
+    for u, v in sorted(g.edges):
+        near[u].append(v)
+        near[v].append(u)
+    seen, out = set(), []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], [start]
+        while queue:
+            for w in near[queue.pop(0)]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        out.append(tuple(v for v in g.vertices if v in comp))
+    return out
+
+
+def test_bigraph_components_match_a_breadth_first_search():
+    rng = random.Random(20)
+    for _ in range(300):
+        g = seeded_bigraph(rng)
+        assert components(g) == bfs_components(g)
+
+
 def test_is_acyclic():
     ok, order = is_acyclic(make_tt(4).reflexive_closure())
     assert ok and order == ("1", "2", "3", "4")

@@ -92,6 +92,28 @@ def test_minmax_reads_no_arc_set():
     assert not found, f"minmax.py reads .arcs at lines {found}"
 
 
+def test_no_tuple_scans_of_vertex_lists():
+    # vertex lists are tuples, so `in` and `.index` on one scan it: once per
+    # vertex, that made the bipartite transforms and the PIB test quadratic.
+    # Positions and membership come from an index (Digraph._index, or a
+    # BipartiteGraph's digraph)
+    names = {"vertices", "part1", "part2"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                scanned = [right for op, right in zip(node.ops, node.comparators)
+                           if isinstance(op, (ast.In, ast.NotIn))]
+            elif isinstance(node, ast.Attribute) and node.attr == "index":
+                scanned = [node.value]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for right in scanned
+                      if isinstance(right, ast.Attribute) and right.attr in names]
+    assert not found, f"scans of a vertex tuple: {found}"
+
+
 def test_one_brute_force_search():
     # solve_bruteforce and solve_auto's route for targets without an
     # ordering share one search kernel; a second search loop would need a
