@@ -209,13 +209,15 @@ def _place(adj: list[int], n1: int, kind: str) -> list[int] | None:
     tries[d] holds the hosts x label d has yet to try, options[d] the y
     masks before it."""
     wants, n = _WANTS[kind], len(adj)
+    part1, part2 = range(n1), range(n1, n)
+    sides = [(xs, ys) for xs, ys in ((part1, part2), (part2, part1))
+             if len(xs) >= len(wants) and len(ys) >= len(wants[0])]
+    if not sides:
+        return None
     spread = sum(1 << j * n for j in range(len(wants[0])))
     sees = [sum(((1 << n) - 1) << j * n for j, w in enumerate(want) if w)
             for want in wants]
-    part1, part2 = range(n1), range(n1, n)
-    for xs, ys in ((part1, part2), (part2, part1)):
-        if len(xs) < len(wants) or len(ys) < len(wants[0]):
-            continue
+    for xs, ys in sides:
         fields = [(1 << ys.stop) - (1 << ys.start) << j * n
                   for j in range(len(wants[0]))]
         placed: list[int] = []

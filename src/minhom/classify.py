@@ -1,11 +1,12 @@
 """Complexity classification of target digraphs with certificates.
 
 Verdicts for the named target families come from their stated
-characterizations (family membership); witnesses and orderings are
-explanatory certificates, extracted best-effort and always re-validated.
-A hardness witness is either an induced directed cycle carrying a loop, or
-a small induced subdigraph whose bipartite representation contains a
-forbidden structure.
+characterizations (family membership), and each family's structure gives
+its certificate, an ordering that _poly re-checks (find_minmax searches for
+one only in classify_general).  A hardness witness is either an induced
+directed cycle carrying a loop, or a small induced subdigraph whose
+bipartite representation contains a forbidden structure; it is extracted
+best-effort and always re-validated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import combinations, permutations, product
 from .birep import (ForbiddenStructure, bg, forbidden_hosts, label_hosts,
                     validate_forbidden)
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      components, cycle_walk, is_acyclic, partite_structure)
+                      NotMultipartiteTournament, components, cycle_walk,
+                      is_acyclic, partite_structure)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
@@ -40,8 +42,6 @@ class ReflexiveCycleWitness:
     cycle: tuple[str, ...]
     looped: str
 
-    kind = "reflexive-cycle"
-
 
 @dataclass(frozen=True)
 class BGForbiddenWitness:
@@ -50,8 +50,6 @@ class BGForbiddenWitness:
 
     subset: tuple[str, ...]
     structure: ForbiddenStructure
-
-    kind = "bg-forbidden"
 
 
 Witness = ReflexiveCycleWitness | BGForbiddenWitness
@@ -186,6 +184,14 @@ def find_witness(h: Digraph) -> Witness | None:
     return w
 
 
+def _poly(h: Digraph, rule: str, ordering: Ordering) -> Classification:
+    """Polynomial by a rule whose certificate is `ordering`, re-checked
+    by verify_minmax; InternalError if it is not Min-Max."""
+    if not verify_minmax(h, ordering)[0]:
+        raise InternalError(f"{rule} ordering is not Min-Max")
+    return Classification(POLY, rule, ordering=ordering)
+
+
 def _hard(h: Digraph, rule: str) -> Classification:
     """NP-hard by a theorem's rule, with find_witness's witness or the
     note that it found none."""
@@ -197,34 +203,17 @@ def _hard(h: Digraph, rule: str) -> Classification:
 # -- reflexive multipartite tournaments -----------------------------------
 
 
-def _thm41_ordering(h: Digraph, parts: tuple[tuple[str, ...], ...]
-                    ) -> Ordering | None:
-    """Min-Max ordering of a polynomial non-tournament case of Theorem 4.1.
-
-    h ~ RC(TT_n^-) iff, with n - 1 parts, its loopless part is acyclic and
-    the acyclic ordering (unique: TT_n^- has the path 1..n) ends in the
-    nonadjacent pair.  The 3-vertex stars get (leaf, centre, leaf)."""
-    n = len(h.vertices)
-    if len(parts) == n - 1:
-        acyclic, order = is_acyclic(h)
-        if acyclic and not h.adjacent(order[0], order[-1]):
-            return Ordering(order)
-    if n == 3:
-        # the two paths are RC(TT_3^-), so h is an oriented star
-        (centre,) = parts[0]
-        first, second = (v for v in h.vertices if v != centre)
-        return Ordering((first, centre, second))
-    return None
-
-
 def classify_reflexive_mpt(h: Digraph) -> Classification:
     """Dichotomy for reflexive multipartite tournaments.
 
     Polynomial exactly for the reflexive closures of TT_k, TT_{k+1}^-,
     and the two one-way orientations of K_{1,2}; NP-hard otherwise, with a
-    validated witness.
+    validated witness.  With n parts h is a tournament; with n - 1, h ~
+    RC(TT_n^-) iff it is acyclic and its acyclic ordering (unique: TT_n^-
+    has the path 1..n) ends in the two-vertex part, parts[-1].  The
+    3-vertex stars get (leaf, centre, leaf).
     """
-    if set(h.loops()) != set(h.vertices):
+    if not all(h.adjacency[2]):
         raise GraphError("classify_reflexive_mpt requires a reflexive digraph")
     parts = partite_structure(h)
     k = len(parts)
@@ -233,13 +222,16 @@ def classify_reflexive_mpt(h: Digraph) -> Classification:
         raise GraphError("classify_reflexive_mpt requires at least 2 partite sets")
 
     if k == n:
-        return classify_tournament_wpl(h)
-
-    ordering = _thm41_ordering(h, parts)
-    if ordering is not None:
-        if not verify_minmax(h, ordering)[0]:
-            raise InternalError("Theorem 4.1 ordering is not Min-Max")
-        return Classification(POLY, "thm4.1", ordering=ordering)
+        return _tournament(h)
+    if k == n - 1:
+        acyclic, order = is_acyclic(h)
+        if acyclic and {order[0], order[-1]} == set(parts[-1]):
+            return _poly(h, "thm4.1", Ordering(order))
+    if n == 3:
+        # the two paths are RC(TT_3^-), so h is an oriented star
+        (centre,) = parts[0]
+        first, second = (v for v in h.vertices if v != centre)
+        return _poly(h, "thm4.1", Ordering((first, centre, second)))
 
     w = find_witness(h)
     if w is None:
@@ -253,23 +245,29 @@ def classify_tournament_wpl(h: Digraph) -> Classification:
 
     Polynomial iff the loopless part is acyclic (the acyclic ordering is then
     a Min-Max ordering) or h is the loopless directed 3-cycle; NP-hard
-    otherwise, with a witness or the note that none was found.
+    otherwise, with a witness or the note that none was found.  h is a
+    tournament w.p.l. exactly when each vertex is a partite set of its own.
     """
-    for u, v in combinations(h.vertices, 2):
-        fwd = (u, v) in h.arcs
-        bwd = (v, u) in h.arcs
-        if fwd == bwd:
-            raise GraphError(
-                "classify_tournament_wpl requires a tournament w.p.l. "
-                f"(pair ({u}, {v}) breaks it)"
-            )
+    try:
+        tournament = len(partite_structure(h)) == len(h.vertices)
+    except NotMultipartiteTournament:
+        tournament = False
+    if not tournament:
+        # some pair carries 0 or 2 arcs; the loop only names the first
+        for u, v in combinations(h.vertices, 2):
+            if ((u, v) in h.arcs) == ((v, u) in h.arcs):
+                raise GraphError(
+                    "classify_tournament_wpl requires a tournament w.p.l. "
+                    f"(pair ({u}, {v}) breaks it)")
+    return _tournament(h)
+
+
+def _tournament(h: Digraph) -> Classification:
+    """Theorem 4.3's verdict on h, a tournament with possible loops."""
     acyclic, order = is_acyclic(h)
     if acyclic:
-        ordering = Ordering(order)
-        if not verify_minmax(h, ordering)[0]:
-            raise InternalError("acyclic ordering should be Min-Max")
-        return Classification(POLY, "thm4.3", ordering=ordering)
-    if len(h.vertices) == 3 and not h.loops():
+        return _poly(h, "thm4.3", Ordering(order))
+    if len(h.vertices) == 3 and not any(h.adjacency[2]):
         return Classification(POLY, "thm4.3")
     return _hard(h, "thm4.3")
 
@@ -296,14 +294,12 @@ def build_theorem5_digraph(b) -> Digraph:
 
 
 def classify_theorem5(b) -> Classification:
-    """Classify the four-vertex family: polynomial iff 33 in B and 44 not."""
+    """Classify the four-vertex family: polynomial iff 33 in B and 44 not,
+    each polynomial case certified by the Min-Max ordering 1,2,4,3."""
     b = t5_config(b)
     h = build_theorem5_digraph(b)
     if "33" in b and "44" not in b:
-        ordering = find_minmax(h)
-        if ordering is None:
-            raise InternalError("Theorem 5.1 target has no Min-Max ordering")
-        return Classification(POLY, "thm5.1", ordering=ordering)
+        return _poly(h, "thm5.1", Ordering(("1", "2", "4", "3")))
     return _hard(h, "thm5.1")
 
 
@@ -322,7 +318,7 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     # reflexive cycle, and BG of each of its induced subdigraphs is a
     # matching, which holds no forbidden structure.  So this rule may run
     # before the witness search without changing any answer.
-    walk = None if h.loops() else cycle_walk(h)
+    walk = None if any(h.adjacency[2]) else cycle_walk(h)
     if walk is not None:
         k = len(walk)
         if h.arcs != {(walk[i], walk[(i + 1) % k]) for i in range(k)}:
@@ -337,7 +333,7 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     except GuardExceeded:
         return Classification(UNKNOWN, "none", notes=("minmax-skipped-guard",))
     if ordering is not None:
-        return Classification(POLY, "minmax", ordering=ordering)
+        return _poly(h, "minmax", ordering)
     return Classification(UNKNOWN, "none")
 
 

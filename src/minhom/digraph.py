@@ -35,9 +35,9 @@ class GuardExceeded(GraphError):
 
 
 class InternalError(RuntimeError):
-    """A result or certificate failed its own re-check, or the min-cut
-    construction met a relation that contradicts min-max closure.  This
-    indicates a bug, not bad input."""
+    """A result or certificate failed its own re-check, or a search missed
+    a certificate that theory guarantees.  This indicates a bug, not bad
+    input."""
 
 
 #: Hard cap for the brute-force isomorphism search.
@@ -151,10 +151,6 @@ class Digraph:
         for ks in chain(outs, ins):
             ks.sort()
         return tuple(map(tuple, outs)), tuple(map(tuple, ins)), tuple(looped)
-
-    def adjacent(self, u: str, v: str) -> bool:
-        """True iff u and v are joined by an arc in either direction (u != v)."""
-        return u != v and ((u, v) in self.arcs or (v, u) in self.arcs)
 
     # -- constructions -----------------------------------------------------
 

@@ -48,12 +48,10 @@ class Ordering:
 
 @dataclass(frozen=True)
 class ArcPair:
-    """A pair of arcs in position space, with its coordinatewise min/max."""
+    """Two arcs whose coordinatewise min or max (by position) is no arc."""
 
     e: tuple[str, str]
     f: tuple[str, str]
-    min_pair: tuple[int, int]
-    max_pair: tuple[int, int]
 
 
 def _rank_rows(h: Digraph, seq) -> list[list[int]]:
@@ -78,11 +76,11 @@ def _rank_rows(h: Digraph, seq) -> list[list[int]]:
 
 
 def _first_violation(arcs: list[tuple[int, int]]
-                     ) -> tuple[tuple[int, int], ...] | None:
+                     ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """First pair of position arcs (in list order) whose coordinatewise min
-    or max is not an arc, as (e, f, min_pair, max_pair); None if there is
-    none.  Pairs whose min and max are e and f themselves are trivial.
-    Only verify_minmax's failure path calls it, to report the pair."""
+    or max is not an arc, as (e, f); None if there is none.  Pairs whose
+    min and max are e and f themselves are trivial.  Only verify_minmax's
+    failure path calls it, to report the pair."""
     arc_set = set(arcs)
     for a, (i, k) in enumerate(arcs):
         for j, s in arcs[a + 1:]:
@@ -91,7 +89,7 @@ def _first_violation(arcs: list[tuple[int, int]]
             if {mn, mx} == {(i, k), (j, s)}:
                 continue
             if mn not in arc_set or mx not in arc_set:
-                return (i, k), (j, s), mn, mx
+                return (i, k), (j, s)
     return None
 
 
@@ -132,10 +130,10 @@ def verify_minmax(h: Digraph,
                               for k in row])
     if found is None:
         raise InternalError("a non-staircase ordering has no violating pair")
-    (i, k), (j, s), mn, mx = found
+    (i, k), (j, s) = found
     seq = ordering.sequence
-    return False, ArcPair(e=(seq[i - 1], seq[k - 1]), f=(seq[j - 1], seq[s - 1]),
-                          min_pair=mn, max_pair=mx)
+    return False, ArcPair(e=(seq[i - 1], seq[k - 1]),
+                          f=(seq[j - 1], seq[s - 1]))
 
 
 def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:

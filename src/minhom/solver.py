@@ -51,6 +51,7 @@ solve_auto) raises GraphError for a cost entry outside V(D) x V(H).
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
@@ -71,16 +72,22 @@ class BudgetExceeded(GraphError):
 #: Default node budget for the brute-force solver.
 BRUTE_BUDGET = 2_000_000
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Sparse cost table c_i(u); unspecified entries cost 0."""
+    """Sparse cost table c_i(u); unspecified entries cost 0.  Costs are
+    ints, or strings of an optional sign and ASCII digits (as parse_costs)."""
 
     entries: dict[tuple[str, str], int]
 
     def __init__(self, entries=None):
         norm = {}
         for (u, i), c in dict(entries or {}).items():
+            if not (type(c) is int or type(c) is str and _INT.fullmatch(c)):
+                raise GraphError(
+                    f"cost entry ({u!r}, {i!r}) is not an integer: {c!r}")
             norm[(str(u), str(i))] = int(c)
         object.__setattr__(self, "entries", norm)
 

@@ -2,7 +2,8 @@
 
 Every property test runs the same examples on every run (derandomize), may
 take as long as it needs per example (no deadline: the exhaustive oracles
-are slow), and writes no example database (.hypothesis/ stays absent).
+are slow), and writes no example database.  Hypothesis still keeps its own
+caches (constants/, unicode_data/) under .hypothesis/, which git ignores.
 Tests set only their own max_examples.
 """
 

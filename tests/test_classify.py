@@ -244,6 +244,62 @@ def test_classify_tournament_hard_has_witness_or_note():
     assert hard == 640 and bare == 24
 
 
+def first_broken_pair(h):
+    """The first pair in declaration order carrying 0 or 2 arcs, or None."""
+    for u, v in itertools.combinations(h.vertices, 2):
+        if ((u, v) in h.arcs) == ((v, u) in h.arcs):
+            return u, v
+    return None
+
+
+def outcome(classify, h):
+    try:
+        return classify(h)
+    except GraphError as e:
+        return type(e), str(e)
+
+
+def test_tournament_check_matches_the_pair_scan():
+    # every digraph on 3 vertices, then seeded 4-6-vertex tournaments w.p.l.
+    # with up to two pairs broken (0 or 2 arcs), declared in shuffled order
+    cases = []
+    vs = ("1", "2", "3")
+    every = list(itertools.product(vs, repeat=2))
+    for bits in itertools.product((0, 1), repeat=len(every)):
+        cases.append(Digraph(vs, [a for a, b in zip(every, bits) if b]))
+    rng = random.Random(21)
+    for _ in range(600):
+        n = rng.randint(4, 6)
+        vs = [str(i) for i in range(1, n + 1)]
+        rng.shuffle(vs)
+        arcs = {(u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in itertools.combinations(vs, 2)}
+        loop_rate = rng.choice((0.0, 0.5, 1.0))
+        arcs |= {(v, v) for v in vs if rng.random() < loop_rate}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            u, v = rng.sample(vs, 2)
+            if (u, v) in arcs:
+                arcs.discard((u, v))
+            else:
+                arcs.add((u, v))
+        cases.append(Digraph(vs, arcs))
+    broken = reflexive = 0
+    for h in cases:
+        pair = first_broken_pair(h)
+        got = outcome(classify_tournament_wpl, h)
+        if pair is not None:
+            broken += 1
+            assert got == (GraphError,
+                           "classify_tournament_wpl requires a tournament "
+                           f"w.p.l. (pair ({pair[0]}, {pair[1]}) breaks it)")
+            continue
+        assert not isinstance(got, tuple), got
+        if all((v, v) in h.arcs for v in h.vertices):
+            reflexive += 1
+            assert classify_reflexive_mpt(h) == got
+    assert broken == 740 and reflexive == 128
+
+
 # -- the four-vertex sixteen-case family ----------------------------------
 
 
@@ -275,8 +331,8 @@ def test_theorem5_truth_table():
 
 
 def test_theorem5_poly_cases_have_minmax_orderings():
-    # empirical finding recorded in the README: every polynomial case of the
-    # four-vertex family carries the Min-Max ordering 1,2,4,3
+    # every polynomial case of the four-vertex family is certified by the
+    # Min-Max ordering 1,2,4,3
     for b in ({"33"}, {"11", "33"}, {"22", "33"}, {"11", "22", "33"}):
         c = classify_theorem5(b)
         assert c.ordering is not None
@@ -285,7 +341,8 @@ def test_theorem5_poly_cases_have_minmax_orderings():
 
 def test_theorem5_poly_case_without_ordering_is_internal(monkeypatch):
     import minhom.classify
-    monkeypatch.setattr(minhom.classify, "find_minmax", lambda h: None)
+    monkeypatch.setattr(minhom.classify, "verify_minmax",
+                        lambda h, ordering: (False, None))
     with pytest.raises(InternalError):
         classify_theorem5({"33"})
 

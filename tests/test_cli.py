@@ -90,6 +90,20 @@ def test_costs_round_trip_and_errors():
             parse_costs(f"c u 1 1\nc u 2 {token}\n")
 
 
+def test_cost_matrix_takes_only_integers():
+    # ints and the integer strings parse_costs reads; int() would also take
+    # floats, bools, "1_0" and padding, or escape as a bare ValueError,
+    # TypeError or OverflowError
+    good = {7: 7, -4: -4, "3": 3, "+5": 5, "-12": -12, "007": 7}
+    for value, want in good.items():
+        assert CostMatrix({("u", "1"): value}).entries == {("u", "1"): want}
+    for value in (2.9, 2.0, True, False, "1_0", "2.5", None, float("inf"),
+                  float("nan"), " 3", "3\n", "", "+", "+-3", "\u0663", b"3"):
+        with pytest.raises(GraphError, match=r"cost entry \('u', '1'\) "
+                           "is not an integer"):
+            CostMatrix({("u", "1"): value})
+
+
 # -- built-in target names ------------------------------------------------
 
 

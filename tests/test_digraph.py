@@ -237,7 +237,8 @@ def partite_structure_pairwise(h):
     (the earlier routine)."""
     groups = {}
     for v in h.vertices:
-        nonadj = frozenset(w for w in h.vertices if w == v or not h.adjacent(v, w))
+        nonadj = frozenset(w for w in h.vertices if w == v or not (
+            (v, w) in h.arcs or (w, v) in h.arcs))
         groups.setdefault(nonadj, []).append(v)
     parts = []
     for key, members in groups.items():

@@ -137,6 +137,24 @@ def test_one_brute_force_search():
     assert found == ["solver._search"]
 
 
+def test_poly_orderings_are_rechecked_in_one_place():
+    # every polynomial verdict that carries an ordering is built by
+    # classify._poly, which re-checks the ordering with verify_minmax
+    tree = ast.parse((PACKAGE / "classify.py").read_text(encoding="utf-8"))
+    found = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        found += [func.name for node in ast.walk(func)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "Classification"
+                  and node.args and isinstance(node.args[0], ast.Name)
+                  and node.args[0].id == "POLY"
+                  and any(k.arg == "ordering" for k in node.keywords)]
+    assert found == ["_poly"], f"poly verdicts with an ordering in {found}"
+
+
 def test_bench_spans_resolve():
     # bench/worker.py silently skips a spanned name it cannot find, so a
     # rename would zero that layer's metric without notice

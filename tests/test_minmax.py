@@ -39,7 +39,7 @@ def test_rc_k12_stated_ordering():
 def test_digon_identity_ordering_fails():
     ok, pair = verify_minmax(make_cycle(2), Ordering(("1", "2")))
     assert not ok
-    assert pair.min_pair == (1, 1)
+    # their coordinatewise min, (1, 1), is no arc
     assert {pair.e, pair.f} == {("1", "2"), ("2", "1")}
 
 
@@ -197,8 +197,7 @@ def first_violating_pair(h, ordering):
             mx = (max(i, j), max(k, s))
             if {mn, mx} != {(i, k), (j, s)} and not {mn, mx} <= set(arcs):
                 return ArcPair(e=(seq[i - 1], seq[k - 1]),
-                               f=(seq[j - 1], seq[s - 1]),
-                               min_pair=mn, max_pair=mx)
+                               f=(seq[j - 1], seq[s - 1]))
     return None
 
 
