@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import (Digraph, GraphError, GuardExceeded, check_token,
-                      components)
+from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
+                      _pairs, check_token, components)
 from .solver import CostMatrix
 
 #: Default cap on the number of vertices searched for forbidden structures.
@@ -72,8 +72,7 @@ class BipartiteGraph:
             raise GraphError("parts must be disjoint")
         s1, s2 = set(p1), set(p2)
         norm = set()
-        for u, v in edges:
-            u, v = str(u), str(v)
+        for u, v in _pairs(edges, "edge"):
             if u in s1 and v in s2:
                 norm.add((u, v))
             elif v in s1 and u in s2:
@@ -306,6 +305,9 @@ def find_forbidden(g: BipartiteGraph,
     (adj[v] & mask).bit_count() == 2 and walked from its lowest position
     towards that one's lowest neighbour; then the claw, the net and the
     tent (_place).  Names are attached to the result only.
+
+    The structure returned has passed validate_forbidden; InternalError
+    otherwise.
     """
     n = len(g.vertices)
     if n > guard:
@@ -314,7 +316,12 @@ def find_forbidden(g: BipartiteGraph,
             "raise the guard explicitly to search this graph"
         )
     found = forbidden_hosts(len(g.part1), _masks(g))
-    return found and label_hosts(*found, g.vertices)
+    if found is None:
+        return None
+    fs = label_hosts(*found, g.vertices)
+    if not validate_forbidden(g, fs):
+        raise InternalError("bad forbidden structure")
+    return fs
 
 
 def validate_forbidden(g: BipartiteGraph, fs: ForbiddenStructure) -> bool:
@@ -375,6 +382,15 @@ def digraph_instance_from_bipartite(g: BipartiteGraph, h: Digraph,
     return g.digraph, CostMatrix(entries)
 
 
+def _ordered_edges(g: BipartiteGraph):
+    """g's (part1, part2) edges by the positions of their ends in
+    g.vertices, read off the index, so the first failing edge an error
+    names does not follow the string hash seed."""
+    vs = g.vertices
+    return ((vs[k], vs[j]) for k, ws in enumerate(g.digraph.adjacency[0])
+            for j in ws)
+
+
 def lift_solution(g: BipartiteGraph, h: Digraph,
                   mapping: dict[str, str]) -> dict[str, str]:
     """Lift a homomorphism of the transformed digraph instance (into h) to a
@@ -384,7 +400,7 @@ def lift_solution(g: BipartiteGraph, h: Digraph,
             raise GraphError(f"mapping is not total: missing {u!r}")
         if mapping[u] not in h:
             raise GraphError(f"image {mapping[u]!r} is not a vertex of the target")
-    for s, t in g.edges:
+    for s, t in _ordered_edges(g):
         if not h.has_arc(mapping[s], mapping[t]):
             raise GraphError(
                 f"not a homomorphism: edge ({s}, {t}) maps to a non-arc"
@@ -407,7 +423,7 @@ def project_solution(g: BipartiteGraph, h: Digraph,
             if not img.endswith(want) or img not in bgh.digraph:
                 raise GraphError(f"image {img!r} does not respect the parts")
             out[u] = img[: -len(want)]
-    for s, t in g.edges:
+    for s, t in _ordered_edges(g):
         if not bgh.has_edge(mapping[s], mapping[t]):
             raise GraphError(
                 f"not a homomorphism: edge ({s}, {t}) maps to a non-edge"

@@ -119,6 +119,14 @@ def _emit_solve(res, out) -> int:
     return EXIT_OK
 
 
+def _guard(text: str) -> int:
+    """A --guard value: a nonnegative integer (argparse exits otherwise)."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -140,18 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
         method={"default": "auto",
                 "choices": ("auto", "minmax", "cycle", "brute")},
         ordering={"required": False},
-        guard={"type": int, "default": FIND_GUARD})
+        guard={"type": _guard, "default": FIND_GUARD})
     add("classify-rmpt", target={"required": True})
     add("classify-tournament", target={"required": True})
     add("classify-t5", b={"required": True})
     add("classify-general", target={"required": True},
-        guard={"type": int, "default": FIND_GUARD})
+        guard={"type": _guard, "default": FIND_GUARD})
     add("bg", target={"required": True})
     add("pib-check", target={"required": False}, input={"required": False},
-        guard={"type": int, "default": FORBIDDEN_GUARD})
+        guard={"type": _guard, "default": FORBIDDEN_GUARD})
     add("minmax-verify", target={"required": True}, ordering={"required": True})
     add("minmax-find", target={"required": True},
-        guard={"type": int, "default": FIND_GUARD})
+        guard={"type": _guard, "default": FIND_GUARD})
     add("witness", target={"required": True})
     add("enumerate-rmpt", n={"type": int, "required": True})
     return parser

@@ -57,6 +57,28 @@ def check_token(name: str) -> str:
     return name
 
 
+def _pairs(items, what: str) -> list[tuple[str, str]]:
+    """items as (str(a), str(b)) pairs; GraphError naming the first item
+    that does not unpack into two, or that is a string (which would unpack
+    by character).  The string test is one pass over the items' types; the
+    loop below runs only to name the item."""
+    items = list(items)
+    if str not in set(map(type, items)):
+        try:
+            return [(str(a), str(b)) for a, b in items]
+        except (TypeError, ValueError):
+            pass
+    for x in items:
+        try:
+            a, b = x
+            ok = not isinstance(x, str)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise GraphError(f"{what} {x!r} is not a pair")
+    return [(str(a), str(b)) for a, b in items]  # an error in str() itself
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Immutable digraph: ordered vertices, arc set (loops allowed)."""
@@ -71,7 +93,7 @@ class Digraph:
         declared = set(vs)
         if len(declared) != len(vs):
             raise GraphError("duplicate vertex declarations")
-        aset = frozenset([(str(t), str(h)) for t, h in arcs])
+        aset = frozenset(_pairs(arcs, "arc"))
         if not declared.issuperset(chain.from_iterable(aset)):
             for t, h in aset:  # only to name the first undeclared end
                 if t not in declared or h not in declared:
@@ -96,7 +118,7 @@ class Digraph:
         """Build a digraph, auto-declaring arc endpoints in first-use order."""
         order = list(vertices)
         seen = set(order)
-        arcs = [(str(t), str(h)) for t, h in arcs]
+        arcs = _pairs(arcs, "arc")
         for t, h in arcs:
             for v in (t, h):
                 if v not in seen:

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minhom
 from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     GuardExceeded, bg, components,
                     digraph_instance_from_bipartite,
@@ -14,7 +19,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
 from minhom.birep import (CLAW_EDGES, NET_EDGES, PATTERNS, TENT_EDGES,
                           _induced_cycle, _pattern, find_pattern,
                           validate_forbidden)
-from minhom.digraph import first_injection
+from minhom.digraph import InternalError, first_injection
 
 
 def pattern_graph(kind):
@@ -309,6 +314,66 @@ def test_lift_rejects_non_homomorphism():
     g = BipartiteGraph(("s",), ("t",), [("s", "t")])
     with pytest.raises(GraphError):
         lift_solution(g, h, {"s": "2", "t": "1"})
+
+
+ERROR_PROBE = """
+from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
+                    lift_solution, make_tt, project_solution)
+
+g = BipartiteGraph(("a", "b"), ("x", "y"),
+                   [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+h = make_tt(2)
+calls = [
+    lambda: lift_solution(g, h, dict.fromkeys(g.vertices, "1")),
+    lambda: project_solution(g, h, {"a": "1_1", "b": "1_1",
+                                    "x": "1_2", "y": "1_2"}),
+    lambda: CostMatrix({("u", "1"): 1, "ab": 2}),
+    lambda: Digraph(("a", "b"), [("a", "b"), ("a",)]),
+    lambda: Digraph.from_arcs([("a", "b"), ("a", "b", "c")]),
+    lambda: BipartiteGraph(("a",), ("b",), [("a", "b"), "ab"]),
+]
+for call in calls:
+    try:
+        call()
+        print("no error")
+    except GraphError as exc:
+        print(exc)
+"""
+
+
+def test_error_messages_independent_of_hash_seed():
+    # every edge of g fails, and the one named is the first in g's vertex
+    # order, not in the order of the edge frozenset, which follows the
+    # string hash seed
+    src = str(Path(minhom.__file__).parent.parent)
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", ERROR_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines() == [
+        "not a homomorphism: edge (a, x) maps to a non-arc",
+        "not a homomorphism: edge (a, x) maps to a non-edge",
+        "cost key 'ab' is not a pair",
+        "arc ('a',) is not a pair",
+        "arc ('a', 'b', 'c') is not a pair",
+        "edge 'ab' is not a pair",
+    ]
+
+
+def test_find_forbidden_rechecks_its_structure(monkeypatch):
+    g = pattern_graph("bipartite-claw")
+    assert find_forbidden(g).kind == "bipartite-claw"
+    monkeypatch.setattr("minhom.birep.validate_forbidden",
+                        lambda g, fs: False)
+    with pytest.raises(InternalError, match="bad forbidden structure"):
+        find_forbidden(g)
+    with pytest.raises(InternalError):
+        is_proper_interval_bigraph(g)
+    # a graph without a structure has nothing to re-check
+    assert find_forbidden(BipartiteGraph(("a",), ("b",), [("a", "b")])) is None
 
 
 def test_pattern_edge_lists_are_frozen():

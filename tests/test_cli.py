@@ -433,6 +433,23 @@ def test_cli_minmax_verify_and_find():
     assert out == "none\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--target", "rc_tt2", "--input", "d.dg"],
+    ["classify-general", "--target", "rc_tt2"],
+    ["pib-check", "--target", "rc_tt2"],
+    ["minmax-find", "--target", "rc_tt2"]],
+    ids=["solve", "classify-general", "pib-check", "minmax-find"])
+def test_cli_guard_refuses_negative_values(tmp_path, capsys, argv):
+    # a negative guard made classify-general print "unknown" with
+    # minmax-skipped-guard and solve take the brute route, though 1,2 is a
+    # Min-Max ordering of rc_tt2
+    argv = [write(tmp_path, a, "a u v\n") if a == "d.dg" else a for a in argv]
+    for value in ("-1", "-3", "x"):
+        assert cli(*argv, "--guard", value) == (EXIT_ERROR, "")
+        assert (f"argument --guard: expected a nonnegative integer, "
+                f"got '{value}'") in capsys.readouterr().err
+
+
 def test_cli_witness():
     code, out = cli("witness", "--target", "rc_tt3")
     assert code == EXIT_OK and out == "none\n"

@@ -255,6 +255,23 @@ def test_digraph_names_the_first_bad_name_and_arc():
         assert got == (None if want is None else (GraphError, want))
 
 
+def test_keys_arcs_and_edges_must_be_pairs():
+    # a two-character string would unpack into a pair of characters, and a
+    # 1- or 3-tuple would escape as a bare unpacking ValueError
+    for item in ("ab", ("a",), ("a", "b", "c")):
+        for what, call in (
+                ("cost key", lambda: CostMatrix({("u", "1"): 1, item: 2})),
+                ("arc", lambda: Digraph(("a", "b", "c"), [("a", "b"), item])),
+                ("arc", lambda: Digraph.from_arcs([("a", "b"), item])),
+                ("edge", lambda: BipartiteGraph(("a",), ("b", "c"),
+                                                [("a", "b"), item]))):
+            want = f"{what} {item!r} is not a pair"
+            assert error_of(call) == (GraphError, want)
+    # pairs of other types still normalise to str, as before
+    assert Digraph.from_arcs([(1, 2)]).arcs == {("1", "2")}
+    assert BipartiteGraph(("1",), ("2",), [[2, 1]]).edges == {("1", "2")}
+
+
 def test_check_shape_names_the_first_bad_entry():
     d = Digraph(("u", "w"), [("u", "w")])
     h = make_tt(3)

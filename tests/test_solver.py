@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     solve_minmax)
 from minhom.cli import resolve_target
 from minhom.minmax import _is_staircase
-from minhom.solver import FlowNetwork, _thresholds
+from minhom.solver import FlowNetwork, _cut, _rows, _thresholds
 
 
 def random_target(rng, max_n=4):
@@ -210,6 +211,85 @@ def test_max_flow_matches_brute_force_min_cut():
         for u, v, c in edges:
             net.add_edge(u, v, c)
         value, side = brute_min_cuts(n, s, t, edges)
+        assert net.max_flow(s, t) == value
+        # the residual source side is the unique minimal minimum cut
+        assert net.source_side(s) == side
+
+
+def edmonds_karp(n, s, t, edges):
+    """Value of a maximum s-t flow by shortest augmenting paths, and the
+    nodes reachable from s in the final residual network."""
+    cap = {}
+    near = [[] for _ in range(n)]
+    for u, v, c in edges:
+        for a, b in ((u, v), (v, u)):
+            if (a, b) not in cap:
+                cap[a, b] = 0
+                near[a].append(b)
+        cap[u, v] += c
+    value = 0
+    while True:
+        prev = {s: s}
+        queue = deque([s])
+        while queue and t not in prev:
+            u = queue.popleft()
+            for v in near[u]:
+                if v not in prev and cap[u, v]:
+                    prev[v] = u
+                    queue.append(v)
+        if t not in prev:
+            return value, set(prev)
+        path = [t]
+        while path[-1] != s:
+            path.append(prev[path[-1]])
+        pairs = list(zip(path[1:], path))
+        push = min(cap[a, b] for a, b in pairs)
+        for a, b in pairs:
+            cap[a, b] -= push
+            cap[b, a] += push
+        value += push
+
+
+def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
+    # the networks _cut builds for paths and rings of a few hundred
+    # vertices, nothing folded first: long chains of "label >= i" nodes, so
+    # the search trees grow deep and adoption re-attaches whole subtrees
+    networks = []
+    max_flow = FlowNetwork.max_flow
+
+    def record(net, s, t):
+        networks.append((net.n, s, t, [
+            (net.head[e ^ 1], net.head[e], net.cap[e])
+            for e in range(0, len(net.head), 2)]))
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
+    rng = random.Random(2004)
+    for h in (RC_TT5, RC_TTMINUS6):
+        seq = find_minmax(h).sequence
+        lam, mu = _thresholds(_rows(h, seq)[0], len(seq))
+        for shape in ("path", "ring", "reversed-ring", "zigzag"):
+            n = rng.randint(200, 300)
+            vecs = [[None if rng.random() < 0.05 else rng.randint(-3, 3)
+                     for _ in seq] for _ in range(n)]
+            outs = [[k + 1] for k in range(n - 1)] + [[]]
+            if shape == "ring":
+                outs[-1] = [0]
+            elif shape == "reversed-ring":
+                outs[0] = [1, n - 1]
+            elif shape == "zigzag":
+                outs = [[] for _ in range(n)]
+                for k in range(n - 1):
+                    a, b = (k, k + 1) if rng.random() < 0.5 else (k + 1, k)
+                    outs[a].append(b)
+            _cut(vecs, outs, list(range(n)), lam, mu)
+    monkeypatch.undo()
+    assert len(networks) == 8
+    for n, s, t, edges in networks:
+        net = FlowNetwork(n)
+        for u, v, c in edges:
+            net.add_edge(u, v, c)
+        value, side = edmonds_karp(n, s, t, edges)
         assert net.max_flow(s, t) == value
         # the residual source side is the unique minimal minimum cut
         assert net.source_side(s) == side
@@ -518,6 +598,19 @@ def test_collapse_rejects_bad_decomposition():
     bad.popitem()
     with pytest.raises(GraphError):
         collapse_extension(hp, bad, CostMatrix({}))
+
+
+def test_collapse_checks_its_cost_keys():
+    # an entry for a target vertex outside the extension was dropped
+    hp, decomp = extend(make_tt(2), {"1": 2, "2": 1})
+    with pytest.raises(GraphError) as info:
+        collapse_extension(hp, decomp, CostMatrix({("u", "zz"): -5}))
+    assert str(info.value) == (
+        "cost entry ('u', 'zz') does not match the instance shape")
+    # any input vertex may carry costs
+    _, collapsed, _ = collapse_extension(hp, decomp,
+                                         CostMatrix({("q", "2_1"): -5}))
+    assert collapsed.entries == {("q", "2"): -5}
 
 
 def test_collapse_names_the_first_bad_class_pair():
