@@ -60,10 +60,10 @@ def check_token(name: str) -> str:
 def _pairs(items, what: str) -> list[tuple[str, str]]:
     """items as (str(a), str(b)) pairs; GraphError naming the first item
     that does not unpack into two, or that is a string (which would unpack
-    by character).  The string test is one pass over the items' types; the
-    loop below runs only to name the item."""
+    by character), str subclasses included.  The string test is one pass
+    over the items' types; the loop below runs only to name the item."""
     items = list(items)
-    if str not in set(map(type, items)):
+    if not any(issubclass(t, str) for t in set(map(type, items))):
         try:
             return [(str(a), str(b)) for a, b in items]
         except (TypeError, ValueError):

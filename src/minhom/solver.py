@@ -278,9 +278,8 @@ class FlowNetwork:
     cap[e], its reverse is e ^ 1, and adj[u] lists the ids of the edges
     leaving u.  max_flow grows a search tree from s and one from t,
     augments along the path where they meet and re-attaches the nodes the
-    augmentation cut off (Boykov & Kolmogorov, TPAMI 2004), plainly: an
-    orphan takes the first valid parent in adj order.  The trees are kept
-    between augmentations, which suits the long chains of the layered
+    augmentation cut off (Boykov & Kolmogorov, TPAMI 2004).  The trees are
+    kept between augmentations, which suits the long chains of the layered
     "label >= i" networks solve_minmax builds; every step is iterative.
     """
 
@@ -302,13 +301,18 @@ class FlowNetwork:
         head, cap, adj = self.head, self.cap, self.adj
         n = self.n
         # tree[v]: 0 free, 1 source tree, 2 sink tree.  parent[v], read only
-        # while v is in a tree, is the edge from v to its tree parent
+        # while v is in a tree, is the edge from v to its tree parent.
+        # ts[v] is the augmentation after which dist[v], the depth of v in
+        # its tree, was last known exact.
         tree = [0] * n
         parent = [_ROOT] * n
+        ts = [0] * n
+        dist = [0] * n
         queued = [False] * n
         tree[s], tree[t] = 1, 2
         active = deque((s, t))
         queued[s] = queued[t] = True
+        time = 0
         total = 0
         while active:
             u = active[0]
@@ -322,20 +326,29 @@ class FlowNetwork:
             # from s to t: u -> v in the source tree, v -> u in the sink tree
             meet = -1
             rev = side - 1
+            du, tu = dist[u] + 1, ts[u]
             for e in adj[u]:
                 if not cap[e ^ rev]:
                     continue
+                r = e ^ 1
                 v = head[e]
                 sv = tree[v]
                 if not sv:
                     tree[v] = side
-                    parent[v] = e ^ 1
+                    parent[v] = r
+                    ts[v] = tu
+                    dist[v] = du
                     if not queued[v]:
                         queued[v] = True
                         active.append(v)
                 elif sv != side:
                     meet = e ^ rev
                     break
+                elif ts[v] <= tu and dist[v] > du:
+                    # shorten v's path to the root
+                    parent[v] = r
+                    ts[v] = tu
+                    dist[v] = du
             if meet < 0:
                 active.popleft()
                 queued[u] = False
@@ -344,6 +357,7 @@ class FlowNetwork:
             # augmentation along s ~> a -> b ~> t, a = tail of meet.  Flow
             # takes parent edge e ^ rev: e's reverse in the source tree (from
             # the parent down to v), e itself in the sink tree
+            time += 1
             a, b = head[meet ^ 1], head[meet]
             walks = ((a, s, 1), (b, t, 0))
             push = cap[meet]
@@ -367,37 +381,57 @@ class FlowNetwork:
                         orphans.append(v)
                     v = head[e]
 
-            # adoption: each orphan takes the first neighbour in its own
-            # tree, with residual capacity towards it, whose parent chain
-            # ends at the root; the orphan stays _ORPHAN while it looks, so
-            # no chain through it counts and no cycle forms.  An orphan with
-            # no such neighbour goes free and orphans its children
+            # adoption: give each orphan a parent in its own tree that
+            # still leads to the root, or free it and orphan its children
             for v in orphans:
                 side = tree[v]
                 rev = 2 - side  # e ^ rev runs from w towards v as flow goes
+                best, best_d = -1, n
                 for e in adj[v]:
                     w = head[e]
                     if tree[w] != side or not cap[e ^ rev]:
                         continue
+                    d = 0
+                    x = w
+                    while ts[x] != time:
+                        pe = parent[x]
+                        if pe == _ROOT:
+                            ts[x] = time
+                            dist[x] = 0
+                            break
+                        if pe == _ORPHAN:
+                            d = n
+                            break
+                        d += 1
+                        x = head[pe]
+                    else:
+                        d += dist[x]
+                    if d < n:
+                        if d < best_d:
+                            best, best_d = e, d
+                        x = w
+                        while ts[x] != time:
+                            ts[x] = time
+                            dist[x] = d
+                            d -= 1
+                            x = head[parent[x]]
+                if best >= 0:
+                    parent[v] = best
+                    ts[v] = time
+                    dist[v] = best_d + 1
+                    continue
+                tree[v] = 0
+                for e in adj[v]:
+                    w = head[e]
+                    if tree[w] != side:
+                        continue
+                    if cap[e ^ rev] and not queued[w]:
+                        queued[w] = True
+                        active.append(w)
                     pe = parent[w]
-                    while pe >= 0:
-                        pe = parent[head[pe]]
-                    if pe == _ROOT:
-                        parent[v] = e
-                        break
-                else:
-                    tree[v] = 0
-                    for e in adj[v]:
-                        w = head[e]
-                        if tree[w] != side:
-                            continue
-                        if cap[e ^ rev] and not queued[w]:
-                            queued[w] = True
-                            active.append(w)
-                        pe = parent[w]
-                        if pe >= 0 and head[pe] == v:
-                            parent[w] = _ORPHAN
-                            orphans.append(w)
+                    if pe >= 0 and head[pe] == v:
+                        parent[w] = _ORPHAN
+                        orphans.append(w)
         return total
 
     def source_side(self, s: int) -> set[int]:

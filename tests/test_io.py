@@ -11,6 +11,7 @@ Digraph and BipartiteGraph, whose name check is pinned against the earlier
 one over every code point.
 """
 
+import enum
 import random
 
 import pytest
@@ -257,8 +258,15 @@ def test_digraph_names_the_first_bad_name_and_arc():
 
 def test_keys_arcs_and_edges_must_be_pairs():
     # a two-character string would unpack into a pair of characters, and a
-    # 1- or 3-tuple would escape as a bare unpacking ValueError
-    for item in ("ab", ("a",), ("a", "b", "c")):
+    # 1- or 3-tuple would escape as a bare unpacking ValueError.  A str
+    # subclass (an enum member, say) unpacks by character just the same
+    class Name(str):
+        pass
+
+    class Label(str, enum.Enum):
+        XY = "xy"
+
+    for item in ("ab", Name("ab"), Label.XY, ("a",), ("a", "b", "c")):
         for what, call in (
                 ("cost key", lambda: CostMatrix({("u", "1"): 1, item: 2})),
                 ("arc", lambda: Digraph(("a", "b", "c"), [("a", "b"), item])),
