@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _pairs, check_token, components)
+                      _built, _pairs, check_token, components)
 from .solver import CostMatrix
 
 #: Default cap on the number of vertices searched for forbidden structures.
@@ -62,8 +62,8 @@ class BipartiteGraph:
     edges: frozenset[tuple[str, str]]
 
     def __init__(self, part1, part2, edges=()):
-        p1 = tuple(part1)
-        p2 = tuple(part2)
+        p1 = _built(tuple, part1, "part1")
+        p2 = _built(tuple, part2, "part2")
         for v in (*p1, *p2):
             check_token(v)
         if len(set(p1)) != len(p1) or len(set(p2)) != len(p2):

@@ -6,8 +6,10 @@ so that CLI output and test goldens are reproducible.  Digraph.adjacency is
 the one adjacency index: each vertex's non-loop out- and in-neighbours and
 its loop, by declaration index, cached on first use.  The graph algorithms
 (components, is_acyclic, cycle_walk, partite_structure, and the solver and
-classifier passes) read it rather than the arc set.  first_injection is the
-one backtracking search for isomorphisms and Min-Max orderings.
+classifier passes) read it rather than the arc set.  _collect is the one
+reachability search, behind components and strong_components;
+first_injection is the one backtracking search for isomorphisms and
+Min-Max orderings.
 """
 
 from __future__ import annotations
@@ -57,12 +59,22 @@ def check_token(name: str) -> str:
     return name
 
 
+def _built(make, value, name: str):
+    """make(value), make being iter, tuple, list or dict; GraphError naming
+    the argument `name` where make raises TypeError (value is not
+    iterable, or a key is not hashable)."""
+    try:
+        return make(value)
+    except TypeError as exc:
+        raise GraphError(f"bad {name}: {exc}") from None
+
+
 def _pairs(items, what: str) -> list[tuple[str, str]]:
     """items as (str(a), str(b)) pairs; GraphError naming the first item
     that does not unpack into two, or that is a string (which would unpack
     by character), str subclasses included.  The string test is one pass
     over the items' types; the loop below runs only to name the item."""
-    items = list(items)
+    items = _built(list, items, what + "s")
     if not any(issubclass(t, str) for t in set(map(type, items))):
         try:
             return [(str(a), str(b)) for a, b in items]
@@ -87,15 +99,16 @@ class Digraph:
     arcs: frozenset[tuple[str, str]]
 
     def __init__(self, vertices, arcs=()):
-        vs = tuple(vertices)
+        vs = _built(tuple, vertices, "vertices")
         for v in vs:
             check_token(v)
         declared = set(vs)
         if len(declared) != len(vs):
             raise GraphError("duplicate vertex declarations")
-        aset = frozenset(_pairs(arcs, "arc"))
+        pairs = _pairs(arcs, "arc")
+        aset = frozenset(pairs)
         if not declared.issuperset(chain.from_iterable(aset)):
-            for t, h in aset:  # only to name the first undeclared end
+            for t, h in pairs:  # only to name the first undeclared end
                 if t not in declared or h not in declared:
                     raise GraphError(
                         f"arc ({t!r}, {h!r}) references an undeclared vertex")
@@ -116,7 +129,7 @@ class Digraph:
     @classmethod
     def from_arcs(cls, arcs, vertices=()) -> "Digraph":
         """Build a digraph, auto-declaring arc endpoints in first-use order."""
-        order = list(vertices)
+        order = _built(list, vertices, "vertices")
         seen = set(order)
         arcs = _pairs(arcs, "arc")
         for t, h in arcs:
@@ -199,6 +212,23 @@ class Digraph:
 # -- whole-digraph predicates and builders --------------------------------
 
 
+def _collect(near: list[Sequence[int]], start: int,
+             free: list[bool]) -> list[int]:
+    """The free nodes reachable from start (free too) along near, ascending;
+    clears their free flags.  The one reachability search of this module."""
+    free[start] = False
+    comp = [start]
+    stack = [start]
+    while stack:
+        for x in near[stack.pop()]:
+            if free[x]:
+                free[x] = False
+                comp.append(x)
+                stack.append(x)
+    comp.sort()
+    return comp
+
+
 def components(g) -> list[tuple[str, ...]]:
     """Connected components of a Digraph (orientation ignored) or a
     BipartiteGraph.
@@ -211,23 +241,9 @@ def components(g) -> list[tuple[str, ...]]:
     vs = g.vertices
     outs, ins, _ = (g if isinstance(g, Digraph) else g.digraph).adjacency
     near = list(map(add, outs, ins))
-    seen = [False] * len(vs)
-    out = []
-    for start in range(len(vs)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            for x in near[stack.pop()]:
-                if not seen[x]:
-                    seen[x] = True
-                    comp.append(x)
-                    stack.append(x)
-        comp.sort()
-        out.append(tuple(map(vs.__getitem__, comp)))
-    return out
+    free = [True] * len(vs)
+    return [tuple(map(vs.__getitem__, _collect(near, k, free)))
+            for k in range(len(vs)) if free[k]]
 
 
 def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
@@ -256,59 +272,40 @@ def is_acyclic(h: Digraph) -> tuple[bool, tuple[str, ...] | None]:
     return True, tuple(order)
 
 
-def strong_components(succs: list[Sequence[int]],
+def strong_components(succs: list[Sequence[int]], preds: list[Sequence[int]],
                       nodes: list[int]) -> list[list[int]]:
     """Strong components of the digraph on `nodes` (ascending integers
     below len(succs)) with an arc k -> x for every x in succs[k] that is
-    among `nodes`.
+    among `nodes`; preds is its transpose.
 
     Each component lists its members ascending; the components are sorted
-    by their first member.  Tarjan's algorithm (SIAM J. Comput. 1, 1972)
-    with an explicit stack of successor iterators, so a long directed path
-    or ring does not recurse.
+    by their first member.  Kosaraju's two searches (Sharir, Comput. Math.
+    Appl. 7, 1981): a depth-first search along succs, with a stack of
+    successor iterators (no recursion), records the order in which nodes
+    finish; in reverse order, each node not yet taken takes the nodes that
+    reach it (_collect along preds).
     """
-    inside = [False] * len(succs)
+    free = [False] * len(succs)
     for k in nodes:
-        inside[k] = True
-    order = [0] * len(succs)  # 1 + discovery time; 0 while unvisited
-    low = [0] * len(succs)
-    done = [False] * len(succs)  # already in an emitted component
-    stack: list[int] = []
-    found: list[list[int]] = []
-    clock = 0
+        free[k] = True
+    left = free.copy()  # not yet reached by the first search
+    finished: list[int] = []
     for root in nodes:
-        if order[root]:
+        if not left[root]:
             continue
-        clock += 1
-        order[root] = low[root] = clock
-        stack.append(root)
+        left[root] = False
         work = [(root, iter(succs[root]))]
         while work:
             k, rest = work[-1]
             for x in rest:
-                if not inside[x] or done[x]:
-                    continue
-                if not order[x]:
-                    clock += 1
-                    order[x] = low[x] = clock
-                    stack.append(x)
+                if left[x]:
+                    left[x] = False
                     work.append((x, iter(succs[x])))
                     break
-                if order[x] < low[k]:
-                    low[k] = order[x]
             else:
                 work.pop()
-                if work and low[k] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[k]
-                if low[k] == order[k]:
-                    at = len(stack) - 1
-                    while stack[at] != k:
-                        at -= 1
-                    members = sorted(stack[at:])
-                    del stack[at:]
-                    for x in members:
-                        done[x] = True
-                    found.append(members)
+                finished.append(k)
+    found = [_collect(preds, k, free) for k in reversed(finished) if free[k]]
     found.sort()
     return found
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      first_injection, make_oriented_kb)
+                      _built, first_injection, make_oriented_kb)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -28,7 +28,7 @@ class Ordering:
     sequence: tuple[str, ...]
 
     def __init__(self, sequence):
-        seq = tuple(str(v) for v in sequence)
+        seq = tuple(map(str, _built(iter, sequence, "sequence")))
         if len(set(seq)) != len(seq):
             raise GraphError("ordering contains a repeated vertex")
         object.__setattr__(self, "sequence", seq)

@@ -19,7 +19,7 @@ Three routes are provided:
   pick) for each label of w.  When the loopless part of the target is
   acyclic, every closed walk of d maps to one looped vertex, so every
   homomorphism is constant on each strong component of the vertices left
-  (Tarjan's search, iterative).  Each component contracts into its first
+  (Kosaraju's two searches).  Each component contracts into its first
   member, the others going on the trail with "same label", and the first
   members are folded again.  What is left is solved as a minimum s-t cut
   over threshold variables x_{u,i} = [label(u) >= i], found with a
@@ -60,7 +60,8 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _pairs, cycle_walk, is_acyclic, strong_components)
+                      _built, _pairs, cycle_walk, is_acyclic,
+                      strong_components)
 from .minmax import (FIND_GUARD, Ordering, _rank_rows, find_minmax,
                      verify_minmax)
 
@@ -83,7 +84,7 @@ class CostMatrix:
     entries: dict[tuple[str, str], int]
 
     def __init__(self, entries=None):
-        entries = dict(entries or {})
+        entries = _built(dict, {} if entries is None else entries, "entries")
         norm = {}
         for (u, i), c in zip(_pairs(entries, "cost key"), entries.values()):
             if not (type(c) is int or type(c) is str and _INT.fullmatch(c)):
@@ -652,7 +653,7 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
         # the other members go on the trail with the identity as pick.
         # Contracting leaves new pendants, so the first members are folded
         # again (with one-member components nothing folds)
-        groups = strong_components(outs, core)
+        groups = strong_components(outs, ins, core)
         first = [-1] * len(vs)
         for ks in groups:
             for k in ks:

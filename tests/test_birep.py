@@ -331,6 +331,7 @@ calls = [
     lambda: Digraph(("a", "b"), [("a", "b"), ("a",)]),
     lambda: Digraph.from_arcs([("a", "b"), ("a", "b", "c")]),
     lambda: BipartiteGraph(("a",), ("b",), [("a", "b"), "ab"]),
+    lambda: Digraph(["a"], [("a", "x"), ("a", "y"), ("b", "a")]),
 ]
 for call in calls:
     try:
@@ -344,7 +345,7 @@ for call in calls:
 def test_error_messages_independent_of_hash_seed():
     # every edge of g fails, and the one named is the first in g's vertex
     # order, not in the order of the edge frozenset, which follows the
-    # string hash seed
+    # string hash seed; likewise the first undeclared arc in the order given
     src = str(Path(minhom.__file__).parent.parent)
     runs = []
     for seed in ("1", "2"):
@@ -360,6 +361,7 @@ def test_error_messages_independent_of_hash_seed():
         "arc ('a',) is not a pair",
         "arc ('a', 'b', 'c') is not a pair",
         "edge 'ab' is not a pair",
+        "arc ('a', 'x') references an undeclared vertex",
     ]
 
 

@@ -137,6 +137,20 @@ def test_one_brute_force_search():
     assert found == ["solver._search"]
 
 
+def test_one_reachability_search():
+    # components and strong_components take their components with one
+    # stack search, digraph._collect; a loop on a stack elsewhere in
+    # digraph.py would be a second traversal to keep in step
+    tree = ast.parse((PACKAGE / "digraph.py").read_text(encoding="utf-8"))
+    found = [func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef)
+             and any(isinstance(node, ast.While)
+                     and any(isinstance(name, ast.Name) and name.id == "stack"
+                             for name in ast.walk(node.test))
+                     for node in ast.walk(func))]
+    assert found == ["_collect"], f"stack searches in digraph.py: {found}"
+
+
 def test_poly_orderings_are_rechecked_in_one_place():
     # every polynomial verdict that carries an ordering is built by
     # classify._poly, which re-checks the ordering with verify_minmax

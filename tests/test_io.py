@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
-                    GraphError, format_bipartite, format_costs,
+                    GraphError, Ordering, format_bipartite, format_costs,
                     format_digraph, is_homomorphism, make_tt, parse_bipartite,
                     parse_costs, parse_digraph)
 from minhom.digraph import check_token
@@ -110,10 +110,11 @@ def old_check_token(name):
     return name
 
 
-def old_undeclared_arc(vertices, arcs):
-    """The message of the earlier Digraph arc check, or None."""
+def first_undeclared_arc(vertices, arcs):
+    """The message of the Digraph arc check, naming the first arc in the
+    order given with an undeclared end, or None."""
     declared = set(vertices)
-    for t, h in frozenset((str(t), str(h)) for t, h in arcs):
+    for t, h in ((str(t), str(h)) for t, h in arcs):
         if t not in declared or h not in declared:
             return f"arc ({t!r}, {h!r}) references an undeclared vertex"
     return None
@@ -251,7 +252,7 @@ def test_digraph_names_the_first_bad_name_and_arc():
         ends = vs + ["x", "y", 3]
         arcs = [(rng.choice(ends), rng.choice(ends))
                 for _ in range(rng.randint(0, 8))]
-        want = old_undeclared_arc(vs, arcs)
+        want = first_undeclared_arc(vs, arcs)
         got = error_of(Digraph, vs, arcs)
         assert got == (None if want is None else (GraphError, want))
 
@@ -277,6 +278,52 @@ def test_keys_arcs_and_edges_must_be_pairs():
             assert error_of(call) == (GraphError, want)
     # pairs of other types still normalise to str, as before
     assert Digraph.from_arcs([(1, 2)]).arcs == {("1", "2")}
+
+
+# a container that is not a collection (of hashable keys, for a cost
+# matrix) is refused with a GraphError naming the argument, not let
+# through as a bare TypeError
+
+
+def test_digraph_refuses_arguments_that_are_not_collections():
+    not_iterable = "'{}' object is not iterable"
+    assert error_of(Digraph, ["a"], 5) == (
+        GraphError, "bad arcs: " + not_iterable.format("int"))
+    assert error_of(Digraph, ["a"], None) == (
+        GraphError, "bad arcs: " + not_iterable.format("NoneType"))
+    assert error_of(Digraph, 5) == (
+        GraphError, "bad vertices: " + not_iterable.format("int"))
+
+
+def test_from_arcs_refuses_arguments_that_are_not_collections():
+    assert error_of(Digraph.from_arcs, 5) == (
+        GraphError, "bad arcs: 'int' object is not iterable")
+    assert error_of(Digraph.from_arcs, [("a", "b")], 5) == (
+        GraphError, "bad vertices: 'int' object is not iterable")
+
+
+def test_bipartite_graph_refuses_arguments_that_are_not_collections():
+    assert error_of(BipartiteGraph, ["a"], ["b"], 5) == (
+        GraphError, "bad edges: 'int' object is not iterable")
+    assert error_of(BipartiteGraph, 5, ["b"]) == (
+        GraphError, "bad part1: 'int' object is not iterable")
+    assert error_of(BipartiteGraph, ["a"], None) == (
+        GraphError, "bad part2: 'NoneType' object is not iterable")
+
+
+def test_cost_matrix_refuses_arguments_that_are_not_collections():
+    assert error_of(CostMatrix, 5) == (
+        GraphError, "bad entries: 'int' object is not iterable")
+    assert error_of(CostMatrix, [(["u", "1"], 2)]) == (
+        GraphError, "bad entries: unhashable type: 'list'")
+    # no entries at all is still the empty matrix
+    assert CostMatrix().entries == CostMatrix(None).entries == {}
+
+
+def test_ordering_refuses_arguments_that_are_not_collections():
+    assert error_of(Ordering, 5) == (
+        GraphError, "bad sequence: 'int' object is not iterable")
+    assert Ordering(iter(["b", "a"])).sequence == ("b", "a")
     assert BipartiteGraph(("1",), ("2",), [[2, 1]]).edges == {("1", "2")}
 
 
