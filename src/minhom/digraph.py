@@ -61,11 +61,12 @@ def check_token(name: str) -> str:
 
 def _built(make, value, name: str):
     """make(value), make being iter, tuple, list or dict; GraphError naming
-    the argument `name` where make raises TypeError (value is not
-    iterable, or a key is not hashable)."""
+    the argument `name` where make raises TypeError or ValueError (value
+    is not iterable, a key is not hashable, or an item that dict reads is
+    not a pair)."""
     try:
         return make(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise GraphError(f"bad {name}: {exc}") from None
 
 
@@ -119,8 +120,9 @@ class Digraph:
     def _wrap(cls, vertices: tuple[str, ...],
               arcs: frozenset[tuple[str, str]]) -> "Digraph":
         """A digraph holding `vertices` and `arcs` as they are, unchecked:
-        only for a graph derived from an already checked one, whose names
-        and arcs are valid by construction."""
+        only for a graph whose names and arcs are valid by construction,
+        one derived from an already checked graph or built by a package
+        constructor from names it made itself."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "arcs", arcs)
@@ -378,8 +380,8 @@ def make_tt(p: int) -> Digraph:
     """Transitive tournament TT_p on vertices 1..p, arcs i->j for i < j."""
     if p < 1:
         raise GraphError(f"TT_p needs p >= 1, got {p}")
-    vs = [str(i) for i in range(1, p + 1)]
-    return Digraph(vs, combinations(vs, 2))
+    vs = tuple(map(str, range(1, p + 1)))
+    return Digraph._wrap(vs, frozenset(combinations(vs, 2)))
 
 
 def make_tt_minus(p: int) -> Digraph:
@@ -394,8 +396,8 @@ def make_cycle(k: int) -> Digraph:
     """Directed k-cycle on vertices 1..k (k >= 2)."""
     if k < 2:
         raise GraphError(f"directed cycle needs k >= 2, got {k}")
-    vs = [str(i) for i in range(1, k + 1)]
-    return Digraph(vs, ((str(i), str(i % k + 1)) for i in range(1, k + 1)))
+    vs = tuple(map(str, range(1, k + 1)))
+    return Digraph._wrap(vs, frozenset(zip(vs, vs[1:] + vs[:1])))
 
 
 def make_oriented_kb(n: int, m: int) -> Digraph:

@@ -4,9 +4,14 @@ An ordering of V(H) is Min-Max when, for every non-trivial pair of arcs
 e = ik and f = js (as position pairs), both (min(i,j), min(k,s)) and
 (max(i,j), max(k,s)) are again arcs.  Targets with a Min-Max ordering admit
 a polynomial minimum cost homomorphism solver (see solver.solve_minmax).
-_is_staircase is the one test of the condition, and it reads the rank
-rows that _rank_rows builds from Digraph.adjacency: verify_minmax,
-find_minmax and solve_minmax all decide by it on those rows.
+_is_staircase is the one verdict on the condition, and it reads the rank
+rows that _rank_rows builds from Digraph.adjacency: verify_minmax and
+solve_minmax decide by it, and find_minmax re-checks the ordering it
+returns with it.  find_minmax's search prunes with a cheaper test of what
+each placement adds (_placement_test): the prefix placed before rank r
+already passed, so only a pair of arcs with one in row r or column r can
+fail, and two conditions on those rows, (A) and (B) in find_minmax's
+docstring, decide in O(r) integer operations.
 """
 
 from __future__ import annotations
@@ -136,15 +141,90 @@ def verify_minmax(h: Digraph,
                           f=(seq[j - 1], seq[s - 1]))
 
 
+def _placement_test(h: Digraph):
+    """find_minmax's per-placement test: fits(rank, v, _) tells whether the
+    placed prefix, with v put at `rank` (1-based), still passes the pair
+    condition, given that it passed without v with the lower ranks as they
+    are now.  first_injection guarantees that: it calls fits for a rank
+    only once the lower ranks are final.
+
+    The state is the prefix's rank rows as bitmasks: rows[i] has bit c for
+    each arc seq[i] -> seq[c].  A call at 0-based rank r first cuts the
+    state back to the ranks below r, masking off columns >= r, then
+    appends v's row K (its placed out-neighbours and its loop) and sets
+    bit r in the rows of its placed in-neighbours.  One pass from row r
+    down to row 0 checks find_minmax's conditions (A) and (B); for (B) it
+    carries the union of the lower columns of the rows passed and whether
+    one of them lacks column r.
+    """
+    outs, ins, looped = h.adjacency
+    index = h._index
+    pos = [-1] * len(h.vertices)  # rank of each placed vertex, else -1
+    placed: list[int] = []        # vertex (declaration index) by rank
+    rows: list[int] = []
+
+    def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
+        r = rank - 1
+        bit = 1 << r
+        below = bit - 1
+        if len(placed) > r:
+            for x in placed[r:]:
+                pos[x] = -1
+            del placed[r:], rows[r:]
+            rows[:] = [row & below for row in rows]
+        k = index[v]
+        pos[k] = r
+        placed.append(k)
+        K = bit if looped[k] else 0
+        for x in outs[k]:
+            if pos[x] >= 0:
+                K |= 1 << pos[x]
+        for x in ins[k]:
+            if pos[x] >= 0:
+                rows[pos[x]] |= bit
+        rows.append(K)
+        low = K & -K
+        lower = K & below  # union of the lower columns of rows j > i
+        gap = bool(lower) and not K & bit  # one of them lacks column r
+        for S in reversed(rows[:r]):
+            if not S:
+                continue
+            if K and (S & ~K >= low
+                      or K & ~S & ((1 << S.bit_length()) - 1)):
+                return False
+            if S & bit and (gap or lower & ~S):
+                return False
+            if S & below:
+                lower |= S & below
+                gap = gap or not S & bit
+        return True
+
+    return fits
+
+
 def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     """Lexicographically first Min-Max ordering, or None.
 
     Ranks 1..n are filled in turn, each trying the vertices in declaration
     order (digraph.first_injection); a partial placement is abandoned as soon
-    as the rank rows of the placed prefix fail _is_staircase, the one
-    Min-Max verdict.  Every min and max position of two placed arcs is
-    a placed rank, so that verdict is the pair condition on the placed
-    arcs, and a failure stays a failure whatever is placed later.
+    as the arcs among the placed vertices break the pair condition.  Every
+    min and max position of two placed arcs is a placed rank, so a failure
+    stays a failure whatever is placed later.
+
+    The prefix before a placement at (0-based) rank r already passed, so
+    only a pair with a new arc can fail.  A crossing pair (i, k), (j, s)
+    with i < j and k > s needs (i, s) and (j, k); i and s lie below r, so
+    it is new only when j = r (its second arc is in row r) or k = r (its
+    first arc is in column r).  Those pairs all pass exactly when
+      (A) for K = row r and each earlier nonempty row S, the columns of S
+          not in K lie below K's lowest column, and the columns of K not
+          in S lie above S's highest; and
+      (B) for each i < r with an arc (i, r), every row j with i < j <= r
+          that has a column below r has column r too, and those lower
+          columns lie in row i.
+    _placement_test checks them in O(r) integer operations.  It only
+    prunes: the ordering found is re-checked once by _is_staircase, the
+    package's one Min-Max verdict, and a failure raises InternalError.
     """
     n = len(h.vertices)
     if n > guard:
@@ -152,12 +232,12 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
             f"Min-Max ordering search is limited to {guard} vertices; "
             "raise the guard explicitly to search this target"
         )
-
-    def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
-        return _is_staircase(_rank_rows(h, by_rank.values()))
-
-    seq = first_injection(range(1, n + 1), h.vertices, fits)
-    return None if seq is None else Ordering(seq.values())
+    seq = first_injection(range(1, n + 1), h.vertices, _placement_test(h))
+    if seq is None:
+        return None
+    if not _is_staircase(_rank_rows(h, seq.values())):
+        raise InternalError("the ordering found fails the staircase check")
+    return Ordering(seq.values())
 
 
 def make_rc_k12() -> Digraph:

@@ -312,6 +312,19 @@ def test_makers():
             bad()
 
 
+def test_tt_and_cycle_equal_the_checked_construction():
+    # make_tt and make_cycle skip Digraph's checks (their names are made
+    # by the constructor); they build what the checking constructor does
+    for p in range(1, 9):
+        vs = [str(i) for i in range(1, p + 1)]
+        built = [(make_tt(p), Digraph(vs, itertools.combinations(vs, 2)))]
+        if p >= 2:
+            built.append((make_cycle(p), Digraph(vs, zip(vs, vs[1:] + vs[:1]))))
+        for fast, checked in built:
+            assert fast == checked
+            assert fast.adjacency == checked.adjacency
+
+
 def test_extend():
     hp, decomp = extend(make_tt(2), {"1": 2, "2": 1})
     assert is_isomorphic(hp, make_oriented_kb(2, 1))

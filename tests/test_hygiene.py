@@ -92,6 +92,34 @@ def test_minmax_reads_no_arc_set():
     assert not found, f"minmax.py reads .arcs at lines {found}"
 
 
+def test_minmax_search_rebuilds_no_rank_rows_per_placement():
+    # find_minmax's per-placement test (the closure _placement_test
+    # returns) keeps the prefix's rank rows as bitmasks and checks only
+    # what a placement adds; rebuilding the rows and rerunning the
+    # staircase at every search node cost nearly all of a classify-general
+    # call.  So _rank_rows and _is_staircase are called only from the
+    # bodies of verify_minmax and find_minmax (its one re-check of the
+    # ordering found), never from a nested function
+    tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, where + [getattr(child, "name", "<lambda>")])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("_rank_rows", "_is_staircase")):
+                found.append((".".join(where), child.func.id))
+            visit(child, where)
+
+    visit(tree, [])
+    assert sorted(found) == [("find_minmax", "_is_staircase"),
+                             ("find_minmax", "_rank_rows"),
+                             ("verify_minmax", "_is_staircase"),
+                             ("verify_minmax", "_rank_rows")], found
+
+
 def test_no_tuple_scans_of_vertex_lists():
     # vertex lists are tuples, so `in` and `.index` on one scan it: once per
     # vertex, that made the bipartite transforms and the PIB test quadratic.

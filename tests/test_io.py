@@ -316,6 +316,9 @@ def test_cost_matrix_refuses_arguments_that_are_not_collections():
         GraphError, "bad entries: 'int' object is not iterable")
     assert error_of(CostMatrix, [(["u", "1"], 2)]) == (
         GraphError, "bad entries: unhashable type: 'list'")
+    assert error_of(CostMatrix, [(1, 2, 3)]) == (
+        GraphError, "bad entries: dictionary update sequence element #0 "
+        "has length 3; 2 is required")
     # no entries at all is still the empty matrix
     assert CostMatrix().entries == CostMatrix(None).entries == {}
 

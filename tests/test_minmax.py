@@ -4,10 +4,13 @@ import time
 
 import pytest
 
-from minhom import (ArcPair, Digraph, GraphError, GuardExceeded, Ordering,
-                    find_minmax, make_cycle, make_oriented_kb, make_tt,
-                    make_tt_minus, verify_minmax)
-from minhom.minmax import _first_violation, make_rc_k12, make_rc_k21
+import minhom.minmax
+from minhom import (ArcPair, Digraph, GraphError, GuardExceeded,
+                    InternalError, Ordering, find_minmax, make_cycle,
+                    make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
+from minhom.digraph import first_injection
+from minhom.minmax import (_first_violation, _is_staircase, _placement_test,
+                           _rank_rows, make_rc_k12, make_rc_k21)
 
 
 def test_ordering_parse_serialize():
@@ -232,3 +235,90 @@ def test_find_minmax_on_rc_tt200_is_fast():
     found = find_minmax(h, guard=5000)
     assert time.perf_counter() - start < 1.0
     assert found == Ordering(h.vertices)
+
+
+def staircase_search(h):
+    """find_minmax as a plain search: the full staircase verdict on the
+    rank rows of the placed prefix after every placement."""
+    seq = first_injection(
+        range(1, len(h.vertices) + 1), h.vertices,
+        lambda rank, v, by_rank: _is_staircase(_rank_rows(h, by_rank.values())))
+    return None if seq is None else Ordering(seq.values())
+
+
+def test_placement_test_matches_the_staircase_exhaustive():
+    # every prefix of every permutation of every digraph on at most 3
+    # vertices, then of seeded 5-7-vertex digraphs.  Permutations come in
+    # lexicographic order and, as in first_injection, only the ranks after
+    # the longest shared prefix that passed are placed again, so each call
+    # rolls the state back over what the previous permutation placed
+    cases = [(h, list(itertools.permutations(h.vertices)))
+             for n in range(1, 4)
+             for h in all_digraphs_on(tuple(str(i) for i in range(1, n + 1)))]
+    rng = random.Random(24)
+    for _ in range(40):
+        vs = [f"v{i}" for i in range(rng.randint(5, 7))]
+        p = rng.choice((0.15, 0.3, 0.5))
+        h = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
+        cases.append((h, sorted(rng.sample(vs, len(vs)) for _ in range(30))))
+    verdicts = [0, 0]
+    for h, perms in cases:
+        fits = _placement_test(h)
+        prev, passed = (), 0
+        for perm in perms:
+            shared = next((i for i, (a, b) in enumerate(zip(perm, prev))
+                           if a != b), len(prev))
+            passed = min(passed, shared)
+            by_rank = dict(enumerate(perm[:passed], 1))
+            for rank in range(passed + 1, len(perm) + 1):
+                by_rank[rank] = perm[rank - 1]
+                ok = fits(rank, perm[rank - 1], by_rank)
+                assert ok == _is_staircase(_rank_rows(h, perm[:rank]))
+                verdicts[ok] += 1
+                if not ok:
+                    break
+                passed = rank
+            prev = perm
+    assert min(verdicts) > 1000
+
+
+def test_find_minmax_rechecks_the_ordering_found(monkeypatch):
+    # the per-placement test only prunes: an ordering it wrongly let
+    # through fails the staircase re-check
+    monkeypatch.setattr(minhom.minmax, "_placement_test",
+                        lambda h: lambda rank, v, by_rank: True)
+    with pytest.raises(InternalError, match="staircase"):
+        find_minmax(make_cycle(3).reflexive_closure())
+
+
+def test_find_minmax_matches_the_staircase_search_seeded():
+    # 7-8-vertex targets as in the bench's classify workload (arc density
+    # 0.15/0.3/0.5, loop density 0/0.3/0.7/1), few of which have an
+    # ordering, then random staircases under shuffled names with up to
+    # one arc flipped, most of which do
+    rng = random.Random(8)
+    targets = []
+    for k in range(48):
+        vs = [f"h{i}" for i in range(7 + k % 2)]
+        rng.shuffle(vs)
+        arc_p, loop_p = (0.15, 0.3, 0.5)[k % 3], (0.0, 0.3, 0.7, 1.0)[k // 12]
+        targets.append(Digraph(vs, [(t, u) for t in vs for u in vs
+                                    if rng.random() < (loop_p if t == u
+                                                       else arc_p)]))
+    for k in range(24):
+        n = 7 + k % 2
+        bounds = sorted(rng.randrange(n) for _ in range(2 * n))
+        lo, hi = sorted(bounds[0::2]), sorted(bounds[1::2])
+        arcs = {(i, c) for i in range(n) if rng.random() < 0.8
+                for c in range(lo[i], hi[i] + 1)}
+        arcs ^= {(rng.randrange(n), rng.randrange(n))} if k % 3 else set()
+        vs = [f"s{i}" for i in range(n)]
+        named = [(vs[i], vs[c]) for i, c in arcs]
+        rng.shuffle(vs)
+        targets.append(Digraph(vs, named))
+    found = 0
+    for h in targets:
+        ordering = find_minmax(h)
+        assert ordering == staircase_search(h)
+        found += ordering is not None
+    assert 15 < found < 60
