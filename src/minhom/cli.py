@@ -182,6 +182,8 @@ def _dispatch(args, out) -> int:
     cmd = args.command
 
     if cmd == "solve":
+        if args.ordering is not None and args.method != "minmax":
+            raise GraphError("--ordering applies only to --method minmax")
         h = resolve_target(args.target)
         d = _read(args.input, fmt.parse_digraph)
         costs = _read(args.costs, fmt.parse_costs) if args.costs else \
@@ -224,6 +226,9 @@ def _dispatch(args, out) -> int:
         return EXIT_OK
 
     if cmd == "pib-check":
+        if args.input is not None and args.target is not None:
+            raise GraphError("pib-check takes --input (bipartite) or --target "
+                             "(digraph), not both")
         if args.input:
             g = _read(args.input, fmt.parse_bipartite)
         elif args.target:

@@ -7,9 +7,9 @@ the one adjacency index: each vertex's non-loop out- and in-neighbours and
 its loop, by declaration index, cached on first use.  The graph algorithms
 (components, is_acyclic, cycle_walk, partite_structure, and the solver and
 classifier passes) read it rather than the arc set.  _collect is the one
-reachability search, behind components and strong_components;
-first_injection is the one backtracking search for isomorphisms and
-Min-Max orderings.
+reachability search, behind components, strong_components and the pair
+digraph of minmax.find_minmax; first_injection is the one backtracking
+search for isomorphisms and Min-Max orderings.
 """
 
 from __future__ import annotations
@@ -217,7 +217,9 @@ class Digraph:
 def _collect(near: list[Sequence[int]], start: int,
              free: list[bool]) -> list[int]:
     """The free nodes reachable from start (free too) along near, ascending;
-    clears their free flags.  The one reachability search of this module."""
+    clears their free flags.  The package's one reachability search; near
+    needs only indexing, so minmax computes its pair digraph's
+    neighbours when they are read."""
     free[start] = False
     comp = [start]
     stack = [start]
@@ -442,17 +444,20 @@ def first_injection(labels, hosts, fits) -> dict | None:
     fits(label, host, assign) must hold right after each placement.  The
     one backtracking search behind is_isomorphic and minmax.find_minmax.
     None at once when there are more labels than hosts.  Without
-    recursion: tries[k] holds the hosts labels[k] has yet to try, and
-    assign holds the labels placed, in order."""
-    if len(labels) > len(hosts):
+    recursion: assign holds the labels placed, in order, depth counts
+    them, and tries[k] holds the hosts labels[k] has yet to try, for
+    k <= depth."""
+    total = len(labels)
+    if total > len(hosts):
         return None
     assign: dict = {}
+    if not total:
+        return assign
     used: set = set()
-    tries: list = []
-    while len(assign) < len(labels):
-        if len(tries) == len(assign):
-            tries.append(iter(hosts))
-        lab = labels[len(assign)]
+    tries = [iter(hosts)]
+    depth = 0
+    lab = labels[0]
+    while True:
         for v in tries[-1]:
             if v not in used:
                 assign[lab] = v
@@ -462,11 +467,18 @@ def first_injection(labels, hosts, fits) -> dict | None:
                 del assign[lab]
         else:
             # every host tried for this label: undo the placement before it
-            tries.pop()
-            if not tries:
+            if not depth:
                 return None
+            tries.pop()
+            depth -= 1
+            lab = labels[depth]
             used.remove(assign.popitem()[1])
-    return assign
+            continue
+        depth += 1
+        if depth == total:
+            return assign
+        lab = labels[depth]
+        tries.append(iter(hosts))
 
 
 def is_isomorphic(h1: Digraph, h2: Digraph,

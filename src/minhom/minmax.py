@@ -12,6 +12,17 @@ each placement adds (_placement_test): the prefix placed before rank r
 already passed, so only a pair of arcs with one in row r or column r can
 fail, and two conditions on those rows, (A) and (B) in find_minmax's
 docstring, decide in O(r) integer operations.
+
+It also prunes with the pair digraph of Hell and Rafiey ("Monotone proper
+interval digraphs and min-max orderings", SIAM J. Discrete Math. 26,
+2012): a node (a, a') for each ordered pair of distinct vertices, read "a
+before a'", joined to (b, b') when ab and a'b' are arcs, a != a',
+b != b', and ab' or a'b is not.  A Min-Max ordering with a < a' and
+b' < b would need ab' and a'b, the min and max of ab and a'b', so every
+Min-Max ordering orients each component of the pair digraph one way.  An
+invertible pair, (u, v) and (v, u) in one component, refutes the target at
+once, and a placement that orients a component both ways has no Min-Max
+completion (_pair_test).
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, first_injection, make_oriented_kb)
+                      _built, _collect, first_injection, make_oriented_kb)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -202,12 +213,107 @@ def _placement_test(h: Digraph):
     return fits
 
 
+class _OnDemand:
+    """A read-only sequence whose items are computed when read."""
+
+    def __init__(self, item):
+        self._item = item
+
+    def __getitem__(self, k):
+        return self._item(k)
+
+
+def _pair_test(h: Digraph):
+    """find_minmax's pair test, from the components of h's pair digraph:
+    fits(rank, v, _) tells whether placing v at `rank` (1-based) after the
+    placed prefix keeps every component oriented one way.  None when h has
+    an invertible pair, and so no Min-Max ordering.
+
+    Node (a, a') is numbered a * n + a' by declaration index.  Each arc
+    (a, a') -> (b, b') comes with its reverse, so _collect along near,
+    which computes a node's neighbours (out and in) when it is popped,
+    finds the components in O(n^2) memory.  The component of (b, a) is
+    the mirror of that of (a, b).
+
+    A placement of v at 0-based rank r puts v before every unplaced u: it
+    orients the component of each (v, u) forward and its mirror backward,
+    and fails when one of them is already oriented backward.  Each pair
+    before r was oriented by the placement of its first vertex, so the
+    test is complete; a call first undoes the orientations made at ranks
+    r and above, as _placement_test's state is cut back.
+    """
+    outs, ins, looped = h.adjacency
+    n = len(h.vertices)
+    # neighbour lists with loops, and as bitmasks
+    succ = [o + (k,) if looped[k] else o for k, o in enumerate(outs)]
+    pred = [i + (k,) if looped[k] else i for k, i in enumerate(ins)]
+    succ_bits = [sum(1 << x for x in xs) for xs in succ]
+    pred_bits = [sum(1 << x for x in xs) for xs in pred]
+
+    def near(node: int) -> list[int]:
+        a, a2 = divmod(node, n)
+        found = []
+        for adj, bits in ((succ, succ_bits), (pred, pred_bits)):
+            for b in adj[a]:
+                for b2 in adj[a2]:
+                    if b != b2 and not (bits[a] >> b2 & bits[a2] >> b & 1):
+                        found.append(b * n + b2)
+        return found
+
+    free = [a != b for a in range(n) for b in range(n)]
+    comp = [-1] * (n * n)
+    count = 0
+    for node in range(n * n):
+        if free[node]:
+            for x in _collect(_OnDemand(near), node, free):
+                comp[x] = count
+            count += 1
+    mirror = [0] * count
+    for a in range(n):
+        for b in range(a):
+            if comp[a * n + b] == comp[b * n + a]:
+                return None
+            mirror[comp[a * n + b]] = comp[b * n + a]
+            mirror[comp[b * n + a]] = comp[a * n + b]
+    rows = [comp[k * n:(k + 1) * n] for k in range(n)]
+
+    index = h._index
+    sign = [0] * count         # 1 forward, -1 backward, 0 not yet oriented
+    unplaced = [True] * n
+    placed: list[int] = []     # vertex (declaration index) by rank
+    oriented: list[list[int]] = []  # components oriented forward, by rank
+
+    def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
+        r = rank - 1
+        while len(placed) > r:
+            unplaced[placed.pop()] = True
+            for c in oriented.pop():
+                sign[c] = sign[mirror[c]] = 0
+        k = index[v]
+        unplaced[k] = False
+        placed.append(k)
+        new: list[int] = []
+        oriented.append(new)
+        for u, c in enumerate(rows[k]):
+            if unplaced[u]:
+                if sign[c] < 0:
+                    return False
+                if not sign[c]:
+                    sign[c] = 1
+                    sign[mirror[c]] = -1
+                    new.append(c)
+        return True
+
+    return fits
+
+
 def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     """Lexicographically first Min-Max ordering, or None.
 
     Ranks 1..n are filled in turn, each trying the vertices in declaration
     order (digraph.first_injection); a partial placement is abandoned as soon
-    as the arcs among the placed vertices break the pair condition.  Every
+    as the arcs among the placed vertices break the pair condition, or as
+    soon as it orients a component of the pair digraph both ways.  Every
     min and max position of two placed arcs is a placed rank, so a failure
     stays a failure whatever is placed later.
 
@@ -222,9 +328,22 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
       (B) for each i < r with an arc (i, r), every row j with i < j <= r
           that has a column below r has column r too, and those lower
           columns lie in row i.
-    _placement_test checks them in O(r) integer operations.  It only
-    prunes: the ordering found is re-checked once by _is_staircase, the
-    package's one Min-Max verdict, and a failure raises InternalError.
+    _placement_test checks them in O(r) integer operations.
+
+    The pair digraph (Hell and Rafiey, "Monotone proper interval digraphs
+    and min-max orderings", SIAM J. Discrete Math. 26, 2012) joins (a, a')
+    and (b, b') when ab and a'b' are arcs, a != a', b != b', and ab' or
+    a'b is not.  In a Min-Max ordering, a < a' with b' < b would make ab'
+    the min and a'b the max of ab and a'b', so both would be arcs: every
+    Min-Max ordering orients each component one way.  Hence an invertible
+    pair, (u, v) and (v, u) in one component, leaves no ordering, and a
+    placement that orients a component both ways has no completion
+    (_pair_test, O(n) per placement).  The search starts only when the
+    declaration order, the first permutation, fails the staircase; its
+    pair digraph is built then, so a target whose declaration order is
+    Min-Max pays for neither.  Both tests only prune: the ordering found is
+    re-checked by _is_staircase, the package's one Min-Max verdict, and a
+    failure raises InternalError.
     """
     n = len(h.vertices)
     if n > guard:
@@ -232,12 +351,22 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
             f"Min-Max ordering search is limited to {guard} vertices; "
             "raise the guard explicitly to search this target"
         )
-    seq = first_injection(range(1, n + 1), h.vertices, _placement_test(h))
-    if seq is None:
+    seq = h.vertices
+    if _is_staircase(_rank_rows(h, seq)):
+        return Ordering(seq)
+    pairs = _pair_test(h)
+    if pairs is None:
         return None
-    if not _is_staircase(_rank_rows(h, seq.values())):
+    placement = _placement_test(h)
+    found = first_injection(
+        range(1, n + 1), h.vertices,
+        lambda rank, v, by_rank: (pairs(rank, v, by_rank)
+                                  and placement(rank, v, by_rank)))
+    if found is None:
+        return None
+    if not _is_staircase(_rank_rows(h, found.values())):
         raise InternalError("the ordering found fails the staircase check")
-    return Ordering(seq.values())
+    return Ordering(found.values())
 
 
 def make_rc_k12() -> Digraph:

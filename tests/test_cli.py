@@ -290,6 +290,25 @@ def test_cli_solve_explicit_ordering(tmp_path):
     assert code == EXIT_OK and out.startswith("cost 0")
 
 
+def test_cli_refuses_contradictory_options(tmp_path, capsys):
+    # an option the command would ignore is an error, not dropped: an
+    # ordering is read only by --method minmax, and pib-check reads one
+    # input, either a bigraph or a digraph's BG
+    d = write(tmp_path, "d.dg", "v u\n")
+    bip = write(tmp_path, "g.bg", "p1 a\np2 b\ne a b\n")
+    for argv, message in (
+            [(("solve", "--target", "rc_k12", "--input", d,
+               "--method", method, "--ordering", ordering),
+              "error: --ordering applies only to --method minmax\n")
+             for method in ("auto", "cycle", "brute")
+             for ordering in ("2,1,3", "nonsense")]
+            + [(("pib-check", "--input", bip, "--target", "rc_tt2"),
+                "error: pib-check takes --input (bipartite) or --target "
+                "(digraph), not both\n")]):
+        assert cli(*argv) == (EXIT_ERROR, "")
+        assert capsys.readouterr().err == message
+
+
 def test_cli_classify_rmpt():
     code, out = cli("classify-rmpt", "--target", "rc_tt4")
     assert code == EXIT_OK

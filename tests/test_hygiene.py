@@ -98,8 +98,9 @@ def test_minmax_search_rebuilds_no_rank_rows_per_placement():
     # what a placement adds; rebuilding the rows and rerunning the
     # staircase at every search node cost nearly all of a classify-general
     # call.  So _rank_rows and _is_staircase are called only from the
-    # bodies of verify_minmax and find_minmax (its one re-check of the
-    # ordering found), never from a nested function
+    # bodies of verify_minmax and find_minmax (its check of the declaration
+    # order, the first permutation, and its one re-check of the ordering
+    # found), never from a nested function
     tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
     found = []
 
@@ -115,9 +116,26 @@ def test_minmax_search_rebuilds_no_rank_rows_per_placement():
 
     visit(tree, [])
     assert sorted(found) == [("find_minmax", "_is_staircase"),
+                             ("find_minmax", "_is_staircase"),
+                             ("find_minmax", "_rank_rows"),
                              ("find_minmax", "_rank_rows"),
                              ("verify_minmax", "_is_staircase"),
                              ("verify_minmax", "_rank_rows")], found
+
+
+def test_minmax_searches_no_graph_of_its_own():
+    # the pair digraph's components come from digraph._collect, the
+    # package's one reachability search: minmax.py has no worklist loop
+    # (`while stack:` or any loop on a container's truth) of its own
+    tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.While)
+             and isinstance(node.test, (ast.Name, ast.Attribute,
+                                        ast.Subscript))]
+    assert not found, f"minmax.py has a search loop at lines {found}"
+    calls = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_collect" in calls
 
 
 def test_no_tuple_scans_of_vertex_lists():

@@ -9,8 +9,9 @@ from minhom import (ArcPair, Digraph, GraphError, GuardExceeded,
                     InternalError, Ordering, find_minmax, make_cycle,
                     make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
 from minhom.digraph import first_injection
-from minhom.minmax import (_first_violation, _is_staircase, _placement_test,
-                           _rank_rows, make_rc_k12, make_rc_k21)
+from minhom.minmax import (_first_violation, _is_staircase, _pair_test,
+                           _placement_test, _rank_rows, make_rc_k12,
+                           make_rc_k21)
 
 
 def test_ordering_parse_serialize():
@@ -246,56 +247,164 @@ def staircase_search(h):
     return None if seq is None else Ordering(seq.values())
 
 
-def test_placement_test_matches_the_staircase_exhaustive():
-    # every prefix of every permutation of every digraph on at most 3
-    # vertices, then of seeded 5-7-vertex digraphs.  Permutations come in
-    # lexicographic order and, as in first_injection, only the ranks after
-    # the longest shared prefix that passed are placed again, so each call
-    # rolls the state back over what the previous permutation placed
+def walk_prefixes(fits, perms, verdict, counts):
+    """Place every prefix of perms (in lexicographic order) as
+    first_injection does: only the ranks after the longest shared prefix
+    that passed are placed again, so each call rolls the state of fits
+    back over what the previous permutation placed.  Asserts that fits
+    agrees with verdict(prefix) at every placement, and counts the
+    [failed, passed] placements into counts."""
+    prev, passed = (), 0
+    for perm in perms:
+        shared = next((i for i, (a, b) in enumerate(zip(perm, prev))
+                       if a != b), len(prev))
+        passed = min(passed, shared)
+        by_rank = dict(enumerate(perm[:passed], 1))
+        for rank in range(passed + 1, len(perm) + 1):
+            by_rank[rank] = perm[rank - 1]
+            ok = fits(rank, perm[rank - 1], by_rank)
+            assert ok == verdict(perm[:rank])
+            counts[ok] += 1
+            if not ok:
+                break
+            passed = rank
+        prev = perm
+
+
+def prefix_cases(seed):
+    """Every digraph on at most 3 vertices with all its permutations, then
+    40 seeded 5-7-vertex digraphs with 30 sorted random permutations each."""
     cases = [(h, list(itertools.permutations(h.vertices)))
              for n in range(1, 4)
              for h in all_digraphs_on(tuple(str(i) for i in range(1, n + 1)))]
-    rng = random.Random(24)
+    rng = random.Random(seed)
     for _ in range(40):
         vs = [f"v{i}" for i in range(rng.randint(5, 7))]
         p = rng.choice((0.15, 0.3, 0.5))
         h = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
         cases.append((h, sorted(rng.sample(vs, len(vs)) for _ in range(30))))
+    return cases
+
+
+def test_placement_test_matches_the_staircase_exhaustive():
     verdicts = [0, 0]
-    for h, perms in cases:
-        fits = _placement_test(h)
-        prev, passed = (), 0
-        for perm in perms:
-            shared = next((i for i, (a, b) in enumerate(zip(perm, prev))
-                           if a != b), len(prev))
-            passed = min(passed, shared)
-            by_rank = dict(enumerate(perm[:passed], 1))
-            for rank in range(passed + 1, len(perm) + 1):
-                by_rank[rank] = perm[rank - 1]
-                ok = fits(rank, perm[rank - 1], by_rank)
-                assert ok == _is_staircase(_rank_rows(h, perm[:rank]))
-                verdicts[ok] += 1
-                if not ok:
-                    break
-                passed = rank
-            prev = perm
+    for h, perms in prefix_cases(24):
+        walk_prefixes(_placement_test(h), perms,
+                      lambda prefix: _is_staircase(_rank_rows(h, prefix)),
+                      verdicts)
     assert min(verdicts) > 1000
 
 
+def pair_components(h):
+    """Component of each node of h's pair digraph, by union-find over
+    every two arcs ab, a'b' with a != a', b != b' and ab' or a'b missing."""
+    parent = {(a, b): (a, b) for a in h.vertices for b in h.vertices if a != b}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in h.arcs:
+        for a2, b2 in h.arcs:
+            if a != a2 and b != b2 and not (
+                    (a, b2) in h.arcs and (a2, b) in h.arcs):
+                parent[find((a, a2))] = find((b, b2))
+    return {x: find(x) for x in parent}
+
+
+def test_pair_test_matches_the_components_exhaustive():
+    # None exactly when some (u, v) and (v, u) share a component; else a
+    # prefix passes exactly when the pairs it orients, (p, x) for each
+    # placed p and each x after it, meet no component in both directions
+    verdicts = [0, 0]
+    invertible = 0
+    for h, perms in prefix_cases(26):
+        comp = pair_components(h)
+        fits = _pair_test(h)
+        if any(comp[a, b] == comp[b, a] for a, b in comp):
+            assert fits is None
+            invertible += 1
+            continue
+
+        def verdict(prefix):
+            placed, oriented = set(), []
+            for p in prefix:
+                placed.add(p)
+                oriented += [(p, x) for x in h.vertices if x not in placed]
+            return not ({comp[a, b] for a, b in oriented}
+                        & {comp[b, a] for a, b in oriented})
+
+        walk_prefixes(fits, perms, verdict, verdicts)
+    assert invertible > 100 and min(verdicts) > 500, (invertible, verdicts)
+
+
 def test_find_minmax_rechecks_the_ordering_found(monkeypatch):
-    # the per-placement test only prunes: an ordering it wrongly let
-    # through fails the staircase re-check
-    monkeypatch.setattr(minhom.minmax, "_placement_test",
-                        lambda h: lambda rank, v, by_rank: True)
+    # the per-placement tests only prune: an ordering they wrongly let
+    # through fails the staircase re-check.  Reflexive C3 has an invertible
+    # pair, so the pair test is replaced too, or the search would not run
+    for name in ("_placement_test", "_pair_test"):
+        monkeypatch.setattr(minhom.minmax, name,
+                            lambda h: lambda rank, v, by_rank: True)
     with pytest.raises(InternalError, match="staircase"):
         find_minmax(make_cycle(3).reflexive_closure())
+
+
+def test_pair_test_refutes_an_invertible_pair():
+    # reflexive C3: 1->2 and 2->3 lack 1->3, which joins (1, 2) to (2, 3);
+    # the loops join the rest, and (1, 2) meets (2, 1)
+    assert _pair_test(make_cycle(3).reflexive_closure()) is None
+    # the loopless directed 3-cycle has two mirrored components, each
+    # holding one orientation of the cycle: no invertible pair, but no
+    # placement completes, so the search still answers None
+    c3 = make_cycle(3)
+    assert _pair_test(c3) is not None
+    assert find_minmax(c3) is None
+    # a Min-Max ordering orients every component one way
+    assert _pair_test(make_tt(6).reflexive_closure()) is not None
+
+
+def test_find_minmax_matches_the_staircase_search_exhaustive():
+    # every digraph on 3 vertices and every reflexive one on 4; the
+    # declaration order settles some, an invertible pair others, and the
+    # search the rest
+    cases = list(all_digraphs_on(("1", "2", "3")))
+    vs = ("1", "2", "3", "4")
+    pairs = list(itertools.permutations(vs, 2))
+    cases += [Digraph(vs, [p for p, b in zip(pairs, bits) if b]
+                      + [(v, v) for v in vs])
+              for bits in itertools.product((0, 1), repeat=len(pairs))]
+    assert len(cases) == 512 + 4096
+    routes = [0, 0, 0]
+    for h in cases:
+        ordering = find_minmax(h)
+        assert ordering == staircase_search(h)
+        if ordering is not None and ordering.sequence == h.vertices:
+            routes[0] += 1
+        else:
+            routes[1 + (_pair_test(h) is None)] += 1
+    assert min(routes) > 300, routes
+
+
+def test_find_minmax_refutes_a_12_vertex_target_fast():
+    # a sparse loopless 12-vertex target with no ordering: the search
+    # without the pair digraph took about 6 s under guard=20
+    rng = random.Random(12)
+    vs = [f"h{i}" for i in range(12)]
+    rng.shuffle(vs)
+    h = Digraph(vs, [(t, u) for t in vs for u in vs
+                     if t != u and rng.random() < 0.15])
+    start = time.perf_counter()
+    assert find_minmax(h, guard=20) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_minmax_matches_the_staircase_search_seeded():
     # 7-8-vertex targets as in the bench's classify workload (arc density
     # 0.15/0.3/0.5, loop density 0/0.3/0.7/1), few of which have an
     # ordering, then random staircases under shuffled names with up to
-    # one arc flipped, most of which do
+    # one arc flipped, most of which do, then 3000 4-8-vertex targets
+    # with the classify densities
     rng = random.Random(8)
     targets = []
     for k in range(48):
@@ -322,3 +431,15 @@ def test_find_minmax_matches_the_staircase_search_seeded():
         assert ordering == staircase_search(h)
         found += ordering is not None
     assert 15 < found < 60
+    rng = random.Random(25)
+    found = 0
+    for k in range(3000):
+        vs = [f"h{i}" for i in range(4 + k % 5)]
+        rng.shuffle(vs)
+        arc_p, loop_p = (0.15, 0.3, 0.5)[k % 3], (0.0, 0.3, 0.7, 1.0)[k // 3 % 4]
+        h = Digraph(vs, [(t, u) for t in vs for u in vs
+                         if rng.random() < (loop_p if t == u else arc_p)])
+        ordering = find_minmax(h)
+        assert ordering == staircase_search(h)
+        found += ordering is not None
+    assert 500 < found < 1500
