@@ -186,8 +186,8 @@ def _dispatch(args, out) -> int:
             raise GraphError("--ordering applies only to --method minmax")
         h = resolve_target(args.target)
         d = _read(args.input, fmt.parse_digraph)
-        costs = _read(args.costs, fmt.parse_costs) if args.costs else \
-            fmt.parse_costs("")
+        costs = fmt.parse_costs("") if args.costs is None else \
+            _read(args.costs, fmt.parse_costs)
         if args.method == "auto":
             res = solve_auto(d, h, costs, guard=args.guard)
         elif args.method == "brute":
@@ -195,7 +195,7 @@ def _dispatch(args, out) -> int:
         elif args.method == "cycle":
             res = solve_cycle(d, h, costs)
         else:
-            if args.ordering:
+            if args.ordering is not None:
                 ordering = Ordering.parse(args.ordering)
             else:
                 ordering = find_minmax(h, guard=args.guard)
@@ -229,9 +229,9 @@ def _dispatch(args, out) -> int:
         if args.input is not None and args.target is not None:
             raise GraphError("pib-check takes --input (bipartite) or --target "
                              "(digraph), not both")
-        if args.input:
+        if args.input is not None:
             g = _read(args.input, fmt.parse_bipartite)
-        elif args.target:
+        elif args.target is not None:
             g = bg(resolve_target(args.target))
         else:
             raise GraphError("pib-check needs --input (bipartite) or --target (digraph)")

@@ -7,22 +7,19 @@ a polynomial minimum cost homomorphism solver (see solver.solve_minmax).
 _is_staircase is the one verdict on the condition, and it reads the rank
 rows that _rank_rows builds from Digraph.adjacency: verify_minmax and
 solve_minmax decide by it, and find_minmax re-checks the ordering it
-returns with it.  find_minmax's search prunes with a cheaper test of what
-each placement adds (_placement_test): the prefix placed before rank r
-already passed, so only a pair of arcs with one in row r or column r can
-fail, and two conditions on those rows, (A) and (B) in find_minmax's
-docstring, decide in O(r) integer operations.
+returns with it.
 
-It also prunes with the pair digraph of Hell and Rafiey ("Monotone proper
-interval digraphs and min-max orderings", SIAM J. Discrete Math. 26,
-2012): a node (a, a') for each ordered pair of distinct vertices, read "a
-before a'", joined to (b, b') when ab and a'b' are arcs, a != a',
-b != b', and ab' or a'b is not.  A Min-Max ordering with a < a' and
-b' < b would need ab' and a'b, the min and max of ab and a'b', so every
-Min-Max ordering orients each component of the pair digraph one way.  An
-invertible pair, (u, v) and (v, u) in one component, refutes the target at
-once, and a placement that orients a component both ways has no Min-Max
-completion (_pair_test).
+find_minmax's search prunes with the pair digraph of Hell and Rafiey
+("Monotone proper interval digraphs and min-max orderings", SIAM J.
+Discrete Math. 26, 2012): a node (a, a') for each ordered pair of distinct
+vertices, read "a before a'", joined to (b, b') when ab and a'b' are arcs,
+a != a', b != b', and ab' or a'b is not.  A Min-Max ordering with a < a'
+and b' < b would need ab' and a'b, the min and max of ab and a'b', so
+every Min-Max ordering orients each component of the pair digraph one way.
+An invertible pair, (u, v) and (v, u) in one component, refutes the target
+at once, and a placement that orients a component both ways has no
+Min-Max completion (_pair_test).  That one test also keeps every placed
+prefix a staircase (see find_minmax).
 """
 
 from __future__ import annotations
@@ -152,67 +149,6 @@ def verify_minmax(h: Digraph,
                           f=(seq[j - 1], seq[s - 1]))
 
 
-def _placement_test(h: Digraph):
-    """find_minmax's per-placement test: fits(rank, v, _) tells whether the
-    placed prefix, with v put at `rank` (1-based), still passes the pair
-    condition, given that it passed without v with the lower ranks as they
-    are now.  first_injection guarantees that: it calls fits for a rank
-    only once the lower ranks are final.
-
-    The state is the prefix's rank rows as bitmasks: rows[i] has bit c for
-    each arc seq[i] -> seq[c].  A call at 0-based rank r first cuts the
-    state back to the ranks below r, masking off columns >= r, then
-    appends v's row K (its placed out-neighbours and its loop) and sets
-    bit r in the rows of its placed in-neighbours.  One pass from row r
-    down to row 0 checks find_minmax's conditions (A) and (B); for (B) it
-    carries the union of the lower columns of the rows passed and whether
-    one of them lacks column r.
-    """
-    outs, ins, looped = h.adjacency
-    index = h._index
-    pos = [-1] * len(h.vertices)  # rank of each placed vertex, else -1
-    placed: list[int] = []        # vertex (declaration index) by rank
-    rows: list[int] = []
-
-    def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
-        r = rank - 1
-        bit = 1 << r
-        below = bit - 1
-        if len(placed) > r:
-            for x in placed[r:]:
-                pos[x] = -1
-            del placed[r:], rows[r:]
-            rows[:] = [row & below for row in rows]
-        k = index[v]
-        pos[k] = r
-        placed.append(k)
-        K = bit if looped[k] else 0
-        for x in outs[k]:
-            if pos[x] >= 0:
-                K |= 1 << pos[x]
-        for x in ins[k]:
-            if pos[x] >= 0:
-                rows[pos[x]] |= bit
-        rows.append(K)
-        low = K & -K
-        lower = K & below  # union of the lower columns of rows j > i
-        gap = bool(lower) and not K & bit  # one of them lacks column r
-        for S in reversed(rows[:r]):
-            if not S:
-                continue
-            if K and (S & ~K >= low
-                      or K & ~S & ((1 << S.bit_length()) - 1)):
-                return False
-            if S & bit and (gap or lower & ~S):
-                return False
-            if S & below:
-                lower |= S & below
-                gap = gap or not S & bit
-        return True
-
-    return fits
-
-
 class _OnDemand:
     """A read-only sequence whose items are computed when read."""
 
@@ -239,8 +175,9 @@ def _pair_test(h: Digraph):
     orients the component of each (v, u) forward and its mirror backward,
     and fails when one of them is already oriented backward.  Each pair
     before r was oriented by the placement of its first vertex, so the
-    test is complete; a call first undoes the orientations made at ranks
-    r and above, as _placement_test's state is cut back.
+    test is complete.  first_injection calls fits for a rank only once the
+    lower ranks are final, so a call first undoes the orientations made at
+    ranks r and above.
     """
     outs, ins, looped = h.adjacency
     n = len(h.vertices)
@@ -312,38 +249,21 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
 
     Ranks 1..n are filled in turn, each trying the vertices in declaration
     order (digraph.first_injection); a partial placement is abandoned as soon
-    as the arcs among the placed vertices break the pair condition, or as
-    soon as it orients a component of the pair digraph both ways.  Every
-    min and max position of two placed arcs is a placed rank, so a failure
-    stays a failure whatever is placed later.
+    as it orients a component of the pair digraph both ways (_pair_test,
+    O(n) per placement; the pair digraph is defined in the module
+    docstring).  Every Min-Max ordering orients each component one way, so
+    no Min-Max ordering is cut, and an invertible pair answers None at once.
 
-    The prefix before a placement at (0-based) rank r already passed, so
-    only a pair with a new arc can fail.  A crossing pair (i, k), (j, s)
-    with i < j and k > s needs (i, s) and (j, k); i and s lie below r, so
-    it is new only when j = r (its second arc is in row r) or k = r (its
-    first arc is in column r).  Those pairs all pass exactly when
-      (A) for K = row r and each earlier nonempty row S, the columns of S
-          not in K lie below K's lowest column, and the columns of K not
-          in S lie above S's highest; and
-      (B) for each i < r with an arc (i, r), every row j with i < j <= r
-          that has a column below r has column r too, and those lower
-          columns lie in row i.
-    _placement_test checks them in O(r) integer operations.
-
-    The pair digraph (Hell and Rafiey, "Monotone proper interval digraphs
-    and min-max orderings", SIAM J. Discrete Math. 26, 2012) joins (a, a')
-    and (b, b') when ab and a'b' are arcs, a != a', b != b', and ab' or
-    a'b is not.  In a Min-Max ordering, a < a' with b' < b would make ab'
-    the min and a'b the max of ab and a'b', so both would be arcs: every
-    Min-Max ordering orients each component one way.  Hence an invertible
-    pair, (u, v) and (v, u) in one component, leaves no ordering, and a
-    placement that orients a component both ways has no completion
-    (_pair_test, O(n) per placement).  The search starts only when the
-    declaration order, the first permutation, fails the staircase; its
-    pair digraph is built then, so a target whose declaration order is
-    Min-Max pays for neither.  Both tests only prune: the ordering found is
-    re-checked by _is_staircase, the package's one Min-Max verdict, and a
-    failure raises InternalError.
+    The same test keeps every placed prefix a staircase.  Take placed arcs
+    (i, k) and (j, s), as ranks, with i < j and s < k, that lack (i, s) or
+    (j, k): they join the nodes (i, j) and (k, s).  Placing i oriented
+    (i, j) forward, as j came later, and placing s oriented (k, s)
+    backward, as k came later; so a prefix the test passes has no such
+    pair.  The search starts only when the declaration order, the first
+    permutation, fails the staircase; its pair digraph is built then, so a
+    target whose declaration order is Min-Max pays for none.  The test only
+    prunes: the ordering found is re-checked by _is_staircase, the
+    package's one Min-Max verdict, and a failure raises InternalError.
     """
     n = len(h.vertices)
     if n > guard:
@@ -354,14 +274,10 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     seq = h.vertices
     if _is_staircase(_rank_rows(h, seq)):
         return Ordering(seq)
-    pairs = _pair_test(h)
-    if pairs is None:
+    fits = _pair_test(h)
+    if fits is None:
         return None
-    placement = _placement_test(h)
-    found = first_injection(
-        range(1, n + 1), h.vertices,
-        lambda rank, v, by_rank: (pairs(rank, v, by_rank)
-                                  and placement(rank, v, by_rank)))
+    found = first_injection(range(1, n + 1), h.vertices, fits)
     if found is None:
         return None
     if not _is_staircase(_rank_rows(h, found.values())):

@@ -309,6 +309,25 @@ def test_cli_refuses_contradictory_options(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--target", "rc_tt2", "--input", "d.dg", "--costs", ""],
+     "error: cannot read ''"),
+    (["solve", "--target", "rc_tt2", "--input", "d.dg",
+      "--method", "minmax", "--ordering", ""],
+     "error: ordering is not a permutation of the target's vertices\n"),
+    (["pib-check", "--input", ""], "error: cannot read ''"),
+    (["pib-check", "--target", ""], "error: cannot read ''")],
+    ids=["solve-costs", "solve-ordering", "pib-input", "pib-target"])
+def test_cli_reads_an_empty_option_value_as_given(tmp_path, capsys, argv,
+                                                   message):
+    # an option given as "" is present: it names no file and no ordering,
+    # so each is an error, not read as absent (all costs 0, an ordering
+    # search, or "needs --input")
+    argv = [write(tmp_path, a, "v u\n") if a == "d.dg" else a for a in argv]
+    assert cli(*argv) == (EXIT_ERROR, "")
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_cli_classify_rmpt():
     code, out = cli("classify-rmpt", "--target", "rc_tt4")
     assert code == EXIT_OK

@@ -93,11 +93,11 @@ def test_minmax_reads_no_arc_set():
 
 
 def test_minmax_search_rebuilds_no_rank_rows_per_placement():
-    # find_minmax's per-placement test (the closure _placement_test
-    # returns) keeps the prefix's rank rows as bitmasks and checks only
-    # what a placement adds; rebuilding the rows and rerunning the
-    # staircase at every search node cost nearly all of a classify-general
-    # call.  So _rank_rows and _is_staircase are called only from the
+    # find_minmax's per-placement test (the closure _pair_test returns)
+    # keeps the pair digraph's orientations and checks only what a
+    # placement adds; rebuilding the rows and rerunning the staircase at
+    # every search node cost nearly all of a classify-general call.  So
+    # _rank_rows and _is_staircase are called only from the
     # bodies of verify_minmax and find_minmax (its check of the declaration
     # order, the first permutation, and its one re-check of the ordering
     # found), never from a nested function
@@ -121,6 +121,28 @@ def test_minmax_search_rebuilds_no_rank_rows_per_placement():
                              ("find_minmax", "_rank_rows"),
                              ("verify_minmax", "_is_staircase"),
                              ("verify_minmax", "_rank_rows")], found
+
+
+def test_minmax_search_prunes_with_one_test():
+    # the pair test already cuts every prefix that is no staircase, so a
+    # second pruning test could never change an answer: find_minmax hands
+    # first_injection one fits callable, the name bound to _pair_test(h)
+    tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
+    find = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "find_minmax")
+    searches = [node for node in ast.walk(find) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "first_injection"]
+    assert len(searches) == 1
+    fits = searches[0].args[2:] + [kw.value for kw in searches[0].keywords]
+    assert len(fits) == 1 and isinstance(fits[0], ast.Name), \
+        ast.dump(searches[0])
+    bound = [node.value.func.id for node in ast.walk(find)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Name)
+             and [ast.unparse(t) for t in node.targets] == [fits[0].id]]
+    assert bound == ["_pair_test"], bound
 
 
 def test_minmax_searches_no_graph_of_its_own():

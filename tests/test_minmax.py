@@ -10,8 +10,7 @@ from minhom import (ArcPair, Digraph, GraphError, GuardExceeded,
                     make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
 from minhom.digraph import first_injection
 from minhom.minmax import (_first_violation, _is_staircase, _pair_test,
-                           _placement_test, _rank_rows, make_rc_k12,
-                           make_rc_k21)
+                           _rank_rows, make_rc_k12, make_rc_k21)
 
 
 def test_ordering_parse_serialize():
@@ -252,8 +251,9 @@ def walk_prefixes(fits, perms, verdict, counts):
     first_injection does: only the ranks after the longest shared prefix
     that passed are placed again, so each call rolls the state of fits
     back over what the previous permutation placed.  Asserts that fits
-    agrees with verdict(prefix) at every placement, and counts the
-    [failed, passed] placements into counts."""
+    agrees with verdict(prefix) at every placement where that is not None
+    (None lets either answer stand), and counts the [failed, passed]
+    placements into counts."""
     prev, passed = (), 0
     for perm in perms:
         shared = next((i for i, (a, b) in enumerate(zip(perm, prev))
@@ -263,7 +263,7 @@ def walk_prefixes(fits, perms, verdict, counts):
         for rank in range(passed + 1, len(perm) + 1):
             by_rank[rank] = perm[rank - 1]
             ok = fits(rank, perm[rank - 1], by_rank)
-            assert ok == verdict(perm[:rank])
+            assert verdict(perm[:rank]) in (None, ok)
             counts[ok] += 1
             if not ok:
                 break
@@ -286,13 +286,31 @@ def prefix_cases(seed):
     return cases
 
 
-def test_placement_test_matches_the_staircase_exhaustive():
+def test_pair_test_passes_only_staircases_exhaustive():
+    # a prefix the pair test passes is a staircase, and a full permutation
+    # passes exactly when it is Min-Max: every prefix of a Min-Max one
+    # passes.  A staircase prefix with no Min-Max completion among perms
+    # may pass or be cut.  With an invertible pair there is no test, and
+    # no permutation is Min-Max
     verdicts = [0, 0]
+    orderings = 0
     for h, perms in prefix_cases(24):
-        walk_prefixes(_placement_test(h), perms,
-                      lambda prefix: _is_staircase(_rank_rows(h, prefix)),
-                      verdicts)
-    assert min(verdicts) > 1000
+        minmax = [p for p in perms if _is_staircase(_rank_rows(h, p))]
+        fits = _pair_test(h)
+        if fits is None:
+            assert not minmax
+            continue
+        orderings += len(minmax)
+        completed = {tuple(p[:r]) for p in minmax
+                     for r in range(1, len(p) + 1)}
+
+        def verdict(prefix):
+            if tuple(prefix) in completed:
+                return True
+            return None if _is_staircase(_rank_rows(h, prefix)) else False
+
+        walk_prefixes(fits, perms, verdict, verdicts)
+    assert min(verdicts) > 500 and orderings > 500, (verdicts, orderings)
 
 
 def pair_components(h):
@@ -340,12 +358,11 @@ def test_pair_test_matches_the_components_exhaustive():
 
 
 def test_find_minmax_rechecks_the_ordering_found(monkeypatch):
-    # the per-placement tests only prune: an ordering they wrongly let
-    # through fails the staircase re-check.  Reflexive C3 has an invertible
-    # pair, so the pair test is replaced too, or the search would not run
-    for name in ("_placement_test", "_pair_test"):
-        monkeypatch.setattr(minhom.minmax, name,
-                            lambda h: lambda rank, v, by_rank: True)
+    # the pair test only prunes: an ordering it wrongly let through fails
+    # the staircase re-check.  Reflexive C3's declaration order is no
+    # staircase, so the search runs and takes the first permutation
+    monkeypatch.setattr(minhom.minmax, "_pair_test",
+                        lambda h: lambda rank, v, by_rank: True)
     with pytest.raises(InternalError, match="staircase"):
         find_minmax(make_cycle(3).reflexive_closure())
 
