@@ -4,8 +4,9 @@ The forbidden structures (long induced cycles, bipartite claw, net, tent) are
 searched exhaustively by one integer kernel, forbidden_hosts, on neighbour
 bitmasks by position (part1, then part2, in vertex order), so the first
 structure found is the first in vertex order; find_forbidden names it.
-Every use in this project targets the bipartite representation of a small
-fixed digraph, never a problem input.
+FORBIDDEN_GUARD bounds the vertices of each graph this exponential search
+takes (a component, in is_proper_interval_bigraph) unless the caller raises
+it: the bipartite representation of a target, or a `pib-check --input`.
 
 Pattern edge lists for the net and the tent were transcribed from the source
 drawings (the running-text edge lists of net and tent are identical there,

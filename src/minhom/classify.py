@@ -12,7 +12,8 @@ best-effort and always re-validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from .birep import (ForbiddenStructure, bg, forbidden_hosts, label_hosts,
                     validate_forbidden)
@@ -340,21 +341,13 @@ def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
 # -- exhaustive enumeration -----------------------------------------------
 
 
-def _partitions(n: int):
-    """The partitions of n as non-decreasing tuples, in lexicographic order.
-
-    Without recursion: the next partition keeps all but the last two parts,
-    raises the second-last by one and refills the tail with the least
-    non-decreasing parts of the same sum."""
-    parts = [1] * n
-    while True:
-        yield tuple(parts)
-        if len(parts) < 2:
-            return
-        x = parts[-2] + 1
-        tail = parts.pop() + parts.pop()
-        m = tail // x - 1  # copies of x before the last part, itself >= x
-        parts += [x] * m + [tail - m * x]
+def _partitions(n: int) -> set[tuple[int, ...]]:
+    """The partitions of n as non-decreasing tuples.  Every multiset of
+    sizes is tried, which is cheap as enumerate_rmpt refuses n above
+    ENUMERATE_LIMIT first."""
+    return {p for k in range(1, n + 1)
+            for p in combinations_with_replacement(range(1, n + 1), k)
+            if sum(p) == n}
 
 
 def enumerate_rmpt(n: int) -> list[Digraph]:

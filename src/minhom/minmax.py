@@ -88,21 +88,32 @@ def _rank_rows(h: Digraph, seq) -> list[list[int]]:
     return rows
 
 
-def _first_violation(arcs: list[tuple[int, int]]
+def _bits(rows: list[list[int]]) -> list[int]:
+    """Each row as one bitmask, bit i for entry i."""
+    return [sum(1 << i for i in row) for row in rows]
+
+
+def _first_violation(rows: list[list[int]]
                      ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """First pair of position arcs (in list order) whose coordinatewise min
-    or max is not an arc, as (e, f); None if there is none.  Pairs whose
-    min and max are e and f themselves are trivial.  Only verify_minmax's
-    failure path calls it, to report the pair."""
-    arc_set = set(arcs)
-    for a, (i, k) in enumerate(arcs):
-        for j, s in arcs[a + 1:]:
-            mn = (min(i, j), min(k, s))
-            mx = (max(i, j), max(k, s))
-            if {mn, mx} == {(i, k), (j, s)}:
-                continue
-            if mn not in arc_set or mx not in arc_set:
-                return (i, k), (j, s)
+    """First pair of rank arcs e = (i, k), f = (j, s), by row and then
+    column, whose coordinatewise min or max is no arc; None if there is
+    none.  A pair is non-trivial only when i < j and s < k, and fails when
+    s is not in row i or k not in row j.  With rows as bitmasks R and up(m)
+    the columns above m's first one, row i's failing columns against row j
+    are R_i & (~R_j & up(R_j) | R_j & up(R_j & ~R_i)): e takes the least i,
+    then k, f the least j for it, then s, in O(n^2) word operations."""
+    bits = _bits(rows)
+
+    def up(m: int) -> int:
+        return -((m & -m) << 1)
+
+    for i, ri in enumerate(bits):
+        fail = [ri & (~rj & up(rj) | rj & up(rj & ~ri))
+                for rj in bits[i + 1:]]
+        if any(fail):
+            low, j = min((m & -m, j) for j, m in enumerate(fail, i + 1) if m)
+            ss = bits[j] & ~ri if bits[j] & low else bits[j]
+            return (i, low.bit_length() - 1), (j, (ss & -ss).bit_length() - 1)
     return None
 
 
@@ -132,21 +143,19 @@ def verify_minmax(h: Digraph,
     at or before s and row j ends at or after k, so contiguity puts (i, s)
     and (j, k) in the arcs; conversely a row that skips a nonempty column,
     or a later row that starts or ends earlier, gives a violating pair.
-    Only a failed ordering pays the quadratic scan for the first one.
+    Only a failed ordering asks _first_violation for the first one.
     """
     if set(ordering.sequence) != set(h.vertices):
         raise GraphError("ordering is not a permutation of the target's vertices")
     rows = _rank_rows(h, ordering.sequence)
     if _is_staircase(rows):
         return True, None
-    found = _first_violation([(i, k + 1) for i, row in enumerate(rows, 1)
-                              for k in row])
+    found = _first_violation(rows)
     if found is None:
         raise InternalError("a non-staircase ordering has no violating pair")
     (i, k), (j, s) = found
     seq = ordering.sequence
-    return False, ArcPair(e=(seq[i - 1], seq[k - 1]),
-                          f=(seq[j - 1], seq[s - 1]))
+    return False, ArcPair(e=(seq[i], seq[k]), f=(seq[j], seq[s]))
 
 
 class _OnDemand:
@@ -184,8 +193,7 @@ def _pair_test(h: Digraph):
     # neighbour lists with loops, and as bitmasks
     succ = [o + (k,) if looped[k] else o for k, o in enumerate(outs)]
     pred = [i + (k,) if looped[k] else i for k, i in enumerate(ins)]
-    succ_bits = [sum(1 << x for x in xs) for xs in succ]
-    pred_bits = [sum(1 << x for x in xs) for xs in pred]
+    succ_bits, pred_bits = _bits(succ), _bits(pred)
 
     def near(node: int) -> list[int]:
         a, a2 = divmod(node, n)

@@ -28,10 +28,10 @@ Three routes are provided:
   builds no network.  The target's rank rows (minmax._rank_rows) must pass
   the one staircase verdict (minmax._is_staircase), which guards the
   construction; the thresholds lam and mu are then read off the rows.
-  The cut's map is read off the nodes reachable from s in the residual
-  network.  That set is the same for every maximum flow (it is the unique
-  inclusion-minimal minimum cut), so the answer does not depend on which
-  maximum flow the algorithm finds.  The optimal maps form a lattice
+  The cut's map is read off the max-flow's final source tree, which is the
+  set reachable from s in the residual network (see FlowNetwork) and the
+  unique inclusion-minimal minimum cut, the same for every maximum flow, so
+  the map does not depend on which is found.  The optimal maps form a lattice
   under the coordinatewise order of ranks, and that cut is its least
   element.  One backward pass over the trail labels every other vertex
   from its neighbour's label.  A removed vertex's vector never changes
@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       _built, _pairs, cycle_walk, is_acyclic,
                       strong_components)
-from .minmax import (FIND_GUARD, Ordering, _rank_rows, find_minmax,
+from .minmax import (FIND_GUARD, Ordering, _bits, _rank_rows, find_minmax,
                      verify_minmax)
 
 
@@ -166,11 +166,6 @@ def _revalidated(d: Digraph, h: Digraph, costs: CostMatrix,
 
 
 # -- brute force ----------------------------------------------------------
-
-
-def _bits(rows: list[list[int]]) -> list[int]:
-    """Each row of labels as one bitmask, bit i for label i."""
-    return [sum(1 << i for i in row) for row in rows]
 
 
 def _search(vecs: list[list[int | None]], outs: list[Sequence[int]],
@@ -282,6 +277,15 @@ class FlowNetwork:
     augmentation cut off (Boykov & Kolmogorov, TPAMI 2004).  The trees are
     kept between augmentations, which suits the long chains of the layered
     "label >= i" networks solve_minmax builds; every step is iterative.
+
+    The final source tree is the minimal minimum cut, the nodes reachable
+    from s in the residual network, so source_side runs no search.  Tree
+    edges keep residual capacity from parent to child.  A source-tree node
+    with a residual edge out of the tree is queued: growth dequeues a node
+    only when it has none, an augmentation adds residual capacity only
+    inside a tree or from the sink tree into the source tree, and a node
+    freed by adoption re-queues each same-tree neighbour with a residual
+    edge into it.  max_flow returns when the queue is empty.
     """
 
     def __init__(self, n: int):
@@ -298,14 +302,15 @@ class FlowNetwork:
         self.adj[v].append(e + 1)
 
     def max_flow(self, s: int, t: int) -> int:
-        """Value of a maximum s-t flow; the residual capacities stay in cap."""
+        """Value of a maximum s-t flow; the residual capacities stay in cap
+        and the final search trees in tree."""
         head, cap, adj = self.head, self.cap, self.adj
         n = self.n
         # tree[v]: 0 free, 1 source tree, 2 sink tree.  parent[v], read only
         # while v is in a tree, is the edge from v to its tree parent.
         # ts[v] is the augmentation after which dist[v], the depth of v in
         # its tree, was last known exact.
-        tree = [0] * n
+        self.tree = tree = [0] * n
         parent = [_ROOT] * n
         ts = [0] * n
         dist = [0] * n
@@ -435,18 +440,10 @@ class FlowNetwork:
                         orphans.append(w)
         return total
 
-    def source_side(self, s: int) -> set[int]:
-        """Residual-reachable nodes from s; call after max_flow."""
-        head, cap, adj = self.head, self.cap, self.adj
-        seen = {s}
-        stack = [s]
-        while stack:
-            for e in adj[stack.pop()]:
-                v = head[e]
-                if cap[e] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def source_side(self) -> set[int]:
+        """The final source tree of max_flow: the nodes reachable from s in
+        the residual network (see the class docstring)."""
+        return {v for v, side in enumerate(self.tree) if side == 1}
 
 
 # -- min-cut route for Min-Max ordered targets ----------------------------
@@ -584,7 +581,7 @@ def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
     value = net.max_flow(source, sink)
     if value >= big:
         return None
-    side = net.source_side(source)
+    side = net.source_side()
     for c, k in enumerate(core):
         for i in range(2, p + 1):
             if c * (p - 1) + i in side:

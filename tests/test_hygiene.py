@@ -219,6 +219,20 @@ def test_one_reachability_search():
     assert found == ["_collect"], f"stack searches in digraph.py: {found}"
 
 
+def test_min_cut_is_read_off_the_max_flow():
+    # FlowNetwork.source_side returns max_flow's final source tree; a loop
+    # there would be a second search of the residual network
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    found = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             and cls.name == "FlowNetwork" for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "source_side"]
+    assert len(found) == 1
+    loops = [node.lineno for node in ast.walk(found[0])
+             if isinstance(node, (ast.For, ast.While))]
+    assert loops == [], f"loops in FlowNetwork.source_side: {loops}"
+
+
 def test_poly_orderings_are_rechecked_in_one_place():
     # every polynomial verdict that carries an ordering is built by
     # classify._poly, which re-checks the ordering with verify_minmax

@@ -9,8 +9,8 @@ from minhom import (ArcPair, Digraph, GraphError, GuardExceeded,
                     InternalError, Ordering, find_minmax, make_cycle,
                     make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
 from minhom.digraph import first_injection
-from minhom.minmax import (_first_violation, _is_staircase, _pair_test,
-                           _rank_rows, make_rc_k12, make_rc_k21)
+from minhom.minmax import (_is_staircase, _pair_test, _rank_rows,
+                           make_rc_k12, make_rc_k21)
 
 
 def test_ordering_parse_serialize():
@@ -139,10 +139,42 @@ def test_find_minmax_is_first_permutation_seeded():
     assert 30 < found < 140
 
 
+def first_violating_pair(h, ordering):
+    """The first pair of arcs, in sorted position order, whose coordinatewise
+    min or max is no arc, as an ArcPair; None if there is none."""
+    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
+    arcs = sorted((pos[t], pos[u]) for t, u in h.arcs)
+    arc_set = set(arcs)
+    seq = ordering.sequence
+    for a, (i, k) in enumerate(arcs):
+        for j, s in arcs[a + 1:]:
+            mn = (min(i, j), min(k, s))
+            mx = (max(i, j), max(k, s))
+            if {mn, mx} != {(i, k), (j, s)} and not {mn, mx} <= arc_set:
+                return ArcPair(e=(seq[i - 1], seq[k - 1]),
+                               f=(seq[j - 1], seq[s - 1]))
+    return None
+
+
 def pair_scan_verdict(h, ordering):
     """verify_minmax's verdict by the scan of every pair of arcs."""
-    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
-    return _first_violation(sorted((pos[t], pos[u]) for t, u in h.arcs)) is None
+    return first_violating_pair(h, ordering) is None
+
+
+def near_staircase(rng, n):
+    """A random staircase on n positions with up to two arcs flipped, and
+    the ordering that puts v{i} at position i + 1; the digraph declares its
+    vertices in another order."""
+    bounds = sorted(rng.randint(1, n) for _ in range(2 * n))
+    lo, hi = sorted(bounds[0::2]), sorted(bounds[1::2])
+    rows = [i for i in range(1, n + 1) if rng.random() < 0.8]
+    arcs = {(i, k) for i in rows for k in range(lo[i - 1], hi[i - 1] + 1)}
+    for _ in range(rng.randint(0, 2)):
+        arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
+    names = [f"v{i}" for i in range(n)]
+    o = Ordering(names)
+    rng.shuffle(names)
+    return Digraph(names, [(f"v{i - 1}", f"v{k - 1}") for i, k in arcs]), o
 
 
 def test_verify_verdict_matches_the_pair_scan_exhaustive():
@@ -168,56 +200,32 @@ def test_verify_verdict_matches_the_pair_scan_seeded():
     rng = random.Random(64)
     verdicts = []
     for _ in range(1500):
-        n = rng.randint(2, 9)
-        # rows of a random staircase, then up to two arcs flipped
-        bounds = sorted(rng.randint(1, n) for _ in range(2 * n))
-        lo, hi = sorted(bounds[0::2]), sorted(bounds[1::2])
-        rows = [i for i in range(1, n + 1) if rng.random() < 0.8]
-        arcs = {(i, k) for i in rows for k in range(lo[i - 1], hi[i - 1] + 1)}
-        for _ in range(rng.randint(0, 2)):
-            arcs ^= {(rng.randint(1, n), rng.randint(1, n))}
-        # the ordering puts v{i} at position i + 1; the digraph declares
-        # its vertices in another order
-        names = [f"v{i}" for i in range(n)]
-        o = Ordering(names)
-        rng.shuffle(names)
-        h = Digraph(names, [(f"v{i - 1}", f"v{k - 1}") for i, k in arcs])
+        h, o = near_staircase(rng, rng.randint(2, 9))
         ok = verify_minmax(h, o)[0]
         assert ok == pair_scan_verdict(h, o)
         verdicts.append(ok)
     assert 300 < sum(verdicts) < 1200
 
 
-def first_violating_pair(h, ordering):
-    """The first pair of arcs, in sorted position order, whose coordinatewise
-    min or max is no arc, as an ArcPair; None if there is none."""
-    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
-    arcs = sorted((pos[t], pos[u]) for t, u in h.arcs)
-    seq = ordering.sequence
-    for a, (i, k) in enumerate(arcs):
-        for j, s in arcs[a + 1:]:
-            mn = (min(i, j), min(k, s))
-            mx = (max(i, j), max(k, s))
-            if {mn, mx} != {(i, k), (j, s)} and not {mn, mx} <= set(arcs):
-                return ArcPair(e=(seq[i - 1], seq[k - 1]),
-                               f=(seq[j - 1], seq[s - 1]))
-    return None
-
-
 def test_verify_pair_matches_the_first_violating_pair():
     # the whole ArcPair, on every digraph of at most 3 vertices under every
-    # ordering, then on seeded 4-6-vertex digraphs under shuffled orderings
+    # ordering and every 4-vertex digraph under the identity, then on
+    # seeded 4-6-vertex digraphs under shuffled orderings and seeded
+    # near-staircases of 7-12 vertices
     cases = []
     for n in range(1, 4):
         vs = tuple(str(i) for i in range(1, n + 1))
         orderings = [Ordering(p) for p in itertools.permutations(vs)]
         cases += [(h, o) for h in all_digraphs_on(vs) for o in orderings]
+    vs = ("1", "2", "3", "4")
+    cases += [(h, Ordering(vs)) for h in all_digraphs_on(vs)]
     rng = random.Random(18)
     for _ in range(1500):
         vs = [f"v{i}" for i in range(rng.randint(4, 6))]
         p = rng.choice((0.3, 0.5, 0.7))
         h = Digraph(vs, [(a, b) for a in vs for b in vs if rng.random() < p])
         cases.append((h, Ordering(rng.sample(vs, len(vs)))))
+    cases += [near_staircase(rng, rng.randint(7, 12)) for _ in range(1500)]
     failed = 0
     for h, o in cases:
         ok, pair = verify_minmax(h, o)
@@ -225,6 +233,34 @@ def test_verify_pair_matches_the_first_violating_pair():
         assert ok == (pair is None)
         failed += not ok
     assert 0 < failed < len(cases)
+
+
+def test_verify_reports_the_pair_on_400_vertices_fast():
+    # the pair is read off the rank rows as bitmasks in O(n^2) word
+    # operations; a scan of every pair of arcs is O(m^2), m ~ n^2 / 2 here
+    h = make_tt(400).reflexive_closure()
+    seq = list(h.vertices)
+    seq[-2:] = seq[-1], seq[-2]
+    start = time.perf_counter()
+    ok, pair = verify_minmax(h, Ordering(seq))
+    assert time.perf_counter() - start < 1.0
+    assert not ok
+    assert pair == ArcPair(e=("1", "399"), f=("400", "400"))
+    # a lower-triangular staircase whose last row skips rank 398
+    names = [str(i) for i in range(400)]
+    h = Digraph(names, [(names[i], names[k]) for i in range(400)
+                        for k in range(i + 1) if (i, k) != (399, 398)])
+    start = time.perf_counter()
+    ok, pair = verify_minmax(h, Ordering(names))
+    assert time.perf_counter() - start < 1.0
+    assert pair == ArcPair(e=("398", "398"), f=("399", "0"))
+
+
+def test_verify_raises_when_a_failed_ordering_has_no_pair(monkeypatch):
+    monkeypatch.setattr(minhom.minmax, "_first_violation", lambda rows: None)
+    h = Digraph(("1", "2"), [("1", "2"), ("2", "1")])
+    with pytest.raises(InternalError, match="no violating pair"):
+        verify_minmax(h, Ordering(("1", "2")))
 
 
 def test_find_minmax_on_rc_tt200_is_fast():

@@ -213,7 +213,7 @@ def test_max_flow_matches_brute_force_min_cut():
         value, side = brute_min_cuts(n, s, t, edges)
         assert net.max_flow(s, t) == value
         # the residual source side is the unique minimal minimum cut
-        assert net.source_side(s) == side
+        assert net.source_side() == side
 
 
 def edmonds_karp(n, s, t, edges):
@@ -292,7 +292,7 @@ def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
         value, side = edmonds_karp(n, s, t, edges)
         assert net.max_flow(s, t) == value
         # the residual source side is the unique minimal minimum cut
-        assert net.source_side(s) == side
+        assert net.source_side() == side
 
 
 # -- min-cut route --------------------------------------------------------
