@@ -8,13 +8,15 @@ its loop, by declaration index, cached on first use.  The graph algorithms
 (components, is_acyclic, cycle_walk, partite_structure, and the solver and
 classifier passes) read it rather than the arc set.  _collect is the one
 reachability search, behind components, strong_components and the pair
-digraph of minmax.find_minmax; first_injection is the one backtracking
-search for isomorphisms and Min-Max orderings.
+digraph of minmax.find_minmax; it reads neighbours through a function, so
+a caller may store them in lists or compute them on demand.
+first_injection is the one backtracking search for isomorphisms and
+Min-Max orderings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -214,17 +216,18 @@ class Digraph:
 # -- whole-digraph predicates and builders --------------------------------
 
 
-def _collect(near: list[Sequence[int]], start: int,
+def _collect(near: Callable[[int], Iterable[int]], start: int,
              free: list[bool]) -> list[int]:
     """The free nodes reachable from start (free too) along near, ascending;
     clears their free flags.  The package's one reachability search; near
-    needs only indexing, so minmax computes its pair digraph's
-    neighbours when they are read."""
+    is a function from a node to its neighbours, so components and
+    strong_components pass a list's __getitem__, and minmax computes its
+    pair digraph's neighbours when a node is popped."""
     free[start] = False
     comp = [start]
     stack = [start]
     while stack:
-        for x in near[stack.pop()]:
+        for x in near(stack.pop()):
             if free[x]:
                 free[x] = False
                 comp.append(x)
@@ -246,7 +249,7 @@ def components(g) -> list[tuple[str, ...]]:
     outs, ins, _ = (g if isinstance(g, Digraph) else g.digraph).adjacency
     near = list(map(add, outs, ins))
     free = [True] * len(vs)
-    return [tuple(map(vs.__getitem__, _collect(near, k, free)))
+    return [tuple(map(vs.__getitem__, _collect(near.__getitem__, k, free)))
             for k in range(len(vs)) if free[k]]
 
 
@@ -309,7 +312,8 @@ def strong_components(succs: list[Sequence[int]], preds: list[Sequence[int]],
             else:
                 work.pop()
                 finished.append(k)
-    found = [_collect(preds, k, free) for k in reversed(finished) if free[k]]
+    found = [_collect(preds.__getitem__, k, free)
+             for k in reversed(finished) if free[k]]
     found.sort()
     return found
 
@@ -415,16 +419,20 @@ def make_oriented_kb(n: int, m: int) -> Digraph:
 def extend(h: Digraph, sizes: dict[str, int]) -> tuple[Digraph, dict[str, str]]:
     """Substitute each vertex u by an independent set of sizes[u] copies.
 
-    Only defined for loopless h.  Returns the extension together with the
-    decomposition map (new vertex -> original vertex).
+    Only defined for loopless h; each size is a positive int (GraphError
+    otherwise).  Returns the extension together with the decomposition map
+    (new vertex -> original vertex).
     """
     if h.loops():
         raise GraphError("extend() requires a loopless digraph")
+    sizes = _built(dict, sizes, "sizes")
     if set(sizes) != set(h.vertices):
         raise GraphError("sizes must cover exactly the vertices of h")
     for u, c in sizes.items():
-        if c < 1:
-            raise GraphError(f"size for {u!r} must be positive, got {c}")
+        # ints only, as CostMatrix takes costs: no bool, float or str
+        if type(c) is not int or c < 1:
+            raise GraphError(
+                f"size for {u!r} must be a positive integer, got {c!r}")
     new_vertices = []
     decomposition = {}
     copies: dict[str, list[str]] = {}

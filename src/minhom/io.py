@@ -7,12 +7,13 @@ edge/arc lines sorted lexicographically.
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from operator import itemgetter
 
 from .birep import BipartiteGraph
 from .digraph import Digraph, GraphError
-from .solver import CostMatrix
+from .solver import _INT, CostMatrix
 
 
 class FormatError(GraphError):
@@ -115,6 +116,10 @@ def parse_costs(text: str) -> CostMatrix:
                 raise ValueError(cost)
             value = int(cost)
         except ValueError:
+            if _INT.fullmatch(cost):  # the int-from-str digit limit
+                raise FormatError(
+                    f"line {lineno}: cost has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
             raise FormatError(f"line {lineno}: cost {cost!r} is not an integer")
         key = (u, i)
         if key in entries:

@@ -16,10 +16,12 @@ vertices, read "a before a'", joined to (b, b') when ab and a'b' are arcs,
 a != a', b != b', and ab' or a'b is not.  A Min-Max ordering with a < a'
 and b' < b would need ab' and a'b, the min and max of ab and a'b', so
 every Min-Max ordering orients each component of the pair digraph one way.
-An invertible pair, (u, v) and (v, u) in one component, refutes the target
-at once, and a placement that orients a component both ways has no
-Min-Max completion (_pair_test).  That one test also keeps every placed
-prefix a staircase (see find_minmax).
+_pair_test numbers the components in mirror pairs, c and c ^ 1 holding
+(a, b) and (b, a).  An invertible pair, (u, v) and (v, u) in one
+component, shows when the mirror's start is already taken, and refutes
+the target at once; a placement that orients a component both ways has
+no Min-Max completion.  That one test also keeps every placed prefix a
+staircase (see find_minmax).
 """
 
 from __future__ import annotations
@@ -158,16 +160,6 @@ def verify_minmax(h: Digraph,
     return False, ArcPair(e=(seq[i], seq[k]), f=(seq[j], seq[s]))
 
 
-class _OnDemand:
-    """A read-only sequence whose items are computed when read."""
-
-    def __init__(self, item):
-        self._item = item
-
-    def __getitem__(self, k):
-        return self._item(k)
-
-
 def _pair_test(h: Digraph):
     """find_minmax's pair test, from the components of h's pair digraph:
     fits(rank, v, _) tells whether placing v at `rank` (1-based) after the
@@ -177,16 +169,22 @@ def _pair_test(h: Digraph):
     Node (a, a') is numbered a * n + a' by declaration index.  Each arc
     (a, a') -> (b, b') comes with its reverse, so _collect along near,
     which computes a node's neighbours (out and in) when it is popped,
-    finds the components in O(n^2) memory.  The component of (b, a) is
-    the mirror of that of (a, b).
+    finds the components in O(n^2) memory.  Swapping both ends of every
+    node maps arcs to arcs, so the mirror of a component, that of (b, a)
+    for its node (a, b), is again one.  The components are numbered in
+    mirror pairs: the component of (b, a) is collected right after that of
+    (a, b), so the mirror of component c is c ^ 1.  The nodes taken so far
+    are closed under the swap, so (b, a), free before, is taken after the
+    first collection only if it lies in the component of (a, b): that is an
+    invertible pair, and the test answers None without labelling the rest.
 
     A placement of v at 0-based rank r puts v before every unplaced u: it
     orients the component of each (v, u) forward and its mirror backward,
     and fails when one of them is already oriented backward.  Each pair
     before r was oriented by the placement of its first vertex, so the
     test is complete.  first_injection calls fits for a rank only once the
-    lower ranks are final, so a call first undoes the orientations made at
-    ranks r and above.
+    lower ranks are final, so a call first undoes the placements at ranks
+    r and above.
     """
     outs, ins, looped = h.adjacency
     n = len(h.vertices)
@@ -210,42 +208,40 @@ def _pair_test(h: Digraph):
     count = 0
     for node in range(n * n):
         if free[node]:
-            for x in _collect(_OnDemand(near), node, free):
-                comp[x] = count
-            count += 1
-    mirror = [0] * count
-    for a in range(n):
-        for b in range(a):
-            if comp[a * n + b] == comp[b * n + a]:
-                return None
-            mirror[comp[a * n + b]] = comp[b * n + a]
-            mirror[comp[b * n + a]] = comp[a * n + b]
-    rows = [comp[k * n:(k + 1) * n] for k in range(n)]
+            a, b = divmod(node, n)
+            for start in node, b * n + a:
+                if not free[start]:
+                    return None
+                for x in _collect(near, start, free):
+                    comp[x] = count
+                count += 1
 
     index = h._index
     sign = [0] * count         # 1 forward, -1 backward, 0 not yet oriented
     unplaced = [True] * n
-    placed: list[int] = []     # vertex (declaration index) by rank
-    oriented: list[list[int]] = []  # components oriented forward, by rank
+    # by rank: the vertex placed (declaration index) and the components
+    # its placement oriented forward
+    placed: list[tuple[int, list[int]]] = []
 
     def fits(rank: int, v: str, by_rank: dict[int, str]) -> bool:
-        r = rank - 1
-        while len(placed) > r:
-            unplaced[placed.pop()] = True
-            for c in oriented.pop():
-                sign[c] = sign[mirror[c]] = 0
+        while len(placed) >= rank:
+            k, done = placed.pop()
+            unplaced[k] = True
+            for c in done:
+                sign[c] = sign[c ^ 1] = 0
         k = index[v]
         unplaced[k] = False
-        placed.append(k)
         new: list[int] = []
-        oriented.append(new)
-        for u, c in enumerate(rows[k]):
+        placed.append((k, new))
+        base = k * n
+        for u in range(n):
             if unplaced[u]:
+                c = comp[base + u]
                 if sign[c] < 0:
                     return False
                 if not sign[c]:
                     sign[c] = 1
-                    sign[mirror[c]] = -1
+                    sign[c ^ 1] = -1
                     new.append(c)
         return True
 

@@ -24,8 +24,11 @@ Three routes are provided:
   members are folded again.  What is left is solved as a minimum s-t cut
   over threshold variables x_{u,i} = [label(u) >= i], found with a
   Boykov–Kolmogorov max-flow: node c * (p - 1) + i is x_{u,i} of the c-th
-  vertex left in declaration order (p labels, i = 2..p).  A forest input
-  builds no network.  The target's rank rows (minmax._rank_rows) must pass
+  vertex left in declaration order (p labels, i = 2..p).  Each vertex's
+  chain runs s -> x_{u,2} -> ... -> x_{u,p} -> t, its i-th step costing
+  label i, and each step between two thresholds is one edge pair whose
+  reverse, x_{u,i+1} -> x_{u,i}, cannot be cut.  A forest input builds no
+  network.  The target's rank rows (minmax._rank_rows) must pass
   the one staircase verdict (minmax._is_staircase), which guards the
   construction; the thresholds lam and mu are then read off the rows.
   The cut's map is read off the max-flow's final source tree, which is the
@@ -52,6 +55,7 @@ solve_auto) raises GraphError for a cost entry outside V(D) x V(H).
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
@@ -79,7 +83,8 @@ _INT = re.compile(r"[+-]?[0-9]+")
 @dataclass(frozen=True)
 class CostMatrix:
     """Sparse cost table c_i(u); unspecified entries cost 0.  Costs are
-    ints, or strings of an optional sign and ASCII digits (as parse_costs)."""
+    ints, or strings of an optional sign and ASCII digits (as parse_costs)
+    within int()'s digit limit, sys.get_int_max_str_digits()."""
 
     entries: dict[tuple[str, str], int]
 
@@ -90,7 +95,12 @@ class CostMatrix:
             if not (type(c) is int or type(c) is str and _INT.fullmatch(c)):
                 raise GraphError(
                     f"cost entry ({u!r}, {i!r}) is not an integer: {c!r}")
-            norm[(u, i)] = int(c)
+            try:
+                norm[(u, i)] = int(c)
+            except ValueError:  # the int-from-str digit limit
+                raise GraphError(
+                    f"cost entry ({u!r}, {i!r}) has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
         object.__setattr__(self, "entries", norm)
 
     @classmethod
@@ -272,11 +282,13 @@ class FlowNetwork:
 
     Edges live in flat arrays: edge e runs to head[e] with residual capacity
     cap[e], its reverse is e ^ 1, and adj[u] lists the ids of the edges
-    leaving u.  max_flow grows a search tree from s and one from t,
-    augments along the path where they meet and re-attaches the nodes the
-    augmentation cut off (Boykov & Kolmogorov, TPAMI 2004).  The trees are
-    kept between augmentations, which suits the long chains of the layered
-    "label >= i" networks solve_minmax builds; every step is iterative.
+    leaving u.  add_edge gives the reverse a capacity of its own, 0 unless
+    asked, so a chain step whose reverse must not be cut is one pair.
+    max_flow grows a search tree from s and one from t, augments along the
+    path where they meet and re-attaches the nodes the augmentation cut off
+    (Boykov & Kolmogorov, TPAMI 2004).  The trees are kept between
+    augmentations, which suits the long chains of the layered "label >= i"
+    networks solve_minmax builds; every step is iterative.
 
     The final source tree is the minimal minimum cut, the nodes reachable
     from s in the residual network, so source_side runs no search.  Tree
@@ -294,10 +306,12 @@ class FlowNetwork:
         self.head: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
+        """An edge u -> v of capacity cap, paired with its reverse v -> u
+        of capacity back."""
         e = len(self.head)
         self.head += (v, u)
-        self.cap += (cap, 0)
+        self.cap += (cap, back)
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
 
@@ -551,7 +565,9 @@ def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
     inf = (len(core) + 2) * big
 
     # nodes: 0 = source, 1 = sink; c * (p - 1) + i is "label >= i"
-    # (i = 2..p) of the c-th core vertex
+    # (i = 2..p) of the c-th core vertex.  Each step between two of them
+    # is one edge pair whose reverse, "label >= i + 1" -> "label >= i",
+    # is uncuttable
     net = FlowNetwork(2 + len(core) * (p - 1))
     source, sink = 0, 1
     for c, k in enumerate(core):
@@ -559,9 +575,8 @@ def _cut(vecs: list[list[int | None]], outs: list[Sequence[int]],
         for i, x in enumerate(vecs[k], 1):
             tail = source if i == 1 else base + i
             head = sink if i == p else base + i + 1
-            net.add_edge(tail, head, big if x is None else x + shifts[c])
-        for i in range(2, p):
-            net.add_edge(base + i + 1, base + i, inf)
+            net.add_edge(tail, head, big if x is None else x + shifts[c],
+                         0 if i in (1, p) else inf)
 
     # arcs in declaration order, so the network (and the max-flow's
     # work) does not depend on the string hash seed

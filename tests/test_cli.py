@@ -104,6 +104,17 @@ def test_cost_matrix_takes_only_integers():
             CostMatrix({("u", "1"): value})
 
 
+def test_cli_names_a_cost_beyond_the_digit_limit(tmp_path, capsys):
+    # the error names the limit, not the token, and not as a bad integer
+    limit = sys.get_int_max_str_digits()
+    d = write(tmp_path, "d.dg", "v a\n")
+    c = write(tmp_path, "c.txt", f"c a 1 {'1' * (limit + 700)}\n")
+    code, out = cli("solve", "--target", "rc_tt2", "--input", d, "--costs", c)
+    assert code == EXIT_ERROR and out == ""
+    assert capsys.readouterr().err == (
+        f"error: line 1: cost has more than {limit} digits\n")
+
+
 # -- built-in target names ------------------------------------------------
 
 

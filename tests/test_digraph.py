@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from heapq import heappop, heappush
 
@@ -341,6 +342,22 @@ def test_extend():
         extend(Digraph(("a",), [("a", "a")]), {"a": 1})
     with pytest.raises(GraphError):
         extend(make_tt(2), {"1": 0, "2": 1})
+
+
+def test_extend_takes_only_positive_int_sizes():
+    # sizes follow CostMatrix's rule for costs: an int, never a bool, and
+    # here at least 1; anything else is a GraphError naming the vertex
+    for bad in (2.5, 2.0, "2", None, True, False, 0, -1):
+        with pytest.raises(GraphError,
+                           match=f"size for '1' must be a positive integer, "
+                                 f"got {re.escape(repr(bad))}"):
+            extend(make_tt(2), {"1": bad, "2": 1})
+    # and sizes is a mapping, or pairs that make one
+    for bad in (None, 5, ["1", "2"]):
+        with pytest.raises(GraphError, match="bad sizes"):
+            extend(make_tt(2), bad)
+    hp, _ = extend(make_tt(2), {"1": 3, "2": 1})
+    assert len(hp.vertices) == 4
 
 
 def test_is_isomorphic():

@@ -13,6 +13,7 @@ one over every code point.
 
 import enum
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,21 @@ def test_cost_matrix_refuses_arguments_that_are_not_collections():
         "has length 3; 2 is required")
     # no entries at all is still the empty matrix
     assert CostMatrix().entries == CostMatrix(None).entries == {}
+
+
+def test_costs_beyond_the_digit_limit_are_named():
+    # int() refuses a string of more digits than sys.get_int_max_str_digits()
+    # with a bare ValueError; both readers say so in a GraphError, and the
+    # file reader does not echo the token
+    limit = sys.get_int_max_str_digits()
+    for sign in ("", "-"):
+        big = sign + "1" * (limit + 1)
+        assert error_of(CostMatrix, {("u", "1"): big}) == (
+            GraphError, f"cost entry ('u', '1') has more than {limit} digits")
+        assert error_of(parse_costs, f"c u 1 2\nc u 2 {big}\n") == (
+            FormatError, f"line 2: cost has more than {limit} digits")
+    # the limit itself still reads
+    assert CostMatrix({("u", "1"): "9" * limit}).entries[("u", "1")] > 0
 
 
 def test_ordering_refuses_arguments_that_are_not_collections():

@@ -417,6 +417,21 @@ def test_pair_test_refutes_an_invertible_pair():
     assert _pair_test(make_tt(6).reflexive_closure()) is not None
 
 
+def test_pair_test_stops_at_the_first_invertible_component():
+    # a reflexive directed 3-cycle declared before a disjoint RC(TT_100):
+    # the component of (c1, c2) holds (c2, c1), so the test refutes the
+    # target before it labels the O(n^2) nodes the RC(TT_100) part adds.
+    # Labelling every node first took about 10 s
+    tt = make_tt(100).reflexive_closure()
+    cycle = make_cycle(3).reflexive_closure()
+    h = Digraph(["c" + v for v in cycle.vertices] + list(tt.vertices),
+                [("c" + a, "c" + b) for a, b in cycle.arcs] + list(tt.arcs))
+    start = time.perf_counter()
+    assert _pair_test(h) is None
+    assert find_minmax(h, guard=200) is None
+    assert time.perf_counter() - start < 1.0
+
+
 def test_find_minmax_matches_the_staircase_search_exhaustive():
     # every digraph on 3 vertices and every reflexive one on 4; the
     # declaration order settles some, an invertible pair others, and the

@@ -295,6 +295,42 @@ def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
         assert net.source_side() == side
 
 
+def test_max_flow_keeps_the_uncuttable_chain_reverses(monkeypatch):
+    # each step between two "label >= i" nodes of _cut's network is one
+    # edge pair whose reverse capacity is not 0; Edmonds–Karp gets both
+    # directions of such a pair as edges of their own
+    networks = []
+    max_flow = FlowNetwork.max_flow
+
+    def record(net, s, t):
+        networks.append((net.n, s, t, list(zip(
+            net.head[1::2], net.head[::2], net.cap[::2], net.cap[1::2]))))
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
+    rng = random.Random(28)
+    seq = find_minmax(RC_TT5).sequence
+    lam, mu = _thresholds(_rows(RC_TT5, seq)[0], len(seq))
+    for ring in (False, True):
+        n = 150
+        vecs = [[None if rng.random() < 0.05 else rng.randint(-3, 3)
+                 for _ in seq] for _ in range(n)]
+        outs = [[k + 1] for k in range(n - 1)] + [[0] if ring else []]
+        _cut(vecs, outs, list(range(n)), lam, mu)
+    monkeypatch.undo()
+    assert len(networks) == 2
+    for n, s, t, pairs in networks:
+        assert any(back for *_, back in pairs)
+        net = FlowNetwork(n)
+        for u, v, c, back in pairs:
+            net.add_edge(u, v, c, back)
+        edges = ([(u, v, c) for u, v, c, _ in pairs]
+                 + [(v, u, back) for u, v, _, back in pairs if back])
+        value, side = edmonds_karp(n, s, t, edges)
+        assert net.max_flow(s, t) == value
+        assert net.source_side() == side
+
+
 # -- min-cut route --------------------------------------------------------
 
 
