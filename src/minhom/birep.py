@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _pairs, check_token, components)
+                      _built, _pairs, _quoted, check_token, components)
 from .solver import CostMatrix
 
 #: Default cap on the number of vertices searched for forbidden structures.
@@ -79,7 +79,8 @@ class BipartiteGraph:
             elif v in s1 and u in s2:
                 norm.add((v, u))
             else:
-                raise GraphError(f"edge ({u!r}, {v!r}) does not cross the parts")
+                raise GraphError(f"edge ({_quoted(u)}, {_quoted(v)}) "
+                                 "does not cross the parts")
         object.__setattr__(self, "part1", p1)
         object.__setattr__(self, "part2", p2)
         object.__setattr__(self, "edges", frozenset(norm))

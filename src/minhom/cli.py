@@ -15,7 +15,8 @@ import sys
 from . import classify as cls
 from . import io as fmt
 from .birep import FORBIDDEN_GUARD, bg, is_proper_interval_bigraph
-from .digraph import Digraph, GraphError, make_cycle, make_tt, make_tt_minus
+from .digraph import (Digraph, GraphError, _quoted, make_cycle, make_tt,
+                      make_tt_minus)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 from .minmax import make_rc_k12, make_rc_k21
 from .solver import solve_auto, solve_bruteforce, solve_cycle, solve_minmax
@@ -40,7 +41,7 @@ def resolve_target(spec: str) -> Digraph:
         digits = m.group(2)  # length first: int() refuses over 4300 digits
         if (len(digits) > len(str(BUILTIN_TARGET_LIMIT))
                 or int(digits) > BUILTIN_TARGET_LIMIT):
-            raise GraphError(f"built-in target {spec!r} is too large: "
+            raise GraphError(f"built-in target {_quoted(spec)} is too large: "
                              f"sizes are limited to {BUILTIN_TARGET_LIMIT}")
         return _SIZED_TARGETS[m.group(1)](int(digits))
     if spec == "rc_k12":
@@ -123,7 +124,7 @@ def _guard(text: str) -> int:
     """A --guard value: a nonnegative integer (argparse exits otherwise)."""
     if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
+            f"expected a nonnegative integer, got {_quoted(text)}")
     return int(text)
 
 

@@ -47,16 +47,29 @@ class InternalError(RuntimeError):
 #: Hard cap for the brute-force isomorphism search.
 ISO_GUARD = 10
 
+#: Characters of a string that an error message quotes before cutting it.
+QUOTE_LIMIT = 40
+
+
+def _quoted(value) -> str:
+    """repr(value) for an error message; a string longer than QUOTE_LIMIT
+    characters is cut to its first QUOTE_LIMIT, marked with its length."""
+    if isinstance(value, str) and len(value) > QUOTE_LIMIT:
+        return f"{value[:QUOTE_LIMIT]!r}... ({len(value)} characters)"
+    return repr(value)
+
 
 def check_token(name: str) -> str:
     """Validate a vertex name: nonempty, no whitespace, no commas, no `#`
     (the file formats read it as the start of a comment)."""
     if not isinstance(name, str) or not name:
-        raise GraphError(f"vertex name must be a nonempty string, got {name!r}")
+        raise GraphError(
+            f"vertex name must be a nonempty string, got {_quoted(name)}")
     # str.split() cuts at exactly the characters str.isspace() accepts
     if "," in name or "#" in name or name.split() != [name]:
         raise GraphError(
-            f"bad vertex name {name!r}: whitespace, commas and '#' are not allowed"
+            f"bad vertex name {_quoted(name)}: "
+            "whitespace, commas and '#' are not allowed"
         )
     return name
 
@@ -90,7 +103,7 @@ def _pairs(items, what: str) -> list[tuple[str, str]]:
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise GraphError(f"{what} {x!r} is not a pair")
+            raise GraphError(f"{what} {_quoted(x)} is not a pair")
     return [(str(a), str(b)) for a, b in items]  # an error in str() itself
 
 
@@ -114,7 +127,8 @@ class Digraph:
             for t, h in pairs:  # only to name the first undeclared end
                 if t not in declared or h not in declared:
                     raise GraphError(
-                        f"arc ({t!r}, {h!r}) references an undeclared vertex")
+                        f"arc ({_quoted(t)}, {_quoted(h)}) references an "
+                        "undeclared vertex")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "arcs", aset)
 
@@ -495,16 +509,17 @@ def is_isomorphic(h1: Digraph, h2: Digraph,
 
     Returns the lexicographically first bijection (h1 vertices in declaration
     order, candidates in h2 declaration order), or None.  A plain exhaustive
-    search (first_injection), kept as a test oracle; refuses graphs beyond
+    search (first_injection), kept as a test oracle.  Different vertex or
+    arc counts answer None first; only the search refuses graphs beyond
     the guard.
     """
-    if len(h1.vertices) > guard or len(h2.vertices) > guard:
+    if len(h1.vertices) != len(h2.vertices) or len(h1.arcs) != len(h2.arcs):
+        return None
+    if len(h1.vertices) > guard:
         raise GuardExceeded(
             f"isomorphism search is limited to {guard} vertices; "
             "pass a larger guard explicitly to override"
         )
-    if len(h1.vertices) != len(h2.vertices) or len(h1.arcs) != len(h2.arcs):
-        return None
 
     def fits(v: str, w: str, mapping: dict[str, str]) -> bool:
         for v2, w2 in mapping.items():

@@ -12,7 +12,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .birep import BipartiteGraph
-from .digraph import Digraph, GraphError
+from .digraph import Digraph, GraphError, _quoted
 from .solver import _INT, CostMatrix
 
 
@@ -45,7 +45,8 @@ def parse_digraph(text: str) -> Digraph:
             arcs.append((t, head))
         elif len(toks) == 2 and toks[0] == "v":
             if toks[1] in names:
-                raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
+                raise FormatError(
+                    f"line {lineno}: duplicate vertex {_quoted(toks[1])}")
             names[toks[1]] = None
         else:
             raise FormatError(f"line {lineno}: expected 'v <name>' or 'a <tail> <head>'")
@@ -73,14 +74,16 @@ def parse_bipartite(text: str) -> BipartiteGraph:
             continue
         if toks[0] in ("p1", "p2") and len(toks) == 2:
             if toks[1] in declared:
-                raise FormatError(f"line {lineno}: duplicate vertex {toks[1]!r}")
+                raise FormatError(
+                    f"line {lineno}: duplicate vertex {_quoted(toks[1])}")
             declared.add(toks[1])
             (part1 if toks[0] == "p1" else part2).append(toks[1])
         elif toks[0] == "e" and len(toks) == 3:
             for v in toks[1:]:
                 if v not in declared:
                     raise FormatError(
-                        f"line {lineno}: vertex {v!r} used before declaration"
+                        f"line {lineno}: vertex {_quoted(v)} "
+                        "used before declaration"
                     )
             edges.append((toks[1], toks[2]))
         else:
@@ -120,10 +123,12 @@ def parse_costs(text: str) -> CostMatrix:
                 raise FormatError(
                     f"line {lineno}: cost has more than "
                     f"{sys.get_int_max_str_digits()} digits") from None
-            raise FormatError(f"line {lineno}: cost {cost!r} is not an integer")
+            raise FormatError(
+                f"line {lineno}: cost {_quoted(cost)} is not an integer")
         key = (u, i)
         if key in entries:
-            raise FormatError(f"line {lineno}: duplicate cost entry for {key}")
+            raise FormatError(f"line {lineno}: duplicate cost entry for "
+                              f"({_quoted(u)}, {_quoted(i)})")
         entries[key] = value
     return CostMatrix._wrap(entries)
 

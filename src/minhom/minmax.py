@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _collect, first_injection, make_oriented_kb)
+                      _built, _collect, _quoted, first_injection,
+                      make_oriented_kb)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -57,7 +58,8 @@ class Ordering:
         name (",," or a comma at either end) is a GraphError."""
         toks = text.split(",") if text else []
         if "" in toks:
-            raise GraphError(f"ordering {text!r} has an empty vertex name")
+            raise GraphError(
+                f"ordering {_quoted(text)} has an empty vertex name")
         return cls(toks)
 
 
@@ -265,19 +267,21 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
     backward, as k came later; so a prefix the test passes has no such
     pair.  The search starts only when the declaration order, the first
     permutation, fails the staircase; its pair digraph is built then, so a
-    target whose declaration order is Min-Max pays for none.  The test only
-    prunes: the ordering found is re-checked by _is_staircase, the
+    target whose declaration order is Min-Max pays for none.  That O(n + m)
+    check comes before the guard, so such an order is returned at any size;
+    past `guard` vertices only the search raises GuardExceeded.  The test
+    only prunes: the ordering found is re-checked by _is_staircase, the
     package's one Min-Max verdict, and a failure raises InternalError.
     """
-    n = len(h.vertices)
+    seq = h.vertices
+    if _is_staircase(_rank_rows(h, seq)):
+        return Ordering(seq)
+    n = len(seq)
     if n > guard:
         raise GuardExceeded(
             f"Min-Max ordering search is limited to {guard} vertices; "
             "raise the guard explicitly to search this target"
         )
-    seq = h.vertices
-    if _is_staircase(_rank_rows(h, seq)):
-        return Ordering(seq)
     fits = _pair_test(h)
     if fits is None:
         return None

@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _pairs, cycle_walk, is_acyclic,
+                      _built, _pairs, _quoted, cycle_walk, is_acyclic,
                       strong_components)
 from .minmax import (FIND_GUARD, Ordering, _bits, _rank_rows, find_minmax,
                      verify_minmax)
@@ -94,12 +94,13 @@ class CostMatrix:
         for (u, i), c in zip(_pairs(entries, "cost key"), entries.values()):
             if not (type(c) is int or type(c) is str and _INT.fullmatch(c)):
                 raise GraphError(
-                    f"cost entry ({u!r}, {i!r}) is not an integer: {c!r}")
+                    f"cost entry ({_quoted(u)}, {_quoted(i)}) is not an "
+                    f"integer: {_quoted(c)}")
             try:
                 norm[(u, i)] = int(c)
             except ValueError:  # the int-from-str digit limit
                 raise GraphError(
-                    f"cost entry ({u!r}, {i!r}) has more than "
+                    f"cost entry ({_quoted(u)}, {_quoted(i)}) has more than "
                     f"{sys.get_int_max_str_digits()} digits") from None
         object.__setattr__(self, "entries", norm)
 
@@ -128,7 +129,8 @@ class CostMatrix:
         for u, i in keys:
             if u not in inputs or i not in targets:
                 raise GraphError(
-                    f"cost entry ({u!r}, {i!r}) does not match the instance shape"
+                    f"cost entry ({_quoted(u)}, {_quoted(i)}) does not match "
+                    "the instance shape"
                 )
 
 

@@ -18,6 +18,7 @@ from minhom.birep import bg, find_forbidden
 from minhom.classify import (WITNESS_SUBSET_CAP, BGForbiddenWitness,
                              ReflexiveCycleWitness, _witnesses)
 from minhom.digraph import cycle_walk
+from minhom.minmax import _is_staircase, _rank_rows
 
 
 def test_witness_none_for_rc_tt3():
@@ -420,7 +421,10 @@ def test_validate_witness_rejects_mislabelled_structures():
 
 
 def test_general_skips_minmax_beyond_guard():
-    h = make_tt(6).reflexive_closure()
+    # declared 1,3,5,2,4,6, so the guard stops a real search
+    rc = make_tt(6).reflexive_closure()
+    h = Digraph(rc.vertices[::2] + rc.vertices[1::2], rc.arcs)
+    assert not _is_staircase(_rank_rows(h, h.vertices))
     c = classify_general(h, guard=4)
     assert c.verdict == "unknown" and "minmax-skipped-guard" in c.notes
 

@@ -373,6 +373,39 @@ def test_cli_classify_general(tmp_path):
     assert code == EXIT_OK and out.splitlines()[0] == "verdict unknown"
 
 
+def test_cli_answers_a_min_max_declaration_order_above_the_guard():
+    # the guard bounds the ordering search only; rc_tt10 and rc_tt200 are
+    # Min-Max in their declaration order
+    code, out = cli("classify-general", "--target", "rc_tt10")
+    assert code == EXIT_OK
+    assert out == ("verdict poly\nrule minmax\nordering "
+                   + ",".join(map(str, range(1, 11))) + "\n")
+    code, out = cli("minmax-find", "--target", "rc_tt200")
+    assert code == EXIT_OK
+    assert out == "ordering " + ",".join(map(str, range(1, 201))) + "\n"
+
+
+def test_cli_solve_grid_into_rc_tt10_takes_the_min_cut_route(tmp_path):
+    # a 4x4 grid, arcs right and down, declared in shuffled order: with all
+    # costs 0 the brute-force route ran out of budget on it
+    rng = random.Random(16)
+    cells = [f"g{r}{c}" for r in range(4) for c in range(4)]
+    arcs = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(4) for c in range(3)]
+    arcs += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(3) for c in range(4)]
+    rng.shuffle(cells)
+    d = write(tmp_path, "d.dg", "".join(f"v {v}\n" for v in cells)
+              + "".join(f"a {t} {h}\n" for t, h in arcs))
+    start = time.perf_counter()
+    code, out = cli("solve", "--target", "rc_tt10", "--input", d)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    mapping = dict(line.split()[1:] for line in lines[1:])
+    graph = parse_digraph(Path(d).read_text())
+    assert lines[0] == "cost 0"
+    assert is_homomorphism(graph, resolve_target("rc_tt10"), mapping)
+
+
 def test_cli_classify_general_directed_cycle(tmp_path):
     code, out = cli("classify-general", "--target", "cycle9")
     assert code == EXIT_OK
@@ -523,6 +556,31 @@ def test_cli_enumerate_rmpt():
     assert len(lines) == 5
     assert all(line.startswith("rmpt ") and " verdict=" in line
                for line in lines)
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"c.txt": f"c a 1 {LONG}\n"},
+     ["solve", "--target", "rc_tt2", "--input", "d.dg", "--costs", "c.txt"]),
+    ({"c.txt": f"c {LONG} 1 5\n"},
+     ["solve", "--target", "rc_tt2", "--input", "d.dg", "--costs", "c.txt"]),
+    ({"d.dg": f"v {LONG}\nv {LONG}\n"},
+     ["solve", "--target", "rc_tt2", "--input", "d.dg"]),
+    ({"d.dg": f"v a,{LONG}\n"},
+     ["solve", "--target", "rc_tt2", "--input", "d.dg"]),
+    ({"g.bg": f"p1 a\ne {LONG} a\n"}, ["pib-check", "--input", "g.bg"])],
+    ids=["cost", "cost-key", "duplicate-vertex", "bad-vertex-name",
+         "undeclared-vertex"])
+def test_cli_error_messages_cut_long_tokens(tmp_path, capsys, files, argv):
+    # a 5000-character token is quoted by its first characters
+    files = {"d.dg": "v a\n", **files}
+    argv = [write(tmp_path, a, files[a]) if a in files else a for a in argv]
+    assert cli(*argv) == (EXIT_ERROR, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'... (500" in err
+    assert len(err.encode()) < 200
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -372,6 +372,15 @@ def test_is_isomorphic():
     assert is_isomorphic(make_tt(11), make_tt(11), guard=11)
 
 
+def test_is_isomorphic_counts_before_the_guard():
+    # different vertex or arc counts answer None without a search, so the
+    # guard does not apply; equal counts beyond it still raise
+    assert is_isomorphic(make_tt(11), make_cycle(3)) is None
+    assert is_isomorphic(make_tt(11), make_tt_minus(11)) is None
+    with pytest.raises(GuardExceeded):
+        is_isomorphic(make_tt(11), make_tt(11))
+
+
 def test_cycle_walk_hand_cases():
     assert cycle_walk(make_cycle(2)) == ("1", "2")
     assert cycle_walk(make_cycle(5)) == ("1", "2", "3", "4", "5")

@@ -292,3 +292,21 @@ def test_solve_bytes_survive_python_O(tmp_path):
                            capture_output=True, check=True).stdout
             for flags in ([], ["-O"])]
     assert outs[0].startswith(b"cost ") and outs[0] == outs[1]
+
+
+def test_find_minmax_answers_its_declaration_order_before_the_guard():
+    # the guard bounds the ordering search, not the O(n + m) check of the
+    # declaration order: GuardExceeded is raised only after the return of
+    # an order that passes _is_staircase
+    tree = ast.parse((PACKAGE / "minmax.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "find_minmax")
+    checked = next(node for node in func.body if isinstance(node, ast.If)
+                   and isinstance(node.body[0], ast.Return))
+    assert any(isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_is_staircase"
+               for call in ast.walk(checked.test))
+    raises = [node.lineno for node in ast.walk(func)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "GuardExceeded"]
+    assert raises and min(raises) > checked.lineno

@@ -68,8 +68,13 @@ def test_find_minmax_single_loop():
 
 
 def test_find_minmax_guard():
+    # the declaration order is answered at any size; the guard bounds the
+    # search, which this interleaved order 1,3,...,9,2,4,...,10 needs
+    tt = make_tt(10)
+    h = Digraph(tt.vertices[::2] + tt.vertices[1::2], tt.arcs)
+    assert not _is_staircase(_rank_rows(h, h.vertices))
     with pytest.raises(GuardExceeded):
-        find_minmax(make_tt(10))
+        find_minmax(h)
 
 
 def test_find_minmax_self_consistent():

@@ -20,7 +20,7 @@ from minhom import (BudgetExceeded, CostMatrix, Digraph, GraphError, Ordering,
                     map_cost, solve_auto, solve_bruteforce, solve_cycle,
                     solve_minmax)
 from minhom.cli import resolve_target
-from minhom.minmax import _is_staircase
+from minhom.minmax import _is_staircase, _rank_rows
 from minhom.solver import FlowNetwork, _cut, _rows, _thresholds
 
 
@@ -258,9 +258,9 @@ def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
     max_flow = FlowNetwork.max_flow
 
     def record(net, s, t):
-        networks.append((net.n, s, t, [
-            (net.head[e ^ 1], net.head[e], net.cap[e])
-            for e in range(0, len(net.head), 2)]))
+        # each edge pair with both capacities: a chain step's reverse is inf
+        networks.append((net.n, s, t, list(zip(
+            net.head[1::2], net.head[::2], net.cap[::2], net.cap[1::2]))))
         return max_flow(net, s, t)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", record)
@@ -285,10 +285,12 @@ def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
             _cut(vecs, outs, list(range(n)), lam, mu)
     monkeypatch.undo()
     assert len(networks) == 8
-    for n, s, t, edges in networks:
+    for n, s, t, pairs in networks:
         net = FlowNetwork(n)
-        for u, v, c in edges:
-            net.add_edge(u, v, c)
+        for u, v, c, back in pairs:
+            net.add_edge(u, v, c, back)
+        edges = ([(u, v, c) for u, v, c, _ in pairs]
+                 + [(v, u, back) for u, v, _, back in pairs if back])
         value, side = edmonds_karp(n, s, t, edges)
         assert net.max_flow(s, t) == value
         # the residual source side is the unique minimal minimum cut
@@ -730,6 +732,21 @@ def test_auto_dispatch_minmax():
     assert res.method == "minmax" and res.feasible
 
 
+def test_auto_takes_the_min_cut_route_above_the_guard():
+    # rc_tt10's declaration order is Min-Max, so no search runs and the
+    # guard does not apply.  The least optimum the min-cut route returns
+    # is the lexicographically first one brute force returns
+    h = resolve_target("rc_tt10")
+    rng = random.Random(10)
+    for _ in range(40):
+        d = random_input(rng, max_n=6)
+        costs = random_costs(rng, d, h)
+        res = solve_auto(d, h, costs)
+        brute = solve_bruteforce(d, h, costs)
+        assert res.method == "minmax"
+        assert (res.mapping, res.cost) == (brute.mapping, brute.cost)
+
+
 def test_auto_dispatch_brute():
     d = Digraph(("u",))
     res = solve_auto(d, make_cycle(3).reflexive_closure(), CostMatrix({}))
@@ -785,8 +802,12 @@ def forest_dp_cost(d, h, costs):
 @pytest.mark.parametrize("name", ["t5_223344", "t5_1122", "t5_11", "rc_tt10"])
 def test_auto_solves_trees_into_targets_without_an_ordering(name):
     # none of these targets has a cycle walk or an ordering find_minmax
-    # finds (rc_tt10 is beyond its guard), yet a tree input folds away
+    # finds (rc_tt10, declared 1,3,...,9,2,4,...,10, needs a search beyond
+    # its guard), yet a tree input folds away
     h = resolve_target(name)
+    if name == "rc_tt10":
+        h = Digraph(h.vertices[::2] + h.vertices[1::2], h.arcs)
+        assert not _is_staircase(_rank_rows(h, h.vertices))
     rng = random.Random(name)
     for _ in range(3):
         d = oriented_tree(rng, 40)
