@@ -399,9 +399,10 @@ def lift_solution(g: BipartiteGraph, h: Digraph,
     part-respecting homomorphism of g into BG(h)."""
     for u in g.vertices:
         if u not in mapping:
-            raise GraphError(f"mapping is not total: missing {u!r}")
+            raise GraphError(f"mapping is not total: missing {_quoted(u)}")
         if mapping[u] not in h:
-            raise GraphError(f"image {mapping[u]!r} is not a vertex of the target")
+            raise GraphError(
+                f"image {_quoted(mapping[u])} is not a vertex of the target")
     for s, t in _ordered_edges(g):
         if not h.has_arc(mapping[s], mapping[t]):
             raise GraphError(
@@ -420,10 +421,11 @@ def project_solution(g: BipartiteGraph, h: Digraph,
     for part, want in ((g.part1, "_1"), (g.part2, "_2")):
         for u in part:
             if u not in mapping:
-                raise GraphError(f"mapping is not total: missing {u!r}")
+                raise GraphError(f"mapping is not total: missing {_quoted(u)}")
             img = mapping[u]
             if not img.endswith(want) or img not in bgh.digraph:
-                raise GraphError(f"image {img!r} does not respect the parts")
+                raise GraphError(
+                    f"image {_quoted(img)} does not respect the parts")
             out[u] = img[: -len(want)]
     for s, t in _ordered_edges(g):
         if not bgh.has_edge(mapping[s], mapping[t]):

@@ -120,7 +120,7 @@ def _witnesses(h: Digraph):
                                             vs[looped_at])
     # BG(H[S]) has 2|S| vertices and the smallest forbidden structure (the
     # 6-cycle) has 6, so subsets of fewer than 3 vertices hold none
-    memo: dict[int, tuple[str, list[int]] | None] = {}
+    memo: dict[tuple[int, ...], tuple[str, list[int]] | None] = {}
     for size in range(3, WITNESS_SUBSET_CAP + 1):
         for subset in combinations(range(len(vs)), size):
             mask = sum(1 << k for k in subset)
@@ -132,20 +132,15 @@ def _witnesses(h: Digraph):
                 todo ^= low | new
             if reached != mask:
                 continue  # not weakly connected
-            # the arcs among subset's positions, row by row, loops included,
-            # after a leading 1 bit that makes the size part of the key
-            key = 1
-            for v in subset:
-                for w in subset:
-                    key = key << 1 | out[v] >> w & 1
+            # BG(H[S]) by position, loops included: v_1 at i, w_2 at size + j
+            adj = [0] * 2 * size
+            for i, v in enumerate(subset):
+                for j, w in enumerate(subset):
+                    if out[v] >> w & 1:
+                        adj[i] |= 1 << size + j
+                        adj[size + j] |= 1 << i
+            key = tuple(adj)
             if key not in memo:
-                # BG(H[S]) by position: v_1 at i and w_2 at size + j
-                adj = [0] * 2 * size
-                for i, v in enumerate(subset):
-                    for j, w in enumerate(subset):
-                        if out[v] >> w & 1:
-                            adj[i] |= 1 << size + j
-                            adj[size + j] |= 1 << i
                 memo[key] = forbidden_hosts(size, adj)
             if memo[key] is not None:
                 names = [vs[v] for v in subset]
@@ -170,11 +165,11 @@ def find_witness(h: Digraph) -> Witness | None:
     has at most 2 vertices and holds no structure.
 
     Both phases run on bitmasks, with no graph built per subset.  The
-    second builds BG(H[S]) by position (forbidden_hosts) from the arcs
-    among S's positions, loops included.  The kernel's answer by position
-    depends on nothing else, so it is memoized on that arc pattern, per
-    call: two subsets with one pattern get the same structure, renamed to
-    each one's vertices.
+    second builds BG(H[S]) by position once per subset, as the neighbour
+    masks forbidden_hosts reads, from the arcs among S's positions, loops
+    included.  The kernel's answer depends on those masks alone, so it is
+    memoized on them, per call: two subsets with one arc pattern get the
+    same structure, renamed to each one's vertices.
 
     The witness returned has passed validate_witness, which rebuilds
     bg(h.induced(subset)) by name; InternalError otherwise.

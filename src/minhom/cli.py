@@ -15,10 +15,9 @@ import sys
 from . import classify as cls
 from . import io as fmt
 from .birep import FORBIDDEN_GUARD, bg, is_proper_interval_bigraph
-from .digraph import (Digraph, GraphError, _quoted, make_cycle, make_tt,
-                      make_tt_minus)
+from .digraph import (Digraph, GraphError, _quoted, make_cycle,
+                      make_oriented_kb, make_tt, make_tt_minus)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
-from .minmax import make_rc_k12, make_rc_k21
 from .solver import solve_auto, solve_bruteforce, solve_cycle, solve_minmax
 
 EXIT_OK = 0
@@ -32,6 +31,8 @@ BUILTIN_TARGET_LIMIT = 1000
 _SIZED_TARGETS = {"rc_tt": lambda p: make_tt(p).reflexive_closure(),
                   "rc_ttminus": lambda p: make_tt_minus(p).reflexive_closure(),
                   "cycle": make_cycle}
+_NAMED_TARGETS = {"rc_k12": lambda: make_oriented_kb(1, 2).reflexive_closure(),
+                  "rc_k21": lambda: make_oriented_kb(2, 1).reflexive_closure()}
 
 
 def resolve_target(spec: str) -> Digraph:
@@ -44,10 +45,8 @@ def resolve_target(spec: str) -> Digraph:
             raise GraphError(f"built-in target {_quoted(spec)} is too large: "
                              f"sizes are limited to {BUILTIN_TARGET_LIMIT}")
         return _SIZED_TARGETS[m.group(1)](int(digits))
-    if spec == "rc_k12":
-        return make_rc_k12()
-    if spec == "rc_k21":
-        return make_rc_k21()
+    if spec in _NAMED_TARGETS:
+        return _NAMED_TARGETS[spec]()
     m = re.fullmatch(r"t5_(none|(?:11|22|33|44)+)", spec)
     if m:
         return cls.build_theorem5_digraph(_parse_b(m.group(1)))
@@ -68,10 +67,11 @@ def _read(path: str, parser):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise GraphError(f"cannot read {path!r}: {exc}") from exc
+    except OSError as exc:  # strerror: str(exc) repeats the path in full
+        raise GraphError(f"cannot read {_quoted(path)}: "
+                         f"{exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise GraphError(f"cannot read {path!r}: not UTF-8 "
+        raise GraphError(f"cannot read {_quoted(path)}: not UTF-8 "
                          f"(byte {exc.start}: {exc.reason})") from exc
     return parser(text)
 
@@ -273,7 +273,7 @@ def _dispatch(args, out) -> int:
             print(f"rmpt {idx} arcs={arcs} verdict={verdict}", file=out)
         return EXIT_OK
 
-    raise GraphError(f"unknown command {cmd!r}")
+    raise GraphError(f"unknown command {_quoted(cmd)}")
 
 
 def main() -> None:

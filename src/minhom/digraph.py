@@ -446,7 +446,8 @@ def extend(h: Digraph, sizes: dict[str, int]) -> tuple[Digraph, dict[str, str]]:
         # ints only, as CostMatrix takes costs: no bool, float or str
         if type(c) is not int or c < 1:
             raise GraphError(
-                f"size for {u!r} must be a positive integer, got {c!r}")
+                f"size for {_quoted(u)} must be a positive integer, "
+                f"got {_quoted(c)}")
     new_vertices = []
     decomposition = {}
     copies: dict[str, list[str]] = {}

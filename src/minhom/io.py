@@ -1,8 +1,8 @@
 """Line-oriented text formats for digraphs, bipartite graphs, and costs.
 
-All formats are UTF-8, `#` starts a comment, blank lines are ignored.
-Writers are deterministic: declarations first (in declaration order), then
-edge/arc lines sorted lexicographically.
+All formats are UTF-8; `#` starts a comment; lines without tokens are
+skipped.  Writers are deterministic: declarations in declaration order,
+then sorted edge/arc lines, each ended by a newline (empty graph: no text).
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ class FormatError(GraphError):
 
 
 def _lines(text: str):
-    """(line number, tokens) of every line, `#` comments cut, by lazy maps
-    over the lines; a line without tokens comes out with an empty list."""
+    """(line number, tokens) of each line with tokens once its `#` comment
+    is cut, by lazy maps over the lines; numbering counts skipped lines."""
     lines = text.splitlines()
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
-    return enumerate(map(str.split, lines), 1)
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
+
+
+def _text(lines: list[str]) -> str:
+    """The lines, each ended by a newline: no text for no lines."""
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -37,8 +42,6 @@ def parse_digraph(text: str) -> Digraph:
     names: dict[str, None] = {}
     arcs: list[tuple[str, str]] = []
     for lineno, toks in _lines(text):
-        if not toks:
-            continue
         if len(toks) == 3 and toks[0] == "a":
             _, t, head = toks
             names[t] = names[head] = None
@@ -59,7 +62,7 @@ def parse_digraph(text: str) -> Digraph:
 def format_digraph(h: Digraph) -> str:
     out = [f"v {v}" for v in h.vertices]
     out += [f"a {t} {head}" for t, head in h.sorted_arcs()]
-    return "\n".join(out) + "\n"
+    return _text(out)
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
@@ -70,8 +73,6 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     edges: list[tuple[str, str]] = []
     declared: set[str] = set()
     for lineno, toks in _lines(text):
-        if not toks:
-            continue
         if toks[0] in ("p1", "p2") and len(toks) == 2:
             if toks[1] in declared:
                 raise FormatError(
@@ -100,7 +101,7 @@ def format_bipartite(g: BipartiteGraph) -> str:
     out = [f"p1 {v}" for v in g.part1]
     out += [f"p2 {v}" for v in g.part2]
     out += [f"e {u} {v}" for u, v in sorted(g.edges)]
-    return "\n".join(out) + "\n"
+    return _text(out)
 
 
 def parse_costs(text: str) -> CostMatrix:
@@ -108,8 +109,6 @@ def parse_costs(text: str) -> CostMatrix:
     entries are an error, unspecified entries default to 0."""
     entries: dict[tuple[str, str], int] = {}
     for lineno, toks in _lines(text):
-        if not toks:
-            continue
         if len(toks) != 4 or toks[0] != "c":
             raise FormatError(f"line {lineno}: expected 'c <u> <i> <cost>'")
         _, u, i, cost = toks
@@ -135,4 +134,4 @@ def parse_costs(text: str) -> CostMatrix:
 
 def format_costs(costs: CostMatrix) -> str:
     out = [f"c {u} {i} {c}" for (u, i), c in sorted(costs.entries.items())]
-    return "\n".join(out) + ("\n" if out else "")
+    return _text(out)

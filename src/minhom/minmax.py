@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _collect, _quoted, first_injection,
-                      make_oriented_kb)
+                      _built, _collect, _quoted, first_injection)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
@@ -292,12 +291,3 @@ def find_minmax(h: Digraph, guard: int = FIND_GUARD) -> Ordering | None:
         raise InternalError("the ordering found fails the staircase check")
     return Ordering(found.values())
 
-
-def make_rc_k12() -> Digraph:
-    """Reflexive closure of the single-source orientation of K_{1,2}."""
-    return make_oriented_kb(1, 2).reflexive_closure()
-
-
-def make_rc_k21() -> Digraph:
-    """Reflexive closure of the single-sink orientation of K_{2,1}."""
-    return make_oriented_kb(2, 1).reflexive_closure()

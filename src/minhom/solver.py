@@ -155,9 +155,10 @@ def is_homomorphism(d: Digraph, h: Digraph, mapping: dict[str, str]) -> bool:
             and set(map(image, d.vertices)) <= h._index.keys()):
         for u in d.vertices:  # only to name the first vertex that fails
             if u not in mapping:
-                raise GraphError(f"mapping is not total: missing {u!r}")
+                raise GraphError(f"mapping is not total: missing {_quoted(u)}")
             if mapping[u] not in h:
-                raise GraphError(f"image {mapping[u]!r} is not a target vertex")
+                raise GraphError(
+                    f"image {_quoted(mapping[u])} is not a target vertex")
     return h.arcs.issuperset(zip(map(image, map(itemgetter(0), d.arcs)),
                                  map(image, map(itemgetter(1), d.arcs))))
 
@@ -817,11 +818,10 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
             if not present:
                 continue
             if a == b:
-                raise GraphError(f"class {a!r} is not independent")
+                raise GraphError(f"class {_quoted(a)} is not independent")
             if present != len(copies[a]) * len(copies[b]):
-                raise GraphError(
-                    f"classes {a!r} -> {b!r} are only partially joined"
-                )
+                raise GraphError(f"classes {_quoted(a)} -> {_quoted(b)} "
+                                 "are only partially joined")
             base_arcs.add((a, b))
     base = Digraph(base_order, base_arcs)
 
@@ -839,7 +839,7 @@ def collapse_extension(hp: Digraph, decomposition: dict[str, str], costs: CostMa
         out = {}
         for u, v in mapping.items():
             if v not in copies:
-                raise GraphError(f"image {v!r} is not a base vertex")
+                raise GraphError(f"image {_quoted(v)} is not a base vertex")
             # copies[v] is in declaration order, and min keeps the first
             out[u] = min(copies[v], key=lambda w: costs.cost(u, w))
         return out

@@ -11,8 +11,8 @@ import pytest
 import minhom
 from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     GraphError, format_bipartite, format_costs,
-                    format_digraph, make_cycle, make_tt, parse_bipartite,
-                    parse_costs, parse_digraph)
+                    format_digraph, make_cycle, make_oriented_kb, make_tt,
+                    parse_bipartite, parse_costs, parse_digraph)
 from minhom.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, resolve_target,
                         run)
 from minhom.solver import FlowNetwork, is_homomorphism, map_cost
@@ -125,6 +125,10 @@ def test_resolve_builtin_targets():
     ttm5 = resolve_target("rc_ttminus5")
     assert len(ttm5.nonloop_arcs()) == 9 and not ttm5.has_arc("1", "5")
     assert resolve_target("rc_k12").vertices == ("1", "2", "3")
+    for name, (a, b) in (("rc_k12", (1, 2)), ("rc_k21", (2, 1))):
+        star = resolve_target(name)
+        want = make_oriented_kb(a, b).reflexive_closure()
+        assert (star.vertices, star.arcs) == (want.vertices, want.arcs)
     t5 = resolve_target("t5_3344")
     assert set(t5.loops()) == {"3", "4"}
     assert resolve_target("t5_none").loops() == ()
@@ -570,9 +574,10 @@ LONG = "x" * 5000
      ["solve", "--target", "rc_tt2", "--input", "d.dg"]),
     ({"d.dg": f"v a,{LONG}\n"},
      ["solve", "--target", "rc_tt2", "--input", "d.dg"]),
-    ({"g.bg": f"p1 a\ne {LONG} a\n"}, ["pib-check", "--input", "g.bg"])],
+    ({"g.bg": f"p1 a\ne {LONG} a\n"}, ["pib-check", "--input", "g.bg"]),
+    ({}, ["classify-general", "--target", LONG])],
     ids=["cost", "cost-key", "duplicate-vertex", "bad-vertex-name",
-         "undeclared-vertex"])
+         "undeclared-vertex", "unreadable-path"])
 def test_cli_error_messages_cut_long_tokens(tmp_path, capsys, files, argv):
     # a 5000-character token is quoted by its first characters
     files = {"d.dg": "v a\n", **files}
@@ -581,6 +586,19 @@ def test_cli_error_messages_cut_long_tokens(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'... (500" in err
     assert len(err.encode()) < 200
+
+
+def test_cli_cannot_read_names_the_os_reason(tmp_path, capsys, monkeypatch):
+    # the OS reason alone: its full text would repeat the path
+    monkeypatch.chdir(tmp_path)
+    assert cli("witness", "--target", "nosuch.dg") == (EXIT_ERROR, "")
+    assert capsys.readouterr().err == (
+        "error: cannot read 'nosuch.dg': No such file or directory\n")
+
+
+def test_cli_bg_of_an_empty_digraph_prints_nothing(tmp_path):
+    h = write(tmp_path, "h.dg", "# no vertices\n")
+    assert cli("bg", "--target", h) == (EXIT_OK, "")
 
 
 def test_cli_error_paths(tmp_path, capsys):

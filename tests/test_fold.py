@@ -19,13 +19,12 @@ from minhom import (CostMatrix, Digraph, find_minmax, is_homomorphism,
                     make_cycle, make_tt, make_tt_minus, map_cost, solve_auto,
                     solve_bruteforce, solve_minmax)
 from minhom.cli import resolve_target
-from minhom.minmax import make_rc_k12
 from minhom.solver import FlowNetwork
 
 TARGETS = {"rc_tt3": make_tt(3).reflexive_closure(),
            "rc_tt5": make_tt(5).reflexive_closure(),
            "rc_ttminus6": make_tt_minus(6).reflexive_closure(),
-           "rc_k12": make_rc_k12(),
+           "rc_k12": resolve_target("rc_k12"),
            "tt4": make_tt(4),
            # a loopless digon: a directed cycle of d need not map to one
            # vertex, so nothing may be contracted

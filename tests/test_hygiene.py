@@ -310,3 +310,52 @@ def test_find_minmax_answers_its_declaration_order_before_the_guard():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and getattr(node.exc.func, "id", None) == "GuardExceeded"]
     assert raises and min(raises) > checked.lineno
+
+
+def test_no_raise_formats_a_value_with_repr():
+    # a caller-supplied value goes into an error message through _quoted,
+    # which cuts a long one to its first characters; `!r` echoes it whole
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for raise_ in ast.walk(tree)
+                  if isinstance(raise_, ast.Raise)
+                  for node in ast.walk(raise_)
+                  if isinstance(node, ast.FormattedValue)
+                  and node.conversion == ord("r")]
+    assert not found, f"raises that format with !r: {found}"
+
+
+def test_readers_leave_blank_lines_to_lines():
+    # io._lines yields only lines that have tokens, so no parse_* function
+    # tests its token list for emptiness
+    tree = ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    checked, found = [], []
+    for func in tree.body:
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name.startswith("parse_")):
+            continue
+        toks = {loop.target.elts[1].id for loop in ast.walk(func)
+                if isinstance(loop, ast.For)
+                and isinstance(loop.iter, ast.Call)
+                and getattr(loop.iter.func, "id", None) == "_lines"}
+        if toks:
+            checked.append(func.name)
+        for node in ast.walk(func):
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                subject = node.operand
+            elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+                subject = node.test
+            elif (isinstance(node, ast.Compare)
+                  and isinstance(node.left, ast.Call)
+                  and getattr(node.left.func, "id", None) == "len"
+                  and any(isinstance(c, ast.Constant) and c.value == 0
+                          for c in node.comparators)):
+                subject = node.left.args[0]
+            else:
+                continue
+            if isinstance(subject, ast.Name) and subject.id in toks:
+                found.append(f"{func.name}:{node.lineno}")
+    assert sorted(checked) == ["parse_bipartite", "parse_costs",
+                               "parse_digraph"]
+    assert not found, f"blank-line tests in the readers: {found}"

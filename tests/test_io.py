@@ -241,6 +241,17 @@ def test_costs_round_trip(entries):
     assert parse_costs(format_costs(costs)) == costs
 
 
+@pytest.mark.parametrize("empty, write, read", [
+    (Digraph(()), format_digraph, parse_digraph),
+    (BipartiteGraph((), ()), format_bipartite, parse_bipartite),
+    (CostMatrix({}), format_costs, parse_costs)],
+    ids=["digraph", "bipartite", "costs"])
+def test_empty_objects_are_written_as_empty_text(empty, write, read):
+    # each writer ends every line it writes with a newline: no lines, no text
+    assert write(empty) == ""
+    assert read(write(empty)) == empty
+
+
 # -- checks that name their first offender --------------------------------
 
 

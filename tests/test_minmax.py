@@ -8,9 +8,9 @@ import minhom.minmax
 from minhom import (ArcPair, Digraph, GraphError, GuardExceeded,
                     InternalError, Ordering, find_minmax, make_cycle,
                     make_oriented_kb, make_tt, make_tt_minus, verify_minmax)
+from minhom.cli import resolve_target
 from minhom.digraph import first_injection
-from minhom.minmax import (_is_staircase, _pair_test, _rank_rows,
-                           make_rc_k12, make_rc_k21)
+from minhom.minmax import _is_staircase, _pair_test, _rank_rows
 
 
 def test_ordering_parse_serialize():
@@ -115,8 +115,8 @@ def test_verify_invariant_under_reversal_exhaustive():
 def test_canonical_orderings_all_verify():
     # each star's centre (the source of rc_k12, the sink of rc_k21) sits
     # between its two other vertices
-    cases = [(make_rc_k12(), Ordering(("2", "1", "3"))),
-             (make_rc_k21(), Ordering(("1", "3", "2")))]
+    cases = [(resolve_target("rc_k12"), Ordering(("2", "1", "3"))),
+             (resolve_target("rc_k21"), Ordering(("1", "3", "2")))]
     for p in range(1, 9):
         h = make_tt(p).reflexive_closure()
         cases.append((h, Ordering(h.vertices)))
