@@ -37,7 +37,7 @@ _NAMED_TARGETS = {"rc_k12": lambda: make_oriented_kb(1, 2).reflexive_closure(),
 
 def resolve_target(spec: str) -> Digraph:
     """Expand a built-in target name, or read a digraph file."""
-    m = re.fullmatch(r"(rc_tt|rc_ttminus|cycle)0*(\d+)", spec)
+    m = re.fullmatch(r"(rc_tt|rc_ttminus|cycle)0*([0-9]+)", spec)
     if m:
         digits = m.group(2)  # length first: int() refuses over 4300 digits
         if (len(digits) > len(str(BUILTIN_TARGET_LIMIT))
@@ -73,6 +73,8 @@ def _read(path: str, parser):
     except UnicodeDecodeError as exc:
         raise GraphError(f"cannot read {_quoted(path)}: not UTF-8 "
                          f"(byte {exc.start}: {exc.reason})") from exc
+    except ValueError as exc:  # open() refuses a path with a NUL byte
+        raise GraphError(f"cannot read {_quoted(path)}: {exc}") from exc
     return parser(text)
 
 
@@ -128,6 +130,16 @@ def _guard(text: str) -> int:
     return int(text)
 
 
+def _size(text: str) -> int:
+    """An --n value: ASCII digits with an optional sign (argparse exits
+    otherwise); int() alone also takes other scripts' digits, underscores
+    and spaces.  enumerate_rmpt itself refuses sizes out of range."""
+    if not re.fullmatch(r"[-+]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {_quoted(text)}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -162,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("minmax-find", target={"required": True},
         guard={"type": _guard, "default": FIND_GUARD})
     add("witness", target={"required": True})
-    add("enumerate-rmpt", n={"type": int, "required": True})
+    add("enumerate-rmpt", n={"type": _size, "required": True})
     return parser
 
 

@@ -289,9 +289,14 @@ class FlowNetwork:
     asked, so a chain step whose reverse must not be cut is one pair.
     max_flow grows a search tree from s and one from t, augments along the
     path where they meet and re-attaches the nodes the augmentation cut off
-    (Boykov & Kolmogorov, TPAMI 2004).  The trees are kept between
-    augmentations, which suits the long chains of the layered "label >= i"
-    networks solve_minmax builds; every step is iterative.
+    (Boykov & Kolmogorov, TPAMI 2004).  Growth claims only free nodes.  An
+    orphan, a node whose parent edge the augmentation saturated, takes the
+    first edge in adj order to a node of its own tree that has residual
+    capacity towards it and whose parent chain ends at the root, not at
+    another orphan; with none, it is freed and its children become orphans.
+    The trees are kept between augmentations, which suits the long chains of
+    the layered "label >= i" networks solve_minmax builds; every step is
+    iterative.
 
     The final source tree is the minimal minimum cut, the nodes reachable
     from s in the residual network, so source_side runs no search.  Tree
@@ -325,17 +330,12 @@ class FlowNetwork:
         n = self.n
         # tree[v]: 0 free, 1 source tree, 2 sink tree.  parent[v], read only
         # while v is in a tree, is the edge from v to its tree parent.
-        # ts[v] is the augmentation after which dist[v], the depth of v in
-        # its tree, was last known exact.
         self.tree = tree = [0] * n
         parent = [_ROOT] * n
-        ts = [0] * n
-        dist = [0] * n
         queued = [False] * n
         tree[s], tree[t] = 1, 2
         active = deque((s, t))
         queued[s] = queued[t] = True
-        time = 0
         total = 0
         while active:
             u = active[0]
@@ -349,29 +349,20 @@ class FlowNetwork:
             # from s to t: u -> v in the source tree, v -> u in the sink tree
             meet = -1
             rev = side - 1
-            du, tu = dist[u] + 1, ts[u]
             for e in adj[u]:
                 if not cap[e ^ rev]:
                     continue
-                r = e ^ 1
                 v = head[e]
                 sv = tree[v]
                 if not sv:
                     tree[v] = side
-                    parent[v] = r
-                    ts[v] = tu
-                    dist[v] = du
+                    parent[v] = e ^ 1
                     if not queued[v]:
                         queued[v] = True
                         active.append(v)
                 elif sv != side:
                     meet = e ^ rev
                     break
-                elif ts[v] <= tu and dist[v] > du:
-                    # shorten v's path to the root
-                    parent[v] = r
-                    ts[v] = tu
-                    dist[v] = du
             if meet < 0:
                 active.popleft()
                 queued[u] = False
@@ -380,7 +371,6 @@ class FlowNetwork:
             # augmentation along s ~> a -> b ~> t, a = tail of meet.  Flow
             # takes parent edge e ^ rev: e's reverse in the source tree (from
             # the parent down to v), e itself in the sink tree
-            time += 1
             a, b = head[meet ^ 1], head[meet]
             walks = ((a, s, 1), (b, t, 0))
             push = cap[meet]
@@ -404,57 +394,34 @@ class FlowNetwork:
                         orphans.append(v)
                     v = head[e]
 
-            # adoption: give each orphan a parent in its own tree that
-            # still leads to the root, or free it and orphan its children
+            # adoption: give each orphan the first neighbour in its own tree
+            # that still leads to the root, or free it and orphan its children
             for v in orphans:
                 side = tree[v]
                 rev = 2 - side  # e ^ rev runs from w towards v as flow goes
-                best, best_d = -1, n
                 for e in adj[v]:
                     w = head[e]
                     if tree[w] != side or not cap[e ^ rev]:
                         continue
-                    d = 0
-                    x = w
-                    while ts[x] != time:
-                        pe = parent[x]
-                        if pe == _ROOT:
-                            ts[x] = time
-                            dist[x] = 0
-                            break
-                        if pe == _ORPHAN:
-                            d = n
-                            break
-                        d += 1
-                        x = head[pe]
-                    else:
-                        d += dist[x]
-                    if d < n:
-                        if d < best_d:
-                            best, best_d = e, d
-                        x = w
-                        while ts[x] != time:
-                            ts[x] = time
-                            dist[x] = d
-                            d -= 1
-                            x = head[parent[x]]
-                if best >= 0:
-                    parent[v] = best
-                    ts[v] = time
-                    dist[v] = best_d + 1
-                    continue
-                tree[v] = 0
-                for e in adj[v]:
-                    w = head[e]
-                    if tree[w] != side:
-                        continue
-                    if cap[e ^ rev] and not queued[w]:
-                        queued[w] = True
-                        active.append(w)
-                    pe = parent[w]
-                    if pe >= 0 and head[pe] == v:
-                        parent[w] = _ORPHAN
-                        orphans.append(w)
+                    x = parent[w]
+                    while x >= 0:
+                        x = parent[head[x]]
+                    if x == _ROOT:
+                        parent[v] = e
+                        break
+                else:
+                    tree[v] = 0
+                    for e in adj[v]:
+                        w = head[e]
+                        if tree[w] != side:
+                            continue
+                        if cap[e ^ rev] and not queued[w]:
+                            queued[w] = True
+                            active.append(w)
+                        pe = parent[w]
+                        if pe >= 0 and head[pe] == v:
+                            parent[w] = _ORPHAN
+                            orphans.append(w)
         return total
 
     def source_side(self) -> set[int]:

@@ -596,6 +596,38 @@ def test_cli_cannot_read_names_the_os_reason(tmp_path, capsys, monkeypatch):
         "error: cannot read 'nosuch.dg': No such file or directory\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify-general", "--target", "a\x00b"],
+    ["solve", "--target", "rc_tt2", "--input", "a\x00b"],
+    ["solve", "--target", "rc_tt2", "--input", "d.dg", "--costs", "a\x00b"],
+    ["pib-check", "--input", "a\x00b"]],
+    ids=["target", "input", "costs", "bipartite"])
+def test_cli_cannot_read_a_path_with_a_nul_byte(tmp_path, capsys, argv):
+    # open() raises ValueError, not OSError, for such a path; argv cannot
+    # hold a NUL, so only library callers of run pass one
+    argv = [write(tmp_path, a, "v a\n") if a == "d.dg" else a for a in argv]
+    assert cli(*argv) == (EXIT_ERROR, "")
+    assert capsys.readouterr().err == (
+        "error: cannot read 'a\\x00b': embedded null byte\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["minmax-find", "--target", "rc_tt٣"],
+    ["classify-general", "--target", "cycle３"],
+    ["bg", "--target", "rc_ttminus๓"],
+    ["enumerate-rmpt", "--n", "٣"],
+    ["enumerate-rmpt", "--n", "0_3"],
+    ["enumerate-rmpt", "--n", " 3"]],
+    ids=["rc_tt-arabic-indic", "cycle-fullwidth", "rc_ttminus-thai",
+         "n-arabic-indic", "n-underscore", "n-space"])
+def test_cli_sizes_are_ascii_digits(tmp_path, monkeypatch, argv):
+    # int() and the regex \d take any Unicode digit, and int() also takes
+    # underscores and surrounding spaces: each of these once listed or
+    # built the 3-vertex case.  No file of that name exists here either
+    monkeypatch.chdir(tmp_path)
+    assert cli(*argv) == (EXIT_ERROR, "")
+
+
 def test_cli_bg_of_an_empty_digraph_prints_nothing(tmp_path):
     h = write(tmp_path, "h.dg", "# no vertices\n")
     assert cli("bg", "--target", h) == (EXIT_OK, "")

@@ -233,6 +233,30 @@ def test_min_cut_is_read_off_the_max_flow():
     assert loops == [], f"loops in FlowNetwork.source_side: {loops}"
 
 
+def test_max_flow_is_plain_boykov_kolmogorov():
+    # max_flow keeps three per-node arrays: no distance or timestamp labels
+    # to re-parent nodes by, growth only claims free nodes, and an orphan
+    # takes the first neighbour whose parent chain still ends at a root
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    [func] = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and cls.name == "FlowNetwork" for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "max_flow"]
+    arrays = [target.id for node in ast.walk(func)
+              if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.BinOp)
+              and isinstance(node.value.left, ast.List)
+              for target in node.targets if isinstance(target, ast.Name)]
+    assert arrays == ["tree", "parent", "queued"], arrays
+    [growth] = [node for node in ast.walk(func) if isinstance(node, ast.For)
+                and ast.unparse(node.iter) == "adj[u]"]
+    claims = [node.lineno for node in ast.walk(growth)
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and ast.unparse(node.value) == "parent"]
+    assert len(claims) == 1, f"parent set in growth at lines {claims}"
+    assert func.end_lineno - func.lineno < 100
+
+
 def test_poly_orderings_are_rechecked_in_one_place():
     # every polynomial verdict that carries an ordering is built by
     # classify._poly, which re-checks the ordering with verify_minmax

@@ -297,6 +297,47 @@ def test_max_flow_matches_edmonds_karp_on_layered_networks(monkeypatch):
         assert net.source_side() == side
 
 
+def test_max_flow_matches_edmonds_karp_on_sparse_random_cores(monkeypatch):
+    # the networks _cut builds for sparse random digraphs of 50-300 vertices
+    # and about 2n arcs, nothing folded first, as solve-wide's inputs are:
+    # many short paths that cross, so orphans have many candidate parents
+    networks = []
+    max_flow = FlowNetwork.max_flow
+
+    def record(net, s, t):
+        networks.append((net.n, s, t, list(zip(
+            net.head[1::2], net.head[::2], net.cap[::2], net.cap[1::2]))))
+        return max_flow(net, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", record)
+    rng = random.Random(31)
+    for h in (RC_TT5, RC_TTMINUS6):
+        seq = find_minmax(h).sequence
+        lam, mu = _thresholds(_rows(h, seq)[0], len(seq))
+        for _ in range(3):
+            n = rng.randint(50, 300)
+            vecs = [[None if rng.random() < 0.05 else rng.randint(-3, 3)
+                     for _ in seq] for _ in range(n)]
+            arcs = {(a, b) for a, b in (rng.sample(range(n), 2)
+                                        for _ in range(2 * n))}
+            outs = [[] for _ in range(n)]
+            for a, b in sorted(arcs):
+                outs[a].append(b)
+            _cut(vecs, outs, list(range(n)), lam, mu)
+    monkeypatch.undo()
+    assert len(networks) == 6
+    for n, s, t, pairs in networks:
+        net = FlowNetwork(n)
+        for u, v, c, back in pairs:
+            net.add_edge(u, v, c, back)
+        edges = ([(u, v, c) for u, v, c, _ in pairs]
+                 + [(v, u, back) for u, v, _, back in pairs if back])
+        value, side = edmonds_karp(n, s, t, edges)
+        assert net.max_flow(s, t) == value
+        # the residual source side is the unique minimal minimum cut
+        assert net.source_side() == side
+
+
 def test_max_flow_keeps_the_uncuttable_chain_reverses(monkeypatch):
     # each step between two "label >= i" nodes of _cut's network is one
     # edge pair whose reverse capacity is not 0; Edmonds–Karp gets both
