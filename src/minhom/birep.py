@@ -193,6 +193,14 @@ def _wants(labels, adj) -> list[list[bool]]:
 
 _WANTS = {kind: _wants(*_pattern(edges)) for kind, edges in PATTERNS.items()}
 
+#: Per x label (x1..x4), the x label whose host its host must follow, or
+#: None: each pair is swapped by an automorphism of the pattern, the claw's
+#: (x1 x2)(y1 y2) and (x2 x3)(y2 y3), the net's (x1 x2)(y1 y2) and the
+#: tent's (x2 x4)(y2 y3).
+_AFTER = {"bipartite-claw": (None, 0, 1, None),
+          "bipartite-net": (None, 0, None, None),
+          "bipartite-tent": (None, None, None, 1)}
+
 
 def _place(adj: list[int], n1: int, kind: str) -> list[int] | None:
     """First hosts by position of one fixed pattern, x labels in part1
@@ -208,8 +216,15 @@ def _place(adj: list[int], n1: int, kind: str) -> list[int] | None:
     narrows them all: adj[a] * spread copies adj[a] into every field, and
     sees[d] is all ones in the fields of x label d's pattern neighbours.
     tries[d] holds the hosts x label d has yet to try, options[d] the y
-    masks before it."""
-    wants, n = _WANTS[kind], len(adj)
+    masks before it.
+
+    An automorphism of the pattern maps an embedding's x hosts to another
+    embedding's, so a label that one swaps with an earlier label tries
+    only hosts past that label's host (_AFTER).  The hosts of one x tuple
+    decide its y hosts, and within an orbit the lexicographically least x
+    tuple meets those order constraints, so the first embedding found is
+    the one the unconstrained search finds."""
+    wants, after, n = _WANTS[kind], _AFTER[kind], len(adj)
     part1, part2 = range(n1), range(n1, n)
     sides = [(xs, ys) for xs, ys in ((part1, part2), (part2, part1))
              if len(xs) >= len(wants) and len(ys) >= len(wants[0])]
@@ -236,7 +251,9 @@ def _place(adj: list[int], n1: int, kind: str) -> list[int] | None:
                                          for j, f in enumerate(
                                              map(narrowed.__and__, fields))]
                     options.append(narrowed)
-                    tries.append(iter(xs))
+                    e = after[len(placed)]
+                    tries.append(iter(xs if e is None else
+                                      range(placed[e] + 1, xs.stop)))
                     break
             else:
                 # every host tried for this label: undo the one before it

@@ -122,22 +122,31 @@ def _emit_solve(res, out) -> int:
     return EXIT_OK
 
 
+def _integer(text: str, pattern: str, what: str) -> int:
+    """int(text) if text fully matches pattern; argparse.ArgumentTypeError
+    otherwise, or past int()'s digit limit, quoting text with _quoted (a
+    ValueError would make argparse echo all of it)."""
+    if not re.fullmatch(pattern, text):
+        raise argparse.ArgumentTypeError(
+            f"expected {what}, got {_quoted(text)}")
+    try:
+        return int(text)
+    except ValueError:  # the int-from-str digit limit
+        raise argparse.ArgumentTypeError(
+            f"{_quoted(text)} has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _guard(text: str) -> int:
     """A --guard value: a nonnegative integer (argparse exits otherwise)."""
-    if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {_quoted(text)}")
-    return int(text)
+    return _integer(text, r"[0-9]+", "a nonnegative integer")
 
 
 def _size(text: str) -> int:
     """An --n value: ASCII digits with an optional sign (argparse exits
     otherwise); int() alone also takes other scripts' digits, underscores
     and spaces.  enumerate_rmpt itself refuses sizes out of range."""
-    if not re.fullmatch(r"[-+]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {_quoted(text)}")
-    return int(text)
+    return _integer(text, r"[-+]?[0-9]+", "an integer")
 
 
 @functools.cache

@@ -137,8 +137,10 @@ class Digraph:
               arcs: frozenset[tuple[str, str]]) -> "Digraph":
         """A digraph holding `vertices` and `arcs` as they are, unchecked:
         only for a graph whose names and arcs are valid by construction,
-        one derived from an already checked graph or built by a package
-        constructor from names it made itself."""
+        one derived from an already checked graph, built by a package
+        constructor from names it made itself, or read by a reader whose
+        tokens meet every rule of check_token and __init__ as read
+        (io.parse_digraph, for a file whose names hold no comma)."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "arcs", arcs)

@@ -36,7 +36,13 @@ def _text(lines: list[str]) -> str:
 
 def parse_digraph(text: str) -> Digraph:
     """Parse `v <name>` / `a <tail> <head>` lines; arc endpoints are
-    auto-declared in first-use order."""
+    auto-declared in first-use order.
+
+    The tokens already meet every rule of check_token but one: str.split
+    leaves none empty or holding whitespace, _lines has cut every `#`, a
+    repeated `v` line is refused below, and arc ends are declared as they
+    are read.  So only a name with a comma sends the graph through
+    Digraph's checks, which name it; otherwise it is wrapped as read."""
     # the declared names in order, as the keys of a dict: assigning a key
     # that is already there keeps its place
     names: dict[str, None] = {}
@@ -53,6 +59,8 @@ def parse_digraph(text: str) -> Digraph:
             names[toks[1]] = None
         else:
             raise FormatError(f"line {lineno}: expected 'v <name>' or 'a <tail> <head>'")
+    if "," not in "".join(names):
+        return Digraph._wrap(tuple(names), frozenset(arcs))
     try:
         return Digraph(names, arcs)
     except GraphError as exc:

@@ -59,7 +59,7 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -594,31 +594,31 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
     solve_core(vecs, outs, ins, core) for the core's (cost, label) or None,
     then one backward pass over the trail."""
     # d's adjacency index gives each input vertex's non-loop arcs by
-    # declaration index, and one pass per vertex its vector over the labels
-    # its arcs and loop allow (None where barred).  The reductions replace
-    # whole entries of outs and ins, never the index's own tuples
+    # declaration index.  Its flags (has an out-arc, has an in-arc, looped)
+    # bar the labels no arc or loop there can map to; each of the eight
+    # combinations' barred labels is listed once.  All n * p costs are
+    # looked up in one pass, and each vector is its vertex's slice of
+    # them, None where barred.  The reductions replace whole entries of
+    # outs and ins, never the index's own tuples
     vs = d.vertices
     p = len(seq)
     outs, ins, looped = d.adjacency
     outs, ins = list(outs), list(ins)
-    every = set(range(p))
-    rows = {i for i in every if succs[i]}
-    cols = {j for j in every if preds[j]}
-    diag = {i for i in every if i in succs[i]}
-    get = costs.entries.get
+    diag = {i for i in range(p) if i in succs[i]}
+    barred = {(out, inn, loop): [i for i in range(p) if out and not succs[i]
+                                 or inn and not preds[i]
+                                 or loop and i not in diag]
+              for out, inn, loop in product((False, True), repeat=3)}
+    flags = list(zip(map(bool, outs), map(bool, ins), looped))
+    if any(len(barred[f]) == p for f in set(flags)):
+        return SolveResult(None, None, method)
+    table = list(map(costs.entries.get, product(vs, seq), repeat(0)))
     vecs = []
-    for u, out, inn, loop in zip(vs, outs, ins, looped):
-        labels = every
-        if out:
-            labels = labels & rows
-        if inn:
-            labels = labels & cols
-        if loop:
-            labels = labels & diag
-        if not labels:
-            return SolveResult(None, None, method)
-        vecs.append([get((u, i), 0) if k in labels else None
-                     for k, i in enumerate(seq)])
+    for k, f in enumerate(flags):
+        vec = table[k * p:k * p + p]
+        for i in barred[f]:
+            vec[i] = None
+        vecs.append(vec)
 
     # every reduction rewrites vecs, outs and ins in place and appends to
     # one trail, which labels each removed vertex once its neighbour is
@@ -662,7 +662,7 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
     total, label = found
     for k, w, pick in reversed(trail):
         label[k] = pick if w < 0 else pick[label[w]]
-    mapping = {u: seq[label[k]] for k, u in enumerate(vs)}
+    mapping = dict(zip(vs, map(seq.__getitem__, label)))
     return _revalidated(d, h, costs, mapping, total + fixed, method)
 
 

@@ -16,9 +16,9 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     digraph_instance_from_bipartite,
                     find_forbidden, is_proper_interval_bigraph, lift_solution,
                     make_cycle, make_tt, project_solution, solve_bruteforce)
-from minhom.birep import (CLAW_EDGES, NET_EDGES, PATTERNS, TENT_EDGES,
-                          _induced_cycle, _pattern, find_pattern,
-                          validate_forbidden)
+from minhom.birep import (_AFTER, _WANTS, CLAW_EDGES, NET_EDGES, PATTERNS,
+                          TENT_EDGES, _induced_cycle, _pattern, _place,
+                          find_pattern, validate_forbidden)
 from minhom.digraph import InternalError, first_injection
 
 
@@ -497,6 +497,85 @@ def test_find_pattern_is_first_permutation_seeded():
             assert (None if fs is None else fs.embedding) == want
             found += fs is not None
     assert found > 30
+
+
+def unconstrained_place(adj, n1, kind):
+    """birep._place before it skipped symmetric x-host orders: every x
+    label tries every host of its part."""
+    wants, n = _WANTS[kind], len(adj)
+    part1, part2 = range(n1), range(n1, n)
+    sides = [(xs, ys) for xs, ys in ((part1, part2), (part2, part1))
+             if len(xs) >= len(wants) and len(ys) >= len(wants[0])]
+    if not sides:
+        return None
+    spread = sum(1 << j * n for j in range(len(wants[0])))
+    sees = [sum(((1 << n) - 1) << j * n for j, w in enumerate(want) if w)
+            for want in wants]
+    for xs, ys in sides:
+        fields = [(1 << ys.stop) - (1 << ys.start) << j * n
+                  for j in range(len(wants[0]))]
+        placed, options, tries = [], [sum(fields)], [iter(xs)]
+        while tries:
+            for a in tries[-1]:
+                if a in placed:
+                    continue
+                narrowed = options[-1] & ~(adj[a] * spread ^ sees[len(placed)])
+                if all(map(narrowed.__and__, fields)):
+                    placed.append(a)
+                    if len(placed) == len(wants):
+                        return placed + [(f & -f).bit_length() - 1 - j * n
+                                         for j, f in enumerate(
+                                             map(narrowed.__and__, fields))]
+                    options.append(narrowed)
+                    tries.append(iter(xs))
+                    break
+            else:
+                tries.pop()
+                if placed:
+                    placed.pop()
+                    options.pop()
+    return None
+
+
+def test_place_skips_symmetric_orders_and_finds_the_same_hosts():
+    rng = random.Random(16)
+    hits = 0
+    for _ in range(1500):
+        n1, n2 = rng.randint(3, 7), rng.randint(3, 7)
+        p = rng.choice((0.3, 0.5, 0.7))
+        adj = [0] * (n1 + n2)
+        for a in range(n1):
+            for b in range(n1, n1 + n2):
+                if rng.random() < p:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        for kind in PATTERNS:
+            hosts = _place(adj, n1, kind)
+            assert hosts == unconstrained_place(adj, n1, kind), (adj, n1)
+            hits += hosts is not None
+    assert hits > 500
+
+
+# the pattern automorphisms behind _AFTER: each swaps two x labels (and
+# two y labels), the later x label's host following the earlier one's
+SWAPS = {"bipartite-claw": [{"x1": "x2", "y1": "y2"},
+                            {"x2": "x3", "y2": "y3"}],
+         "bipartite-net": [{"x1": "x2", "y1": "y2"}],
+         "bipartite-tent": [{"x2": "x4", "y2": "y3"}]}
+
+
+def test_place_order_constraints_come_from_automorphisms():
+    for kind, swaps in SWAPS.items():
+        edges = set(PATTERNS[kind])
+        follows = set()
+        for swap in swaps:
+            swap = {**swap, **{b: a for a, b in swap.items()}}
+            assert {(swap.get(x, x), swap.get(y, y)) for x, y in edges} \
+                == edges, (kind, swap)
+            first, later = sorted(v for v in swap if v[0] == "x")
+            follows.add((int(later[1]) - 1, int(first[1]) - 1))
+        assert follows == {(d, e) for d, e in enumerate(_AFTER[kind])
+                           if e is not None}, kind
 
 
 def test_validate_forbidden_rejects_bad_certificates():

@@ -628,6 +628,19 @@ def test_cli_sizes_are_ascii_digits(tmp_path, monkeypatch, argv):
     assert cli(*argv) == (EXIT_ERROR, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["minmax-find", "--target", "rc_tt3", "--guard"],
+    ["enumerate-rmpt", "--n"]], ids=["guard", "n"])
+def test_cli_integer_options_past_the_digit_limit(capsys, argv):
+    # int() raised ValueError here, which argparse reported as "invalid
+    # _guard value" followed by every one of the 5000 characters
+    assert cli(*argv, "9" * 5000) == (EXIT_ERROR, "")
+    err = capsys.readouterr().err
+    assert "has more than 4300 digits" in err and "'... (5000" in err
+    assert len(err.encode()) < 300
+    assert "_guard" not in err and "_size" not in err
+
+
 def test_cli_bg_of_an_empty_digraph_prints_nothing(tmp_path):
     h = write(tmp_path, "h.dg", "# no vertices\n")
     assert cli("bg", "--target", h) == (EXIT_OK, "")

@@ -23,7 +23,8 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     GraphError, Ordering, format_bipartite, format_costs,
                     format_digraph, is_homomorphism, make_tt, parse_bipartite,
                     parse_costs, parse_digraph)
-from minhom.digraph import check_token
+from minhom import digraph, io
+from minhom.digraph import _quoted, check_token
 
 
 # -- the earlier versions -------------------------------------------------
@@ -202,6 +203,92 @@ def test_check_token_over_every_code_point():
         assert error_of(check_token, name) == error_of(old_check_token, name)
     for name in ("", None, 3, ",", "#", " ", "ab"):
         assert error_of(check_token, name) == error_of(old_check_token, name)
+
+
+# -- parse_digraph's own token check -------------------------------------
+
+
+def checked_parse_digraph(text):
+    """parse_digraph as it was while it sent every file through Digraph's
+    checks: the same loop, then Digraph(names, arcs)."""
+    names, arcs = {}, []
+    for lineno, toks in io._lines(text):
+        if len(toks) == 3 and toks[0] == "a":
+            _, t, head = toks
+            names[t] = names[head] = None
+            arcs.append((t, head))
+        elif len(toks) == 2 and toks[0] == "v":
+            if toks[1] in names:
+                raise FormatError(
+                    f"line {lineno}: duplicate vertex {_quoted(toks[1])}")
+            names[toks[1]] = None
+        else:
+            raise FormatError(
+                f"line {lineno}: expected 'v <name>' or 'a <tail> <head>'")
+    try:
+        return Digraph(names, arcs)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+# every str.splitlines boundary, CRLF among them
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+             "\x85", "\u2028", "\u2029"]
+
+
+def random_digraph_text(rng):
+    """A digraph file of a few lines: declarations (some repeated), arcs
+    (some repeated, some loops), comments, blank lines, names with commas
+    and now and then a malformed line."""
+    names = rng.sample(["u", "w", "x1", "\xe9", "7", "a,b", ",", "q,"],
+                       rng.randint(1, 5))
+    if rng.random() < 0.5:  # mostly comma-free files
+        names = [v for v in names if "," not in v] or ["u"]
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.3:
+            line = f"v {rng.choice(names)}"
+        elif kind < 0.7:
+            line = f"a {rng.choice(names)} {rng.choice(names)}"
+        elif kind < 0.8 and lines:
+            line = rng.choice(lines)
+        elif kind < 0.9:
+            line = rng.choice(["", "   ", "# a, b", "#"])
+        else:
+            line = rng.choice(["v", "a u", "v u w", "c u 1 2", "x"])
+        if rng.random() < 0.2:
+            line += rng.choice([" # note", "#, x", "\t#"])
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+    return "".join(line + rng.choice(LINE_ENDS) for line in lines)
+
+
+def test_parse_digraph_matches_the_fully_checked_reader(monkeypatch):
+    # a comma-free file is wrapped as read, with no check_token call; any
+    # other gives the same digraph or the same error as Digraph's checks
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return check_token(name)
+
+    monkeypatch.setattr(digraph, "check_token", counted)
+    rng = random.Random(32)
+    wrapped = 0
+    for _ in range(3000):
+        text = random_digraph_text(rng)
+        want = outcome(checked_parse_digraph, text)
+        calls.clear()
+        assert outcome(parse_digraph, text) == want, text
+        tokens = [t for _, toks in io._lines(text) for t in toks]
+        if not any("," in t for t in tokens):
+            assert calls == [], text
+            wrapped += want[0] == "ok"
+    assert wrapped > 500
+    calls.clear()
+    with pytest.raises(FormatError, match="bad vertex name 'a,b'"):
+        parse_digraph("v u\na u a,b\n")
+    assert calls == ["u", "a,b"]
 
 
 # -- round trips ----------------------------------------------------------

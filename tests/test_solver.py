@@ -966,3 +966,56 @@ def test_minmax_one_label_and_arcless_targets():
     # feasible and infeasible answers, with and without arcs in d
     assert {(1, True, True), (1, True, False), (2, True, False),
             (2, False, True), (0, True, False), (0, False, False)} <= seen
+
+
+def barred_labels(h, out, inn, loop):
+    """The labels of h that an input vertex with these flags (a non-loop
+    out-arc, a non-loop in-arc, a loop) cannot take."""
+    return {i for i in h.vertices
+            if out and not any(h.has_arc(i, j) for j in h.vertices)
+            or inn and not any(h.has_arc(j, i) for j in h.vertices)
+            or loop and not h.has_loop(i)}
+
+
+def test_auto_cost_vectors_bar_the_labels_of_each_flag_combination():
+    # the Min-Max targets bar some label for each combination with a flag
+    # (one with none bars nothing), and one combination bars every label
+    # of B and of C; D and E have no Min-Max ordering and take the
+    # reductions of the brute route
+    targets = {
+        "A": Digraph(("1", "2", "3"),
+                     [("1", "2"), ("2", "3"), ("1", "3"), ("2", "2")]),
+        "B": Digraph(("1", "2", "3"), [("1", "2"), ("2", "3"), ("1", "3")]),
+        "C": Digraph(("1", "2", "3"), [("1", "2"), ("1", "3")]),
+        "D": Digraph(("1", "2", "3"),
+                     [("1", "2"), ("2", "3"), ("3", "1"), ("1", "1")]),
+        "E": Digraph(("1", "2", "3", "4"), [("1", "2"), ("2", "3"),
+                                            ("3", "4"), ("4", "1"),
+                                            ("1", "3")])}
+    flags = list(itertools.product((False, True), repeat=3))
+    for name in "ABC":
+        assert all(barred_labels(targets[name], *f) for f in flags[1:])
+    assert {"B", "C"} == {name for name in "ABC" if any(
+        len(barred_labels(targets[name], *f)) == 3 for f in flags)}
+    rng = random.Random(32)
+    seen, answers = set(), set()
+    for name, h in targets.items():
+        for _ in range(60):
+            d = random_input(rng, max_n=8, p=rng.choice((0.05, 0.12, 0.2)))
+            d = Digraph(d.vertices, [(u, w) for u, w in d.arcs if u != w]
+                        + [(u, u) for u in d.vertices if rng.random() < 0.3])
+            outs, ins, looped = d.adjacency
+            seen |= set(zip(map(bool, outs), map(bool, ins), looped))
+            costs = random_costs(rng, d, h)
+            got, want = solve_auto(d, h, costs), solve_bruteforce(d, h, costs)
+            assert got.method == ("brute" if name in "DE" else "minmax")
+            assert (got.feasible, got.cost) == (want.feasible, want.cost), \
+                (name, d, costs)
+            answers.add((name, got.feasible))
+    assert seen == set(flags)
+    assert {("A", True), ("B", False), ("C", False), ("D", True),
+            ("E", False)} <= answers
+    empty = Digraph(())
+    got = solve_auto(empty, empty, CostMatrix({}))
+    want = solve_bruteforce(empty, empty, CostMatrix({}))
+    assert (got.mapping, got.cost) == (want.mapping, want.cost) == ({}, 0)
