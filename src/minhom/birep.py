@@ -295,24 +295,6 @@ def label_hosts(kind: str, hosts: list[int],
                                                           hosts))))
 
 
-def _induced_cycle(g: BipartiteGraph,
-                   subset: tuple[str, ...]) -> ForbiddenStructure | None:
-    """The cycle subset induces in g, walked from subset[0] towards its
-    first neighbour in vertex order, or None if it induces no single cycle."""
-    members = list(map(g.digraph._index.__getitem__, subset))
-    walk = _cycle(_masks(g), members, sum(1 << k for k in members))
-    return walk and label_hosts("long-induced-cycle", walk, g.vertices)
-
-
-def find_pattern(g: BipartiteGraph, kind: str) -> ForbiddenStructure | None:
-    """First induced embedding of one fixed pattern, x labels in part1
-    before part2: hosts are tried in g.vertices order, labels placed in
-    sorted order (x1..x4, then y1..y3), and the first embedding in that
-    lexicographic order is returned."""
-    hosts = _place(_masks(g), len(g.part1), kind)
-    return hosts and label_hosts(kind, hosts, g.vertices)
-
-
 def find_forbidden(g: BipartiteGraph,
                    guard: int = FORBIDDEN_GUARD) -> ForbiddenStructure | None:
     """First forbidden structure in g, or None.

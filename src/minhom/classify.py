@@ -305,32 +305,34 @@ def classify_theorem5(b) -> Classification:
 def classify_general(h: Digraph, guard: int = FIND_GUARD) -> Classification:
     """Best-effort classification from the generic sufficient conditions.
 
-    A loopless directed cycle (solved exactly by solve_cycle) gives
-    polynomial; then a found hardness witness gives NP-hard and a found
-    Min-Max ordering polynomial; otherwise the verdict is unknown.  Never
-    claims more than the sufficient conditions justify.
+    The two polynomial rules come first: a loopless directed cycle (solved
+    exactly by solve_cycle), then a found Min-Max ordering (solved by
+    solve_minmax).  Then a found hardness witness gives NP-hard; otherwise
+    the verdict is unknown, noting a Min-Max search the guard stopped.
+    Never claims more than the sufficient conditions justify.
+
+    The order changes no verdict: MinHOM(H) is polynomial for a target
+    with a Min-Max ordering or a directed-cycle core, and NP-hard for one
+    with a witness, so a target with both would give P = NP.
     """
-    # A loopless directed cycle has no witness: it has no loop for a
-    # reflexive cycle, and BG of each of its induced subdigraphs is a
-    # matching, which holds no forbidden structure.  So this rule may run
-    # before the witness search without changing any answer.
     walk = None if any(h.adjacency[2]) else cycle_walk(h)
     if walk is not None:
         k = len(walk)
         if h.arcs != {(walk[i], walk[(i + 1) % k]) for i in range(k)}:
             raise InternalError("bad directed-cycle certificate")
         return Classification(POLY, "directed-cycle", cycle=walk)
+    notes: tuple[str, ...] = ()
+    try:
+        ordering = find_minmax(h, guard=guard)
+    except GuardExceeded:
+        ordering, notes = None, ("minmax-skipped-guard",)
+    if ordering is not None:
+        return _poly(h, "minmax", ordering)
     w = find_witness(h)
     if w is not None:
         rule = "lemma4.2" if isinstance(w, ReflexiveCycleWitness) else "bg-forbidden"
         return Classification(NP_HARD, rule, witness=w)
-    try:
-        ordering = find_minmax(h, guard=guard)
-    except GuardExceeded:
-        return Classification(UNKNOWN, "none", notes=("minmax-skipped-guard",))
-    if ordering is not None:
-        return _poly(h, "minmax", ordering)
-    return Classification(UNKNOWN, "none")
+    return Classification(UNKNOWN, "none", notes=notes)
 
 
 # -- exhaustive enumeration -----------------------------------------------

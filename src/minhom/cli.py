@@ -15,7 +15,7 @@ import sys
 from . import classify as cls
 from . import io as fmt
 from .birep import FORBIDDEN_GUARD, bg, is_proper_interval_bigraph
-from .digraph import (Digraph, GraphError, _quoted, make_cycle,
+from .digraph import (QUOTE_LIMIT, Digraph, GraphError, _quoted, make_cycle,
                       make_oriented_kb, make_tt, make_tt_minus)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 from .solver import solve_auto, solve_bruteforce, solve_cycle, solve_minmax
@@ -149,9 +149,21 @@ def _size(text: str) -> int:
     return _integer(text, r"[-+]?[0-9]+", "an integer")
 
 
+class _UsageError(Exception):
+    """A usage error of the command line: (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises _UsageError where argparse would
+    print the message and exit, so that run can cut the tokens it echoes."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minhom",
         description="Minimum cost homomorphism solving and target classification",
     )
@@ -191,7 +203,17 @@ def run(argv, out=None) -> int:
     out = out or sys.stdout
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        parser, message = exc.args
+        # argparse echoes a bad token in full, bare or as its repr
+        for token in argv:
+            if len(token) > QUOTE_LIMIT:
+                message = message.replace(repr(token), token).replace(
+                    token, _quoted(token))
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return EXIT_ERROR
+    except SystemExit as exc:  # --help
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return _dispatch(args, out)

@@ -146,19 +146,6 @@ class Digraph:
         object.__setattr__(g, "arcs", arcs)
         return g
 
-    @classmethod
-    def from_arcs(cls, arcs, vertices=()) -> "Digraph":
-        """Build a digraph, auto-declaring arc endpoints in first-use order."""
-        order = _built(list, vertices, "vertices")
-        seen = set(order)
-        arcs = _pairs(arcs, "arc")
-        for t, h in arcs:
-            for v in (t, h):
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-        return cls(order, arcs)
-
     # -- basic accessors ---------------------------------------------------
 
     @cached_property
@@ -208,10 +195,6 @@ class Digraph:
         return tuple(map(tuple, outs)), tuple(map(tuple, ins)), tuple(looped)
 
     # -- constructions -----------------------------------------------------
-
-    def converse(self) -> "Digraph":
-        """Reverse every arc (loops are fixed points)."""
-        return Digraph(self.vertices, ((h, t) for t, h in self.arcs))
 
     def reflexive_closure(self) -> "Digraph":
         """Add a loop to every vertex lacking one.  Idempotent."""

@@ -17,9 +17,23 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     find_forbidden, is_proper_interval_bigraph, lift_solution,
                     make_cycle, make_tt, project_solution, solve_bruteforce)
 from minhom.birep import (_AFTER, _WANTS, CLAW_EDGES, NET_EDGES, PATTERNS,
-                          TENT_EDGES, _induced_cycle, _pattern, _place,
-                          find_pattern, validate_forbidden)
+                          TENT_EDGES, _cycle, _masks, _pattern, _place,
+                          label_hosts, validate_forbidden)
 from minhom.digraph import InternalError, first_injection
+
+
+def kernel(g, kind, subset=()):
+    """What find_forbidden's kernels find in g, named by label_hosts: the
+    first embedding of a pattern kind (_place), or for a long induced cycle
+    the cycle that subset induces (_cycle), walked from subset[0]; None if
+    there is none."""
+    adj = _masks(g)
+    if kind in PATTERNS:
+        hosts = _place(adj, len(g.part1), kind)
+    else:
+        members = [g.digraph._index[v] for v in subset]
+        hosts = _cycle(adj, members, sum(1 << k for k in members))
+    return hosts and label_hosts(kind, hosts, g.vertices)
 
 
 def pattern_graph(kind):
@@ -34,6 +48,9 @@ def test_bipartite_validation():
         BipartiteGraph(("a",), ("a",))
     with pytest.raises(GraphError):
         BipartiteGraph(("a", "b"), ("c",), [("a", "b")])
+    for part1, part2 in ((("a", "a"), ("b",)), (("a",), ("b", "b"))):
+        with pytest.raises(GraphError, match="duplicate vertex declarations"):
+            BipartiteGraph(part1, part2)
 
 
 def test_bg_loop_gives_cross_edge():
@@ -55,9 +72,9 @@ def test_bg_edge_count_matches_arcs():
 
 
 def test_bg_of_converse_swaps_parts():
-    h = Digraph.from_arcs([("a", "b"), ("b", "c"), ("a", "a")])
+    h = Digraph(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "a")])
     g1 = bg(h)
-    g2 = bg(h.converse())
+    g2 = bg(Digraph(h.vertices, [(b, a) for a, b in h.arcs]))
     flip = {(v + "_1"): (v + "_2") for v in h.vertices}
     flip |= {(v + "_2"): (v + "_1") for v in h.vertices}
     assert {frozenset((flip[u], flip[v])) for u, v in g1.edges} == \
@@ -93,7 +110,7 @@ def test_patterns_absent_from_proper_induced_subgraphs():
 def test_pattern_found_with_parts_swapped():
     g = pattern_graph("bipartite-claw")
     swapped = BipartiteGraph(g.part2, g.part1, g.edges)
-    fs = find_pattern(swapped, "bipartite-claw")
+    fs = kernel(swapped, "bipartite-claw")
     assert fs is not None and validate_forbidden(swapped, fs)
 
 
@@ -316,6 +333,24 @@ def test_lift_rejects_non_homomorphism():
         lift_solution(g, h, {"s": "2", "t": "1"})
 
 
+def test_lift_and_project_name_a_bad_mapping():
+    h = make_tt(2)
+    g = BipartiteGraph(("s",), ("t",), [("s", "t")])
+    for convert, mapping, message in (
+            (lift_solution, {"s": "1"}, "mapping is not total: missing 't'"),
+            (lift_solution, {"s": "1", "t": "zz"},
+             "image 'zz' is not a vertex of the target"),
+            (project_solution, {"s": "1_1"},
+             "mapping is not total: missing 't'"),
+            (project_solution, {"s": "1_2", "t": "2_2"},
+             "image '1_2' does not respect the parts"),
+            (project_solution, {"s": "9_1", "t": "2_2"},
+             "image '9_1' does not respect the parts")):
+        with pytest.raises(GraphError) as info:
+            convert(g, h, mapping)
+        assert str(info.value) == message
+
+
 ERROR_PROBE = """
 from minhom import (BipartiteGraph, CostMatrix, Digraph, GraphError,
                     lift_solution, make_tt, project_solution)
@@ -329,7 +364,7 @@ calls = [
                                     "x": "1_2", "y": "1_2"}),
     lambda: CostMatrix({("u", "1"): 1, "ab": 2}),
     lambda: Digraph(("a", "b"), [("a", "b"), ("a",)]),
-    lambda: Digraph.from_arcs([("a", "b"), ("a", "b", "c")]),
+    lambda: Digraph(("a", "b"), [("a", "b"), ("a", "b", "c")]),
     lambda: BipartiteGraph(("a",), ("b",), [("a", "b"), "ab"]),
     lambda: Digraph(["a"], [("a", "x"), ("a", "y"), ("b", "a")]),
 ]
@@ -392,23 +427,24 @@ def test_induced_cycle_hand_cases():
     g = BipartiteGraph(("a1", "a2", "a3"), ("b1", "b2", "b3"),
                        [("a1", "b1"), ("a2", "b1"), ("a2", "b2"),
                         ("a3", "b2"), ("a3", "b3"), ("a1", "b3")])
-    fs = _induced_cycle(g, g.vertices)
+    fs = kernel(g, "long-induced-cycle", g.vertices)
     assert fs.kind == "long-induced-cycle"
     assert fs.host_vertices() == ("a1", "b1", "a2", "b2", "a3", "b3")
     assert validate_forbidden(g, fs)
     # a chord leaves a1 with three neighbours in the subset
     chord = BipartiteGraph(g.part1, g.part2, g.edges | {("a1", "b2")})
-    assert _induced_cycle(chord, chord.vertices) is None
+    assert kernel(chord, "long-induced-cycle", chord.vertices) is None
     # a path: the ends have one neighbour
     path = BipartiteGraph(g.part1, g.part2, g.edges - {("a1", "b3")})
-    assert _induced_cycle(path, path.vertices) is None
+    assert kernel(path, "long-induced-cycle", path.vertices) is None
     # two disjoint 4-cycles: every degree is 2, but the walk closes early
     two = BipartiteGraph(("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"),
                          [("a1", "b1"), ("a1", "b2"), ("a2", "b1"),
                           ("a2", "b2"), ("a3", "b3"), ("a3", "b4"),
                           ("a4", "b3"), ("a4", "b4")])
-    assert _induced_cycle(two, two.vertices) is None
-    assert _induced_cycle(two, ("a1", "a2", "b1", "b2")).host_vertices() == (
+    assert kernel(two, "long-induced-cycle", two.vertices) is None
+    assert kernel(two, "long-induced-cycle",
+                  ("a1", "a2", "b1", "b2")).host_vertices() == (
         "a1", "b1", "a2", "b2")
 
 
@@ -438,7 +474,7 @@ def test_induced_cycle_matches_brute_force_seeded():
                                     if rng.random() < 0.5])
         for size in range(4, len(g.vertices) + 1):
             for subset in itertools.combinations(g.vertices, size):
-                fs = _induced_cycle(g, subset)
+                fs = kernel(g, "long-induced-cycle", subset)
                 assert (fs is not None) == brute_induced_cycle(g, subset)
                 if fs is None:
                     continue
@@ -492,7 +528,7 @@ def test_find_pattern_is_first_permutation_seeded():
     found = 0
     for g in graphs:
         for kind in PATTERNS:
-            fs = find_pattern(g, kind)
+            fs = kernel(g, kind)
             want = brute_first_pattern(g, kind)
             assert (None if fs is None else fs.embedding) == want
             found += fs is not None
@@ -603,7 +639,7 @@ def test_validate_forbidden_rejects_bad_certificates():
     # a complete pattern embedding validates; dropping or adding a label does not
     for kind in PATTERNS:
         pg = pattern_graph(kind)
-        fs = find_pattern(pg, kind)
+        fs = kernel(pg, kind)
         assert validate_forbidden(pg, fs)
         for embedding in (fs.embedding[1:], fs.embedding + (("z1", "y9"),)):
             assert not validate_forbidden(pg, ForbiddenStructure(kind, embedding))
@@ -613,7 +649,7 @@ def test_validate_forbidden_rejects_bad_certificates():
 
 
 def injection_pattern(g, kind):
-    """find_pattern as a plain search: digraph.first_injection of the sorted
+    """_place as a plain search: digraph.first_injection of the sorted
     labels over all of g's vertices, x labels in part1 before part2."""
     labels, pattern_adj = _pattern(PATTERNS[kind])
     side = dict.fromkeys(g.part1, 1) | dict.fromkeys(g.part2, 2)
@@ -637,7 +673,7 @@ def exhaustive_forbidden(g):
     each even length, then the patterns by injection_pattern."""
     for length in range(6, len(g.vertices) + 1, 2):
         for subset in itertools.combinations(g.vertices, length):
-            found = _induced_cycle(g, subset)
+            found = kernel(g, "long-induced-cycle", subset)
             if found is not None:
                 return found.kind, found.embedding
     for kind in ("bipartite-claw", "bipartite-net", "bipartite-tent"):
@@ -663,7 +699,7 @@ def bigraphs(draw, most=10):
 @given(bigraphs())
 def test_find_pattern_matches_the_injection_search(g):
     for kind in PATTERNS:
-        fs = find_pattern(g, kind)
+        fs = kernel(g, kind)
         assert (None if fs is None else fs.embedding) == \
             injection_pattern(g, kind)
 

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minhom import (CostMatrix, Digraph, GraphError, InternalError,
-                    build_theorem5_digraph, classify_general,
-                    classify_reflexive_mpt, classify_theorem5,
-                    classify_tournament_wpl, components, enumerate_rmpt,
-                    find_minmax, find_witness, is_homomorphism, make_cycle,
-                    make_oriented_kb, make_tt, make_tt_minus, map_cost,
-                    solve_auto, solve_bruteforce, validate_witness,
-                    verify_minmax)
+from minhom import (Classification, CostMatrix, Digraph, GraphError,
+                    GuardExceeded, InternalError, build_theorem5_digraph,
+                    classify_general, classify_reflexive_mpt,
+                    classify_theorem5, classify_tournament_wpl, components,
+                    enumerate_rmpt, find_minmax, find_witness,
+                    is_homomorphism, make_cycle, make_oriented_kb, make_tt,
+                    make_tt_minus, map_cost, solve_auto, solve_bruteforce,
+                    validate_witness, verify_minmax)
 from minhom.birep import bg, find_forbidden
 from minhom.classify import (WITNESS_SUBSET_CAP, BGForbiddenWitness,
                              ReflexiveCycleWitness, _witnesses)
 from minhom.digraph import cycle_walk
-from minhom.minmax import _is_staircase, _rank_rows
+from minhom.minmax import FIND_GUARD, _is_staircase, _rank_rows
+from test_birep import kernel
 
 
 def test_witness_none_for_rc_tt3():
@@ -26,15 +27,16 @@ def test_witness_none_for_rc_tt3():
 
 
 def test_witness_looped_star_claw():
-    h = Digraph.from_arcs([("z", "u"), ("z", "v"), ("w", "z"),
-                           ("z", "z"), ("u", "u"), ("v", "v")])
+    h = Digraph(("z", "u", "v", "w"), [("z", "u"), ("z", "v"), ("w", "z"),
+                                       ("z", "z"), ("u", "u"), ("v", "v")])
     w = find_witness(h)
     assert isinstance(w, BGForbiddenWitness)
     assert w.structure.kind == "bipartite-claw"
     assert validate_witness(h, w)
     # the claw survives in the fully reflexive variant and both converses
-    for variant in (h.converse(), h.reflexive_closure(),
-                    h.reflexive_closure().converse()):
+    rc = h.reflexive_closure()
+    for variant in (Digraph(h.vertices, [(b, a) for a, b in h.arcs]), rc,
+                    Digraph(h.vertices, [(b, a) for a, b in rc.arcs])):
         w2 = find_witness(variant)
         assert w2 is not None and validate_witness(variant, w2)
 
@@ -92,10 +94,10 @@ def test_find_witness_skips_subsets_too_small_for_a_structure(monkeypatch):
 
 
 def test_witness_fully_looped_t5_tent_exists():
-    from minhom.birep import bg, find_pattern, validate_forbidden
+    from minhom.birep import bg, validate_forbidden
     h = build_theorem5_digraph({"11", "22", "33", "44"})
     g = bg(h)
-    tent = find_pattern(g, "bipartite-tent")
+    tent = kernel(g, "bipartite-tent")
     assert tent is not None and validate_forbidden(g, tent)
 
 
@@ -352,8 +354,8 @@ def test_theorem5_poly_case_without_ordering_is_internal(monkeypatch):
 
 
 def test_general_reflexive_out_star():
-    h = Digraph.from_arcs([("z", "u"), ("z", "v"), ("z", "w"),
-                           ("u", "u"), ("v", "v"), ("w", "w")])
+    h = Digraph(("z", "u", "v", "w"), [("z", "u"), ("z", "v"), ("z", "w"),
+                                       ("u", "u"), ("v", "v"), ("w", "w")])
     c = classify_general(h)
     assert c.verdict == "np-hard"
     assert c.witness.structure.kind == "bipartite-claw"
@@ -418,6 +420,19 @@ def test_validate_witness_rejects_mislabelled_structures():
     w = BGForbiddenWitness(("zz",), ForbiddenStructure("bipartite-net", ()))
     assert validate_witness(rc3, w) is False
     assert validate_witness(rc3, ReflexiveCycleWitness(("1", "2", "zz"), "1")) is False
+    # the looped vertex must be on the cycle and carry a loop
+    looped = Digraph(("1", "2", "3", "4"), [*c3.arcs, ("1", "1"), ("4", "4")])
+    assert validate_witness(looped, ReflexiveCycleWitness(("1", "2", "3"), "1"))
+    for w in (ReflexiveCycleWitness(("1", "2", "3"), "4"),
+              ReflexiveCycleWitness(("1", "2", "3"), "2")):
+        assert validate_witness(looped, w) is False
+
+
+def test_rmpt_needs_two_partite_sets():
+    for h in (Digraph(("a",), [("a", "a")]),
+              Digraph(("a", "b"), [("a", "a"), ("b", "b")])):
+        with pytest.raises(GraphError, match="at least 2 partite sets"):
+            classify_reflexive_mpt(h)
 
 
 def test_general_skips_minmax_beyond_guard():
@@ -427,6 +442,69 @@ def test_general_skips_minmax_beyond_guard():
     assert not _is_staircase(_rank_rows(h, h.vertices))
     c = classify_general(h, guard=4)
     assert c.verdict == "unknown" and "minmax-skipped-guard" in c.notes
+
+
+def witness_first(h, guard=FIND_GUARD):
+    """classify_general's rules with the witness search asked before the
+    Min-Max search: the reference order for the two tests below."""
+    walk = None if any(h.adjacency[2]) else cycle_walk(h)
+    if walk is not None:
+        return Classification("poly", "directed-cycle", cycle=walk)
+    w = find_witness(h)
+    if w is not None:
+        rule = ("lemma4.2" if isinstance(w, ReflexiveCycleWitness)
+                else "bg-forbidden")
+        return Classification("np-hard", rule, witness=w)
+    try:
+        ordering = find_minmax(h, guard=guard)
+    except GuardExceeded:
+        return Classification("unknown", "none",
+                              notes=("minmax-skipped-guard",))
+    if ordering is not None:
+        return Classification("poly", "minmax", ordering=ordering)
+    return Classification("unknown", "none")
+
+
+def test_general_route_order_changes_no_answer():
+    # a target with a Min-Max ordering and a witness would make an NP-hard
+    # problem polynomial, so asking the ordering first changes nothing
+    def labelled(vs, bits):
+        pairs = [(a, b) for a in vs for b in vs]
+        return Digraph(vs, [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+    rng = random.Random(33)
+    targets = [labelled(("1", "2", "3"), bits) for bits in range(1 << 9)]
+    targets += [labelled(("1", "2", "3", "4"), bits)
+                for bits in rng.sample(range(1 << 16), 2000)]
+    verdicts = set()
+    for h in targets:
+        c = classify_general(h)
+        assert c == witness_first(h), h
+        verdicts.add(c.verdict)
+    assert verdicts == {"poly", "np-hard", "unknown"}
+    # under a guard that stops the search, the note survives a search
+    # for a witness that finds none
+    rc = make_tt(6).reflexive_closure()
+    h = Digraph(rc.vertices[::2] + rc.vertices[1::2], rc.arcs)
+    assert classify_general(h, guard=4) == witness_first(h, guard=4)
+
+
+def test_general_finds_a_min_max_ordering_without_the_witness_search(
+        monkeypatch):
+    import minhom.classify
+    calls = []
+    search = minhom.classify.find_witness
+    monkeypatch.setattr(minhom.classify, "find_witness",
+                        lambda h: calls.append(h) or search(h))
+    for h, rule in ((make_tt(80).reflexive_closure(), "minmax"),
+                    (make_cycle(5), "directed-cycle"),
+                    (build_theorem5_digraph({"33"}), "minmax")):
+        c = classify_general(h)
+        assert (c.verdict, c.rule) == ("poly", rule)
+    assert calls == []
+    # where no rule of the first two holds, the witness search runs
+    c = classify_general(build_theorem5_digraph({"11", "22", "33", "44"}))
+    assert c.verdict == "np-hard" and len(calls) == 1
 
 
 # -- out-star family, exhaustively ----------------------------------------
@@ -439,9 +517,9 @@ def test_out_star_family_exhaustive():
             for b in itertools.combinations(loops, r):
                 arcs = [("z", "u"), ("z", "v"), ("z", "w")]
                 arcs += [(x[0], x[1]) for x in b]
-                h = Digraph(("u", "v", "w", "z"), arcs)
                 if conv:
-                    h = h.converse()
+                    arcs = [(y, x) for x, y in arcs]
+                h = Digraph(("u", "v", "w", "z"), arcs)
                 hard = {"uu", "vv", "ww"} <= set(b)
                 if hard:
                     w = find_witness(h)

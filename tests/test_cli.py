@@ -15,6 +15,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     parse_bipartite, parse_costs, parse_digraph)
 from minhom.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, resolve_target,
                         run)
+from minhom.digraph import _quoted
 from minhom.solver import FlowNetwork, is_homomorphism, map_cost
 
 
@@ -67,6 +68,12 @@ def test_names_with_a_hash_are_rejected():
 def test_parse_bipartite_requires_declaration():
     with pytest.raises(FormatError, match="line 1"):
         parse_bipartite("e s t\n")
+
+
+def test_parse_bipartite_refuses_an_edge_inside_one_part():
+    with pytest.raises(FormatError) as info:
+        parse_bipartite("p1 a\np1 b\np2 c\ne a c\ne a b\n")
+    assert str(info.value) == "edge ('a', 'b') does not cross the parts"
 
 
 def test_costs_round_trip_and_errors():
@@ -544,6 +551,27 @@ def test_cli_witness():
     assert lines[0].startswith("witness ")
 
 
+def test_cli_prints_a_reflexive_cycle_witness(tmp_path):
+    h = write(tmp_path, "h.dg", "a 1 2\na 2 3\na 3 1\na 2 2\n")
+    witness = "witness reflexive-cycle 1 2 3\nloop 2\n"
+    assert cli("witness", "--target", h) == (EXIT_OK, witness)
+    assert cli("classify-general", "--target", h) == (
+        EXIT_OK, "verdict np-hard\nrule lemma4.2\n" + witness)
+
+
+def test_cli_solve_minmax_needs_an_ordering_to_find(tmp_path, capsys):
+    d = write(tmp_path, "d.dg", "v u\n")
+    assert cli("solve", "--target", "t5_223344", "--input", d,
+               "--method", "minmax") == (EXIT_ERROR, "")
+    assert capsys.readouterr().err == "error: target has no Min-Max ordering\n"
+
+
+def test_cli_pib_check_needs_an_input(capsys):
+    assert cli("pib-check") == (EXIT_ERROR, "")
+    assert capsys.readouterr().err == (
+        "error: pib-check needs --input (bipartite) or --target (digraph)\n")
+
+
 def test_cli_witness_on_rc_tt30_is_fast():
     # 31 465 subsets of 3 or 4 vertices, all with the same arc pattern per
     # size: the forbidden-structure search runs once per pattern
@@ -639,6 +667,23 @@ def test_cli_integer_options_past_the_digit_limit(capsys, argv):
     assert "has more than 4300 digits" in err and "'... (5000" in err
     assert len(err.encode()) < 300
     assert "_guard" not in err and "_size" not in err
+
+
+@pytest.mark.parametrize("argv, problem, echo", [
+    (["witness", "--target", "rc_tt3", LONG], "unrecognized arguments: ", str),
+    ([LONG], "argument command: invalid choice: ", repr),
+    (["solve", "--method", LONG], "argument --method: invalid choice: ", repr)],
+    ids=["unrecognized", "command", "method"])
+def test_cli_usage_errors_cut_long_tokens(capsys, argv, problem, echo):
+    # argparse echoed every one of the 5000 characters
+    assert cli(*argv) == (EXIT_ERROR, "")
+    err = capsys.readouterr().err
+    assert problem + _quoted(LONG) in err
+    assert len(err.encode()) < 1000
+    # a token within the limit is echoed as argparse writes it
+    short = "x" * 40
+    assert cli(*(short if a == LONG else a for a in argv)) == (EXIT_ERROR, "")
+    assert problem + echo(short) in capsys.readouterr().err
 
 
 def test_cli_bg_of_an_empty_digraph_prints_nothing(tmp_path):

@@ -370,13 +370,12 @@ def test_keys_arcs_and_edges_must_be_pairs():
         for what, call in (
                 ("cost key", lambda: CostMatrix({("u", "1"): 1, item: 2})),
                 ("arc", lambda: Digraph(("a", "b", "c"), [("a", "b"), item])),
-                ("arc", lambda: Digraph.from_arcs([("a", "b"), item])),
                 ("edge", lambda: BipartiteGraph(("a",), ("b", "c"),
                                                 [("a", "b"), item]))):
             want = f"{what} {item!r} is not a pair"
             assert error_of(call) == (GraphError, want)
     # pairs of other types still normalise to str, as before
-    assert Digraph.from_arcs([(1, 2)]).arcs == {("1", "2")}
+    assert Digraph(("1", "2"), [(1, 2)]).arcs == {("1", "2")}
 
 
 # a container that is not a collection (of hashable keys, for a cost
@@ -392,13 +391,6 @@ def test_digraph_refuses_arguments_that_are_not_collections():
         GraphError, "bad arcs: " + not_iterable.format("NoneType"))
     assert error_of(Digraph, 5) == (
         GraphError, "bad vertices: " + not_iterable.format("int"))
-
-
-def test_from_arcs_refuses_arguments_that_are_not_collections():
-    assert error_of(Digraph.from_arcs, 5) == (
-        GraphError, "bad arcs: 'int' object is not iterable")
-    assert error_of(Digraph.from_arcs, [("a", "b")], 5) == (
-        GraphError, "bad vertices: 'int' object is not iterable")
 
 
 def test_bipartite_graph_refuses_arguments_that_are_not_collections():

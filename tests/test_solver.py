@@ -664,7 +664,7 @@ def test_collapse_minimum_of_copies():
 
 
 def test_collapse_singletons_keep_costs():
-    h = Digraph.from_arcs([("a", "b")])
+    h = Digraph(("a", "b"), [("a", "b")])
     hp, decomp = extend(h, {"a": 1, "b": 1})
     costs = CostMatrix({("u", "a_1"): 3})
     _, collapsed, _ = collapse_extension(hp, decomp, costs)
@@ -677,6 +677,18 @@ def test_collapse_rejects_bad_decomposition():
     bad.popitem()
     with pytest.raises(GraphError):
         collapse_extension(hp, bad, CostMatrix({}))
+    looped = Digraph(hp.vertices, hp.arcs | {("2_1", "2_1")})
+    with pytest.raises(GraphError, match="cannot have loops"):
+        collapse_extension(looped, decomp, CostMatrix({}))
+
+
+def test_collapse_lifts_only_base_images():
+    hp, decomp = extend(make_tt(2), {"1": 2, "2": 1})
+    _, _, lift = collapse_extension(hp, decomp, CostMatrix({}))
+    assert lift({"u": "1", "v": "2"}) == {"u": "1_1", "v": "2_1"}
+    with pytest.raises(GraphError) as info:
+        lift({"u": "1", "v": "1_1"})
+    assert str(info.value) == "image '1_1' is not a base vertex"
 
 
 def test_collapse_checks_its_cost_keys():
