@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _pairs, _quoted, check_token, components)
+                      _built, _pairs, _quoted, _Record, check_token,
+                      components)
 from .solver import CostMatrix
 
 #: Default cap on the number of vertices searched for forbidden structures.
@@ -49,18 +50,31 @@ PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph with ordered parts; every edge crosses the parts.
+def _crossing(s1: set[str], s2: set[str],
+              edges: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """The edges (name pairs) oriented from the names s1 to the disjoint
+    names s2; GraphError naming the first edge whose ends are not one in
+    each.  Two set inclusions decide; the loop runs only to name it."""
+    oriented = frozenset([(u, v) if u in s1 else (v, u) for u, v in edges])
+    if not (s1.issuperset(map(itemgetter(0), oriented))
+            and s2.issuperset(map(itemgetter(1), oriented))):
+        for u, v in edges:
+            if not (u in s1 and v in s2 or v in s1 and u in s2):
+                raise GraphError(f"edge ({_quoted(u)}, {_quoted(v)}) "
+                                 "does not cross the parts")
+    return oriented
+
+
+class BipartiteGraph(_Record):
+    """Bipartite graph with ordered parts (tuples of names); every edge
+    crosses the parts, and edges is a frozenset of (part1, part2) pairs.
 
     The first/second part distinction is semantic (part-respecting
     homomorphism instances depend on it), so the parts are never swapped
     silently.
     """
 
-    part1: tuple[str, ...]
-    part2: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    _fields = ("part1", "part2", "edges")
 
     def __init__(self, part1, part2, edges=()):
         p1 = _built(tuple, part1, "part1")
@@ -71,26 +85,20 @@ class BipartiteGraph:
             raise GraphError("duplicate vertex declarations")
         if set(p1) & set(p2):
             raise GraphError("parts must be disjoint")
-        s1, s2 = set(p1), set(p2)
-        norm = set()
-        for u, v in _pairs(edges, "edge"):
-            if u in s1 and v in s2:
-                norm.add((u, v))
-            elif v in s1 and u in s2:
-                norm.add((v, u))
-            else:
-                raise GraphError(f"edge ({_quoted(u)}, {_quoted(v)}) "
-                                 "does not cross the parts")
+        edges = _crossing(set(p1), set(p2), _pairs(edges, "edge"))
         object.__setattr__(self, "part1", p1)
         object.__setattr__(self, "part2", p2)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _wrap(cls, part1: tuple[str, ...], part2: tuple[str, ...],
               edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
         """A graph holding the parts and edges as they are, unchecked: only
         for a graph derived from an already checked one, whose names,
-        parts and (part1, part2) edges are valid by construction."""
+        parts and (part1, part2) edges are valid by construction, or read
+        by a reader whose tokens meet every rule of check_token and
+        __init__ as read, with edges oriented by _crossing
+        (io.parse_bipartite, for a file whose names hold no comma)."""
         g = object.__new__(cls)
         object.__setattr__(g, "part1", part1)
         object.__setattr__(g, "part2", part2)
@@ -132,8 +140,7 @@ class BipartiteGraph:
                       if b in inside))
 
 
-@dataclass(frozen=True)
-class ForbiddenStructure:
+class ForbiddenStructure(_Record):
     """An induced forbidden structure with its embedding into the host.
 
     kind is one of 'long-induced-cycle', 'bipartite-claw', 'bipartite-net',
@@ -141,8 +148,12 @@ class ForbiddenStructure:
     x1..x4/y1..y3 for the fixed patterns) to host vertices.
     """
 
-    kind: str
-    embedding: tuple[tuple[str, str], ...]
+    _fields = ("kind", "embedding")
+
+    def __init__(self, kind: str,
+                 embedding: tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "embedding", embedding)
 
     def host_vertices(self) -> tuple[str, ...]:
         return tuple(v for _, v in self.embedding)

@@ -11,15 +11,14 @@ best-effort and always re-validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
 from .birep import (ForbiddenStructure, bg, forbidden_hosts, label_hosts,
                     validate_forbidden)
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      NotMultipartiteTournament, components, cycle_walk,
-                      is_acyclic, partite_structure)
+                      NotMultipartiteTournament, _Record, components,
+                      cycle_walk, is_acyclic, partite_structure)
 from .minmax import FIND_GUARD, Ordering, find_minmax, verify_minmax
 
 POLY = "poly"
@@ -36,36 +35,47 @@ WITNESS_SUBSET_CAP = 4
 ENUMERATE_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class ReflexiveCycleWitness:
+class ReflexiveCycleWitness(_Record):
     """An induced directed cycle (length >= 3) with at least one loop."""
 
-    cycle: tuple[str, ...]
-    looped: str
+    _fields = ("cycle", "looped")
+
+    def __init__(self, cycle: tuple[str, ...], looped: str) -> None:
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "looped", looped)
 
 
-@dataclass(frozen=True)
-class BGForbiddenWitness:
+class BGForbiddenWitness(_Record):
     """A forbidden structure inside the bipartite representation of a small
     induced subdigraph."""
 
-    subset: tuple[str, ...]
-    structure: ForbiddenStructure
+    _fields = ("subset", "structure")
+
+    def __init__(self, subset: tuple[str, ...],
+                 structure: ForbiddenStructure) -> None:
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "structure", structure)
 
 
 Witness = ReflexiveCycleWitness | BGForbiddenWitness
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Verdict, the rule that produced it, and an optional certificate."""
 
-    verdict: str
-    rule: str
-    ordering: Ordering | None = None
-    witness: Witness | None = None
-    cycle: tuple[str, ...] | None = None
-    notes: tuple[str, ...] = ()
+    _fields = ("verdict", "rule", "ordering", "witness", "cycle", "notes")
+
+    def __init__(self, verdict: str, rule: str,
+                 ordering: Ordering | None = None,
+                 witness: Witness | None = None,
+                 cycle: tuple[str, ...] | None = None,
+                 notes: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "notes", notes)
 
 
 def validate_witness(h: Digraph, w: Witness) -> bool:

@@ -11,17 +11,19 @@ reachability search, behind components, strong_components and the pair
 digraph of minmax.find_minmax; it reads neighbours through a function, so
 a caller may store them in lists or compute them on demand.
 first_injection is the one backtracking search for isomorphisms and
-Min-Max orderings.
+Min-Max orderings.  _Record is the base of the package's immutable records
+(Digraph, BipartiteGraph, ForbiddenStructure, Ordering, ArcPair,
+CostMatrix, SolveResult and the classify certificates): each lists its
+fields once, and the base gives them equality, hash, repr and immutability.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, combinations
-from operator import add
+from operator import add, attrgetter
 
 
 class GraphError(ValueError):
@@ -107,12 +109,48 @@ def _pairs(items, what: str) -> list[tuple[str, str]]:
     return [(str(a), str(b)) for a, b in items]  # an error in str() itself
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Immutable digraph: ordered vertices, arc set (loops allowed)."""
+class _Record:
+    """An immutable record whose fields are the names in _fields, each set
+    once by __init__ with object.__setattr__.  As a frozen dataclass would:
+    two records are == when they are of the same class and their field
+    tuples are ==, the hash is that of the field tuple (TypeError when a
+    field is unhashable), the repr is Name(field=value, ...), and assigning
+    or deleting an attribute raises AttributeError.  Values that
+    cached_property stores go straight into the instance __dict__."""
 
-    vertices: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        key = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # attrgetter of one name: not a tuple
+            key = staticmethod(lambda record, one=key: (one(record),))
+        cls._key = key
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {_quoted(name)}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {_quoted(name)}")
+
+
+class Digraph(_Record):
+    """Immutable digraph: ordered vertices (a tuple of names) and an arc
+    set (a frozenset of name pairs; loops allowed)."""
+
+    _fields = ("vertices", "arcs")
 
     def __init__(self, vertices, arcs=()):
         vs = _built(tuple, vertices, "vertices")

@@ -26,21 +26,20 @@ staircase (see find_minmax).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _collect, _quoted, first_injection)
+                      _built, _collect, _quoted, _Record, first_injection)
 
 #: Default cap for the permutation search.
 FIND_GUARD = 9
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """A permutation of the target's vertices, with 1-based ranks."""
+class Ordering(_Record):
+    """A permutation of the target's vertices (sequence, a tuple of names),
+    with 1-based ranks."""
 
-    sequence: tuple[str, ...]
+    _fields = ("sequence",)
 
     def __init__(self, sequence):
         seq = tuple(map(str, _built(iter, sequence, "sequence")))
@@ -62,12 +61,14 @@ class Ordering:
         return cls(toks)
 
 
-@dataclass(frozen=True)
-class ArcPair:
+class ArcPair(_Record):
     """Two arcs whose coordinatewise min or max (by position) is no arc."""
 
-    e: tuple[str, str]
-    f: tuple[str, str]
+    _fields = ("e", "f")
+
+    def __init__(self, e: tuple[str, str], f: tuple[str, str]) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
 
 def _rank_rows(h: Digraph, seq) -> list[list[int]]:

@@ -57,15 +57,14 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import product, repeat
 from operator import itemgetter
-from typing import Callable, Sequence
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
-                      _built, _pairs, _quoted, cycle_walk, is_acyclic,
-                      strong_components)
+                      _built, _pairs, _quoted, _Record, cycle_walk,
+                      is_acyclic, strong_components)
 from .minmax import (FIND_GUARD, Ordering, _bits, _rank_rows, find_minmax,
                      verify_minmax)
 
@@ -80,13 +79,13 @@ BRUTE_BUDGET = 2_000_000
 _INT = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Sparse cost table c_i(u); unspecified entries cost 0.  Costs are
-    ints, or strings of an optional sign and ASCII digits (as parse_costs)
-    within int()'s digit limit, sys.get_int_max_str_digits()."""
+class CostMatrix(_Record):
+    """Sparse cost table c_i(u); unspecified entries cost 0.  entries maps
+    (input vertex, target vertex) to an int.  Costs are given as ints, or
+    strings of an optional sign and ASCII digits (as parse_costs) within
+    int()'s digit limit, sys.get_int_max_str_digits()."""
 
-    entries: dict[tuple[str, str], int]
+    _fields = ("entries",)
 
     def __init__(self, entries=None):
         entries = _built(dict, {} if entries is None else entries, "entries")
@@ -134,14 +133,17 @@ class CostMatrix:
                 )
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """An optimal homomorphism and its cost, or (both None) an
     infeasibility verdict; method names the route that produced it."""
 
-    mapping: dict[str, str] | None
-    cost: int | None
-    method: str
+    _fields = ("mapping", "cost", "method")
+
+    def __init__(self, mapping: dict[str, str] | None, cost: int | None,
+                 method: str) -> None:
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "method", method)
 
     @property
     def feasible(self) -> bool:
@@ -634,7 +636,9 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
         # label), its arcs go to the other components' first members, and
         # the other members go on the trail with the identity as pick.
         # Contracting leaves new pendants, so the first members are folded
-        # again (with one-member components nothing folds)
+        # again (with one-member components nothing folds).  A one-member
+        # component whose core neighbours are all first members keeps its
+        # out-list (ascending, from the index) without the folded ones
         groups = strong_components(outs, ins, core)
         first = [-1] * len(vs)
         for ks in groups:
@@ -643,12 +647,14 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
         same = range(p)
         for ks in groups:
             g = ks[0]
+            row = [x for x in outs[g] if first[x] >= 0]
             if len(ks) > 1:
                 vecs[g] = [None if i not in diag or None in xs else sum(xs)
                            for i, xs in enumerate(zip(*(vecs[k] for k in ks)))]
-            outs[g] = sorted({first[x] for k in ks for x in outs[k]} - {-1, g})
-            ins[g] = []
-            trail += [(k, g, same) for k in ks[1:]]
+                trail += [(k, g, same) for k in ks[1:]]
+            if len(ks) > 1 or any(first[x] != x for x in row):
+                row = sorted({first[x] for k in ks for x in outs[k]} - {-1, g})
+            outs[g], ins[g] = row, []
         core = [ks[0] for ks in groups]
         for g in core:
             for x in outs[g]:

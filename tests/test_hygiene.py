@@ -318,6 +318,19 @@ def test_solve_bytes_survive_python_O(tmp_path):
     assert outs[0].startswith(b"cost ") and outs[0] == outs[1]
 
 
+def test_cli_starts_without_dataclasses_or_typing():
+    # every minhom process imports minhom.cli before it reads input; the
+    # records need no dataclasses (which pulls in inspect, ast and dis)
+    # and annotations need no typing.  -S keeps site's own imports out
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    heavy = ["dataclasses", "inspect", "typing", "ast", "dis"]
+    code = ("import sys, minhom.cli; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
+
+
 def test_find_minmax_answers_its_declaration_order_before_the_guard():
     # the guard bounds the ordering search, not the O(n + m) check of the
     # declaration order: GuardExceeded is raised only after the return of
