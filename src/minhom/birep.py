@@ -26,7 +26,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
 
 from .digraph import (Digraph, GraphError, GuardExceeded, InternalError,
                       _built, _pairs, _quoted, _Record, check_token,
@@ -50,21 +49,6 @@ PATTERNS = {
 }
 
 
-def _crossing(s1: set[str], s2: set[str],
-              edges: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """The edges (name pairs) oriented from the names s1 to the disjoint
-    names s2; GraphError naming the first edge whose ends are not one in
-    each.  Two set inclusions decide; the loop runs only to name it."""
-    oriented = frozenset([(u, v) if u in s1 else (v, u) for u, v in edges])
-    if not (s1.issuperset(map(itemgetter(0), oriented))
-            and s2.issuperset(map(itemgetter(1), oriented))):
-        for u, v in edges:
-            if not (u in s1 and v in s2 or v in s1 and u in s2):
-                raise GraphError(f"edge ({_quoted(u)}, {_quoted(v)}) "
-                                 "does not cross the parts")
-    return oriented
-
-
 class BipartiteGraph(_Record):
     """Bipartite graph with ordered parts (tuples of names); every edge
     crosses the parts, and edges is a frozenset of (part1, part2) pairs.
@@ -85,20 +69,26 @@ class BipartiteGraph(_Record):
             raise GraphError("duplicate vertex declarations")
         if set(p1) & set(p2):
             raise GraphError("parts must be disjoint")
-        edges = _crossing(set(p1), set(p2), _pairs(edges, "edge"))
+        s1, s2 = set(p1), set(p2)
+        norm = set()
+        for u, v in _pairs(edges, "edge"):
+            if u in s1 and v in s2:
+                norm.add((u, v))
+            elif v in s1 and u in s2:
+                norm.add((v, u))
+            else:
+                raise GraphError(f"edge ({_quoted(u)}, {_quoted(v)}) "
+                                 "does not cross the parts")
         object.__setattr__(self, "part1", p1)
         object.__setattr__(self, "part2", p2)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(norm))
 
     @classmethod
     def _wrap(cls, part1: tuple[str, ...], part2: tuple[str, ...],
               edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
         """A graph holding the parts and edges as they are, unchecked: only
         for a graph derived from an already checked one, whose names,
-        parts and (part1, part2) edges are valid by construction, or read
-        by a reader whose tokens meet every rule of check_token and
-        __init__ as read, with edges oriented by _crossing
-        (io.parse_bipartite, for a file whose names hold no comma)."""
+        parts and (part1, part2) edges are valid by construction."""
         g = object.__new__(cls)
         object.__setattr__(g, "part1", part1)
         object.__setattr__(g, "part2", part2)

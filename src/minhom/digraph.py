@@ -112,19 +112,18 @@ def _pairs(items, what: str) -> list[tuple[str, str]]:
 class _Record:
     """An immutable record whose fields are the names in _fields, each set
     once by __init__ with object.__setattr__.  As a frozen dataclass would:
-    two records are == when they are of the same class and their field
-    tuples are ==, the hash is that of the field tuple (TypeError when a
-    field is unhashable), the repr is Name(field=value, ...), and assigning
-    or deleting an attribute raises AttributeError.  Values that
-    cached_property stores go straight into the instance __dict__."""
+    two records are == when they are of the same class and their fields
+    are ==, the hash is that of the fields (TypeError when a field is
+    unhashable), the repr is Name(field=value, ...), and assigning or
+    deleting an attribute raises AttributeError.  _key reads the fields
+    (one attrgetter: a tuple, or the bare value of a one-field record).
+    Values that cached_property stores go straight into the instance
+    __dict__."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        key = attrgetter(*cls._fields)
-        if len(cls._fields) == 1:  # attrgetter of one name: not a tuple
-            key = staticmethod(lambda record, one=key: (one(record),))
-        cls._key = key
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

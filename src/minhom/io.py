@@ -11,7 +11,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 
-from .birep import BipartiteGraph, _crossing
+from .birep import BipartiteGraph
 from .digraph import Digraph, GraphError, _quoted
 from .solver import _INT, CostMatrix
 
@@ -75,43 +75,32 @@ def format_digraph(h: Digraph) -> str:
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse `p1 <name>` / `p2 <name>` / `e <u> <v>` lines.  Edge endpoints
-    must be declared first (their part is ambiguous otherwise).
-
-    As in parse_digraph, the tokens meet every rule of check_token but the
-    comma one, and the loop refuses a repeated name in either part, so
-    only a name with a comma sends the graph through BipartiteGraph's
-    checks, which name it.  Otherwise the edges are oriented after the
-    loop by BipartiteGraph's own rule (birep._crossing), and the graph is
-    wrapped."""
+    must be declared first (their part is ambiguous otherwise)."""
     part1: list[str] = []
     part2: list[str] = []
     edges: list[tuple[str, str]] = []
     declared: set[str] = set()
     for lineno, toks in _lines(text):
-        if len(toks) == 3 and toks[0] == "e":
-            _, u, v = toks
-            if u not in declared or v not in declared:
-                raise FormatError(
-                    f"line {lineno}: vertex "
-                    f"{_quoted(v if u in declared else u)} "
-                    "used before declaration"
-                )
-            edges.append((u, v))
-        elif len(toks) == 2 and toks[0] in ("p1", "p2"):
+        if toks[0] in ("p1", "p2") and len(toks) == 2:
             if toks[1] in declared:
                 raise FormatError(
                     f"line {lineno}: duplicate vertex {_quoted(toks[1])}")
             declared.add(toks[1])
             (part1 if toks[0] == "p1" else part2).append(toks[1])
+        elif toks[0] == "e" and len(toks) == 3:
+            for v in toks[1:]:
+                if v not in declared:
+                    raise FormatError(
+                        f"line {lineno}: vertex {_quoted(v)} "
+                        "used before declaration"
+                    )
+            edges.append((toks[1], toks[2]))
         else:
             raise FormatError(
                 f"line {lineno}: expected 'p1 <name>', 'p2 <name>' or 'e <u> <v>'"
             )
     try:
-        if "," in "".join(declared):
-            return BipartiteGraph(part1, part2, edges)
-        return BipartiteGraph._wrap(tuple(part1), tuple(part2),
-                                    _crossing(set(part1), set(part2), edges))
+        return BipartiteGraph(part1, part2, edges)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -636,9 +636,7 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
         # label), its arcs go to the other components' first members, and
         # the other members go on the trail with the identity as pick.
         # Contracting leaves new pendants, so the first members are folded
-        # again (with one-member components nothing folds).  A one-member
-        # component whose core neighbours are all first members keeps its
-        # out-list (ascending, from the index) without the folded ones
+        # again (with one-member components nothing folds)
         groups = strong_components(outs, ins, core)
         first = [-1] * len(vs)
         for ks in groups:
@@ -647,14 +645,12 @@ def _reduced(d: Digraph, h: Digraph, costs: CostMatrix, seq,
         same = range(p)
         for ks in groups:
             g = ks[0]
-            row = [x for x in outs[g] if first[x] >= 0]
             if len(ks) > 1:
                 vecs[g] = [None if i not in diag or None in xs else sum(xs)
                            for i, xs in enumerate(zip(*(vecs[k] for k in ks)))]
-                trail += [(k, g, same) for k in ks[1:]]
-            if len(ks) > 1 or any(first[x] != x for x in row):
-                row = sorted({first[x] for k in ks for x in outs[k]} - {-1, g})
-            outs[g], ins[g] = row, []
+            outs[g] = sorted({first[x] for k in ks for x in outs[k]} - {-1, g})
+            ins[g] = []
+            trail += [(k, g, same) for k in ks[1:]]
         core = [ks[0] for ks in groups]
         for g in core:
             for x in outs[g]:

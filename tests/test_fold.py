@@ -10,7 +10,6 @@ optimum: the coordinatewise minimum, by ordering rank, of all optimal maps.
 """
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from minhom import (CostMatrix, Digraph, find_minmax, is_homomorphism,
                     make_cycle, make_tt, make_tt_minus, map_cost, solve_auto,
                     solve_bruteforce, solve_minmax)
 from minhom.cli import resolve_target
-from minhom import solver
 from minhom.solver import FlowNetwork
 
 TARGETS = {"rc_tt3": make_tt(3).reflexive_closure(),
@@ -298,82 +296,3 @@ def test_reductions_leave_the_adjacency_index_alone():
     again = solve_minmax(d, h, ORDERINGS["rc_tt5"], costs)
     assert first.feasible and again == first
     assert first.cost == solve_bruteforce(d, h, costs).cost
-
-
-def contracted_arcs(d):
-    """The arcs of d's core after the first fold, each strong component
-    contracted into its first member (by declaration index), and the first
-    member of each core vertex.  The arcs map the first
-    member of each component -> the ascending first members of the other
-    components its members' arcs reach.  The core is the vertices left
-    once vertices with at most one arc (counted by arc, so a digon counts
-    two) are removed until none is left, which does not depend on the
-    order of removal; components by mutual reachability."""
-    outs, ins, _ = d.adjacency
-    n = len(d.vertices)
-    deg = [len(outs[k]) + len(ins[k]) for k in range(n)]
-    alive = [True] * n
-    stack = [k for k in range(n) if deg[k] <= 1]
-    while stack:
-        k = stack.pop()
-        alive[k] = False
-        for x in outs[k] + ins[k]:
-            if alive[x]:
-                deg[x] -= 1
-                if deg[x] == 1:
-                    stack.append(x)
-    core = [k for k in range(n) if alive[k]]
-
-    def reach(k):
-        seen, todo = {k}, [k]
-        while todo:
-            for x in outs[todo.pop()]:
-                if alive[x] and x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        return seen
-
-    reached = {k: reach(k) for k in core}
-    first = {k: min(x for x in reached[k] if k in reached[x]) for k in core}
-    arcs = {g: sorted({first[x] for k in core if first[k] == g
-                       for x in outs[k] if alive[x]} - {g})
-            for g in set(first.values())}
-    return arcs, first
-
-
-def test_contraction_keeps_the_quotient_arcs(monkeypatch):
-    # the contraction takes a one-vertex component's out-list as it is,
-    # less the folded vertices, when its core neighbours are all first
-    # members, and builds the others by set and sort; either way each
-    # vertex the cut receives has the contracted arcs, ascending
-    seen = []
-    cut = solver._cut
-
-    def record(vecs, outs, core, lam, mu):
-        seen.append({g: list(outs[g]) for g in core})
-        return cut(vecs, outs, core, lam, mu)
-
-    monkeypatch.setattr(solver, "_cut", record)
-    rng = random.Random(29)
-    h = TARGETS["rc_tt3"]
-    # instances with a one-vertex component whose arc leads to a member
-    # of a larger component that is not its first
-    into_member = 0
-    for _ in range(300):
-        n = rng.randint(4, 40)
-        vs = [f"v{k}" for k in range(n)]
-        d = Digraph(vs, {tuple(rng.sample(vs, 2))
-                         for _ in range(rng.randint(n, 2 * n))})
-        costs = CostMatrix({(u, i): rng.randint(-9, 9)
-                            for u in vs for i in h.vertices})
-        seen.clear()
-        res = solve_minmax(d, h, ORDERINGS["rc_tt3"], costs)
-        want, first = contracted_arcs(d)
-        for g, row in (seen[0].items() if seen else ()):
-            assert row == want[g], (d, g)
-        size = Counter(first.values())
-        into_member += any(size[k] == 1 and first.get(x, x) != x
-                           for k in first for x in d.adjacency[0][k])
-        if n <= 8:
-            assert res.cost == solve_bruteforce(d, h, costs).cost
-    assert into_member > 100

@@ -14,7 +14,6 @@ one over every code point.
 import enum
 import random
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from minhom import (BipartiteGraph, CostMatrix, Digraph, FormatError,
                     GraphError, Ordering, format_bipartite, format_costs,
                     format_digraph, is_homomorphism, make_tt, parse_bipartite,
                     parse_costs, parse_digraph)
-from minhom import birep, digraph, io
+from minhom import digraph, io
 from minhom.digraph import _quoted, check_token
 
 
@@ -289,102 +288,6 @@ def test_parse_digraph_matches_the_fully_checked_reader(monkeypatch):
     calls.clear()
     with pytest.raises(FormatError, match="bad vertex name 'a,b'"):
         parse_digraph("v u\na u a,b\n")
-    assert calls == ["u", "a,b"]
-
-
-def checked_parse_bipartite(text):
-    """parse_bipartite as it was while it sent every file through
-    BipartiteGraph's checks: the same loop, then BipartiteGraph(...)."""
-    part1, part2, edges, declared = [], [], [], set()
-    for lineno, toks in io._lines(text):
-        if toks[0] in ("p1", "p2") and len(toks) == 2:
-            if toks[1] in declared:
-                raise FormatError(
-                    f"line {lineno}: duplicate vertex {_quoted(toks[1])}")
-            declared.add(toks[1])
-            (part1 if toks[0] == "p1" else part2).append(toks[1])
-        elif toks[0] == "e" and len(toks) == 3:
-            for v in toks[1:]:
-                if v not in declared:
-                    raise FormatError(f"line {lineno}: vertex {_quoted(v)} "
-                                      "used before declaration")
-            edges.append((toks[1], toks[2]))
-        else:
-            raise FormatError(f"line {lineno}: expected 'p1 <name>', "
-                              "'p2 <name>' or 'e <u> <v>'")
-    try:
-        return BipartiteGraph(part1, part2, edges)
-    except GraphError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def random_bipartite_text(rng):
-    """A bigraph file of a few lines: declarations in either part (some
-    repeated, within a part or across), edges written either way round
-    (some repeated, some inside one part, some with an undeclared end),
-    comments, blank lines, names with commas and, now and then, a
-    malformed line late in the file."""
-    names = rng.sample(["u", "w", "x1", "\xe9", "7", "a,b", ",", "q,"],
-                       rng.randint(2, 6))
-    if rng.random() < 0.5:  # mostly comma-free files
-        names = [v for v in names if "," not in v] or ["u", "w"]
-    side = {v: rng.choice(["p1", "p2"]) for v in names}
-    lines = [f"{side[v]} {v}" for v in names if rng.random() < 0.9]
-    for _ in range(rng.randint(0, 10)):
-        kind = rng.random()
-        if kind < 0.1:
-            line = f"{rng.choice(['p1', 'p2'])} {rng.choice(names)}"
-        elif kind < 0.7:
-            ends = rng.choices(names, k=2)
-            if rng.random() < 0.9:  # mostly across the parts
-                ends = [rng.choice([v for v in names if side[v] == part]
-                                   or names) for part in ("p1", "p2")]
-                rng.shuffle(ends)
-            line = f"e {ends[0]} {ends[1]}"
-        elif kind < 0.8 and lines:
-            line = rng.choice(lines)
-        elif kind < 0.95:
-            line = rng.choice(["", "   ", "# a, b", "#"])
-        else:
-            line = rng.choice(["p1", "e u", "p2 u w", "c u 1 2", "x"])
-        if rng.random() < 0.2:
-            line += rng.choice([" # note", "#, x", "\t#"])
-        lines.append(rng.choice(["", " ", "\t"]) + line)
-    return "".join(line + rng.choice(LINE_ENDS) for line in lines)
-
-
-def test_parse_bipartite_matches_the_fully_checked_reader(monkeypatch):
-    # a comma-free file is wrapped with its edges oriented, with no
-    # check_token call; any other gives the same graph or the same error
-    # as BipartiteGraph's checks
-    calls = []
-
-    def counted(name):
-        calls.append(name)
-        return check_token(name)
-
-    monkeypatch.setattr(birep, "check_token", counted)
-    rng = random.Random(34)
-    seen = Counter()
-    for _ in range(3000):
-        text = random_bipartite_text(rng)
-        want = outcome(checked_parse_bipartite, text)
-        calls.clear()
-        assert outcome(parse_bipartite, text) == want, text
-        tokens = [t for _, toks in io._lines(text) for t in toks]
-        if not any("," in t for t in tokens):
-            assert calls == [], text
-            seen["wrapped" if want[0] == "ok" else "refused"] += 1
-        if want[0] == "error":
-            seen[want[1].split(": ")[-1].split()[-1]] += 1
-    # wrapped graphs, and each message of the comma-free and comma paths
-    assert seen["wrapped"] > 300 and seen["refused"] > 300, seen
-    for last in ("parts", "declaration", "<v>'", "allowed"):
-        assert seen[last] > 30, seen
-    assert sum(seen[k] for k in seen if k.startswith("'")) > 30, seen
-    calls.clear()
-    with pytest.raises(FormatError, match="bad vertex name 'a,b'"):
-        parse_bipartite("p1 u\np2 a,b\ne a,b u\n")
     assert calls == ["u", "a,b"]
 
 
